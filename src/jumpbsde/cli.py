@@ -38,15 +38,14 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def _exit_code(report: Report) -> int:
+    """1 if any case failed, else 2 if any precondition is unmet, else 0."""
     statuses = {c.status for c in report.cases}
-    if "preconditions-unmet" in statuses:
-        return 2
-    return 0 if report.passed else 1
+    if "fail" in statuses:
+        return 1
+    return 2 if "preconditions-unmet" in statuses else 0
 
 
 def _demo_model_config() -> dict:
-    # kept mild: the explicit regression scheme and the implicit tree scheme
-    # differ at order dt, more visibly for aggressive coefficients
     return {
         "model": {"drift": 0.1, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.3}]},
         "grid": {"T": 1.0, "steps": 8},

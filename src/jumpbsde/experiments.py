@@ -565,11 +565,9 @@ def default_convergence_config() -> dict:
 def default_mc_suite() -> list:
     """Tree-feasible instances for oracle equivalence of the regression solver.
 
-    The explicit-in-y scheme and the jump-coefficient normalization differ
-    from the implicit tree scheme at order dt, so the suite keeps the
-    y-coefficients and lambda*dt small enough for that scheme gap to sit
-    inside the Monte-Carlo tolerance; the terminal is affine, for which the
-    polynomial basis spans the conditional expectations exactly.
+    The regression solver takes the tree's implicit step, so its gap to the
+    tree is regression and sampling error only; the terminal is affine, for
+    which the polynomial basis spans the conditional expectations exactly.
     """
     bm = {"drift": 0.05, "sigma": 1.0, "marks": []}
     j1 = {"drift": 0.0, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.2}]}

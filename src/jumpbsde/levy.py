@@ -15,6 +15,9 @@ import numpy as np
 # Size threshold separating compensated (small) from uncompensated (large) jumps.
 SMALL_JUMP_CUTOFF = 1.0
 
+# Paths are drawn in blocks of this many, one random stream per block.
+PATH_BLOCK = 1024
+
 
 class ModelError(ValueError):
     """Invalid model, grid, or simulation request."""
@@ -194,9 +197,11 @@ class PathBundle:
 def simulate_paths(model: LevyModel, grid: TimeGrid, count: int, seed: int) -> PathBundle:
     """Simulate i.i.d. Brownian and Poisson increments on the grid.
 
-    Each path gets its own random stream spawned from the root seed
-    (spawn key = path index, Brownian increments drawn before jump counts),
-    so path i is bit-identical regardless of the total path count.
+    Paths are drawn in whole blocks of PATH_BLOCK paths. Each block gets its
+    own random stream spawned from the root seed (spawn key = block index)
+    and draws all its Brownian increments before its jump counts; the first
+    `count` paths are returned, so path i is bit-identical regardless of the
+    total path count.
     """
     if count < 1:
         raise ModelError("path count must be at least 1")
@@ -205,10 +210,12 @@ def simulate_paths(model: LevyModel, grid: TimeGrid, count: int, seed: int) -> P
     sqrt_dt = np.sqrt(grid.dt)
     dw = np.empty((count, steps))
     dn = np.zeros((count, steps, j))
-    children = np.random.SeedSequence(seed).spawn(count)
-    for i, child in enumerate(children):
+    n_blocks = -(-count // PATH_BLOCK)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
         rng = np.random.Generator(np.random.PCG64(child))
-        dw[i] = rng.standard_normal(steps) * sqrt_dt
+        lo = b * PATH_BLOCK
+        hi = min(lo + PATH_BLOCK, count)
+        dw[lo:hi] = rng.standard_normal((PATH_BLOCK, steps))[: hi - lo] * sqrt_dt
         if j:
-            dn[i] = rng.poisson(lam_dt, size=(steps, j))
+            dn[lo:hi] = rng.poisson(lam_dt, size=(PATH_BLOCK, steps, j))[: hi - lo]
     return PathBundle(model=model, grid=grid, seed=seed, dw=dw, dn=dn)

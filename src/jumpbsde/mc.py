@@ -3,6 +3,9 @@
 The regression state is the current value of the driving process; the basis
 is polynomial and its degree drops automatically when the design matrix is
 rank deficient on the sampled paths (pure-jump models take few values).
+Each step solves the tree's implicit equation y = E[y'] + dt f(t, y, z, u),
+with Z and U from the regressions of y' dW and y' dN~ scaled by the
+variances dt and lambda*dt of the increments.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSpec, StepContext
-from .levy import LevyModel, ModelError, PathBundle, TimeGrid, simulate_paths
-from .tree import TreeSolution
+from .levy import PATH_BLOCK, LevyModel, ModelError, PathBundle, TimeGrid, simulate_paths
+from .tree import DEFAULT_FP_MAX_ITER, DEFAULT_FP_TOL, FixedPointError, TreeSolution
 
 
 class RegressionError(ModelError):
@@ -63,66 +66,133 @@ def _design(x: np.ndarray, degree: int) -> np.ndarray:
     return np.vander(xt, degree + 1, increasing=True)
 
 
-def _fit(x: np.ndarray, targets: np.ndarray, degree: int) -> tuple[np.ndarray, int]:
-    """Least squares with automatic degree reduction to full column rank.
+def _orthonormal_design(x: np.ndarray, degree: int) -> np.ndarray:
+    """Orthonormal columns spanning the polynomial design of the highest full-rank degree.
 
-    Returns fitted values for every target column and the degree kept.
+    Columns are nested, so leading columns span the lower degrees. The rank
+    test is that of np.linalg.lstsq: singular values above eps * max(m, d)
+    times the largest.
     """
-    deg = degree
-    while True:
-        phi = _design(x, deg)
-        coef, _, rank, _ = np.linalg.lstsq(phi, targets, rcond=None)
-        if rank == phi.shape[1]:
-            return phi @ coef, deg if phi.shape[1] > 1 else 0
-        if deg == 0:
-            raise RegressionError("design matrix is rank deficient even for the constant basis")
-        deg -= 1
+    phi = _design(x, degree)
+    q, r = np.linalg.qr(phi)
+    k = phi.shape[1]
+    while k > 1:
+        s = np.linalg.svd(r[:k, :k], compute_uv=False)
+        if s[-1] > np.finfo(float).eps * max(phi.shape[0], k) * s[0]:
+            break
+        k -= 1
+    return q[:, :k]
 
 
-def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis, idx=None):
-    """Explicit-in-y regression recursion on (a resample of) the simulated paths."""
+# Under unit weights the Gram matrix of the orthonormal design is the identity;
+# a resample that loses a support point of the state drives an eigenvalue of
+# its Gram matrix to rounding level, far below this threshold.
+_GRAM_RANK_TOL = 1e-10
+
+
+def _weighted_sums(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """weights @ a, accumulated over blocks of paths.
+
+    A single matrix product over all paths sums them in one running total
+    when weights has one row, and loses digits at large path counts; blocks
+    keep the plain solve as accurate as the bootstrap rows.
+    """
+    return sum(weights[:, s:s + PATH_BLOCK] @ a[s:s + PATH_BLOCK] for s in range(0, a.shape[0], PATH_BLOCK))
+
+
+def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each row's normal equations on its largest full-rank leading block.
+
+    gram is (rows, k, k) and rhs (rows, k, targets). Returns coefficients,
+    zero beyond each row's kept columns, and the kept column count per row.
+    """
+    rows, k0, _ = gram.shape
+    full = np.stack([np.linalg.eigvalsh(gram[:, :k, :k])[:, 0] > _GRAM_RANK_TOL for k in range(1, k0 + 1)], axis=1)
+    kept = np.cumprod(full, axis=1).sum(axis=1)
+    coef = np.zeros_like(rhs)
+    for k in np.unique(kept):
+        sel = kept == k
+        coef[sel, :k] = np.linalg.solve(gram[sel, :k, :k], rhs[sel, :k])
+    return coef, kept
+
+
+def _implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int) -> np.ndarray:
+    """Solve y = ey + dt f(t, y, z, u) by fixed-point iteration, as the tree does."""
+    y = ey
+    for _ in range(DEFAULT_FP_MAX_ITER):
+        y_new = ey + dt * np.asarray(g.eval(ctx, t, y, z, u), dtype=float)
+        delta = float(np.max(np.abs(y_new - y)))
+        y = y_new
+        if delta <= DEFAULT_FP_TOL:
+            return y
+    raise FixedPointError(
+        f"implicit regression step did not converge at step {step} within {DEFAULT_FP_MAX_ITER} iterations"
+    )
+
+
+def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis, weights: np.ndarray,
+                   keep: bool = False):
+    """Implicit-in-y regression recursion, one weighted replicate per row of `weights`.
+
+    Row b fits every conditional expectation by least squares with path
+    weights weights[b]: all ones for the plain solve, resample counts for a
+    bootstrap replicate. Each step builds one design on all paths; per row
+    the Gram matrix and right-hand sides are weighted sums over it, and the
+    degree drops where that row's Gram matrix is rank deficient.
+
+    Returns the Y0 of every row, the degree every row used at every step and,
+    when `keep`, the (Y, Z, U) path arrays of row 0.
+    """
     model, grid = bundle.model, bundle.grid
-    n, j = grid.steps, model.n_marks
-    dt = grid.dt
+    n, j, dt = grid.steps, model.n_marks, grid.dt
     times = grid.times
-
-    x_path = bundle.states()
-    w_path = bundle.brownian()
-    c_path = bundle.jump_counts()
-    dw = bundle.dw
-    dnt = bundle.dn_tilde
-    if idx is not None:
-        x_path, w_path, c_path = x_path[idx], w_path[idx], c_path[idx]
-        dw, dnt = dw[idx], dnt[idx]
-    m = x_path.shape[0]
-
-    p_jump = model.intensities * dt
-    if j and np.any(p_jump >= 1.0):
+    lam_dt = model.intensities * dt
+    if j and np.any(lam_dt >= 1.0):
         raise RegressionError("solve_mc needs lambda*dt < 1 for the jump-coefficient normalization")
-    u_denom = p_jump * (1.0 - p_jump) if j else None
 
-    y = np.empty((m, n + 1))
-    z = np.zeros((m, n))
-    u = np.zeros((m, n, j))
-    degrees = [0] * n
-    y[:, n] = xi(StepContext(model=model, x=x_path[:, n], w=w_path[:, n], counts=c_path[:, n]))
+    x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
+    dw, dnt = bundle.dw, bundle.dn_tilde
+    rows, m = weights.shape
+
+    def context(i):
+        return StepContext(model=model, x=x_path[:, i], w=w_path[:, i], counts=c_path[:, i])
+
+    y = np.empty((rows, m))
+    y[:] = xi(context(n))
+    degrees = np.zeros((rows, n), dtype=int)
+    if keep:
+        y_keep = np.empty((m, n + 1))
+        z_keep = np.zeros((m, n))
+        u_keep = np.zeros((m, n, j))
+        y_keep[:, n] = y[0]
 
     for i in range(n - 1, -1, -1):
-        targets = np.empty((m, 2 + j))
-        targets[:, 0] = y[:, i + 1]
-        targets[:, 1] = y[:, i + 1] * dw[:, i]
-        for k in range(j):
-            targets[:, 2 + k] = y[:, i + 1] * dnt[:, i, k]
-        fitted, deg = _fit(x_path[:, i], targets, basis.degree)
-        degrees[i] = deg
-        ey = fitted[:, 0]
-        z[:, i] = fitted[:, 1] / dt if model.sigma > 0 else 0.0
-        if j:
-            u[:, i, :] = fitted[:, 2:] / u_denom
-        ctx = StepContext(model=model, x=x_path[:, i], w=w_path[:, i], counts=c_path[:, i])
-        y[:, i] = ey + dt * np.asarray(g.eval(ctx, float(times[i]), ey, z[:, i], u[:, i, :]), dtype=float)
+        q = _orthonormal_design(x_path[:, i], basis.degree)
+        k = q.shape[1]
+        gram = _weighted_sums(weights, (q[:, :, None] * q[:, None, :]).reshape(m, k * k)).reshape(rows, k, k)
+        # regressors of E[y'], E[y' dW] and E[y' dN~_j], side by side
+        cols = np.concatenate([q, q * dw[:, i, None]] + [q * dnt[:, i, mk, None] for mk in range(j)], axis=1)
+        rhs = _weighted_sums(weights * y, cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
+        coef, kept = _solve_nested(gram, rhs)
+        degrees[:, i] = kept - 1
+        ctx = context(i)
+        t = float(times[i])
+        for b in range(rows):
+            fitted = q @ coef[b]
+            ey = fitted[:, 0]
+            z = fitted[:, 1] / dt if model.sigma > 0 else np.zeros(m)
+            u = fitted[:, 2:] / lam_dt
+            y[b] = _implicit_step(g, ctx, t, dt, ey, z, u, i)
+            if keep and b == 0:
+                y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
 
-    return y, z, u, tuple(degrees)
+    y0 = (weights * y).sum(axis=1) / m
+    return y0, degrees, ((y_keep, z_keep, u_keep) if keep else None)
+
+
+def _check_paths(paths: int, basis: RegressionBasis) -> None:
+    if paths < 10 * basis.dimension:
+        raise RegressionError(f"need at least {10 * basis.dimension} paths for a degree-{basis.degree} basis")
 
 
 def solve_mc(
@@ -135,11 +205,11 @@ def solve_mc(
     seed: int = 0,
 ) -> McSolution:
     """Simulate paths and run the regression backward recursion."""
-    if paths < 10 * basis.dimension:
-        raise RegressionError(f"need at least {10 * basis.dimension} paths for a degree-{basis.degree} basis")
+    _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
-    y, z, u, degrees = _backward_pass(bundle, g, xi, basis)
-    return McSolution(model=model, grid=grid, basis=basis, Y=y, Z=z, U=u, degrees_used=degrees)
+    _, degrees, (y, z, u) = _backward_pass(bundle, g, xi, basis, np.ones((1, paths)), keep=True)
+    return McSolution(model=model, grid=grid, basis=basis, Y=y, Z=z, U=u,
+                      degrees_used=tuple(int(d) for d in degrees[0]))
 
 
 @dataclass(frozen=True)
@@ -159,20 +229,21 @@ def bootstrap_y0(
     seed: int = 0,
     n_boot: int = 24,
 ) -> BootstrapEstimate:
-    """Bootstrap the initial value by resampling paths and re-running the recursion."""
-    if paths < 10 * basis.dimension:
-        raise RegressionError(f"need at least {10 * basis.dimension} paths for a degree-{basis.degree} basis")
+    """Bootstrap the initial value over path resamples.
+
+    Each resample becomes a row of multinomial path weights, and all rows
+    run through one weighted backward pass beside the unweighted base row.
+    """
+    _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
-    y, _, _, _ = _backward_pass(bundle, g, xi, basis)
-    y0 = float(y[:, 0].mean())
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(987,))))
-    samples = np.empty(n_boot)
-    for bidx in range(n_boot):
-        idx = rng.integers(0, paths, size=paths)
-        yb, _, _, _ = _backward_pass(bundle, g, xi, basis, idx=idx)
-        samples[bidx] = yb[:, 0].mean()
-    se = float(samples.std(ddof=1))
-    return BootstrapEstimate(y0=y0, se=se, samples=samples)
+    weights = np.empty((n_boot + 1, paths))
+    weights[0] = 1.0
+    for b in range(1, n_boot + 1):
+        weights[b] = np.bincount(rng.integers(0, paths, size=paths), minlength=paths)
+    y0, _, _ = _backward_pass(bundle, g, xi, basis, weights)
+    samples = y0[1:]
+    return BootstrapEstimate(y0=float(y0[0]), se=float(samples.std(ddof=1)), samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from jumpbsde.cli import main
+from jumpbsde.cli import _exit_code, main
+from jumpbsde.experiments import Case, Report
 
 
 def run_cli(args):
@@ -81,6 +82,16 @@ def test_solve_mc_summary(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "Y_mean", "Y_se", "Z_mean", "U_1_mean"]
     assert len(rows) == 1 + 4
+
+
+def test_failed_verdict_outranks_unmet_preconditions():
+    def report(*statuses):
+        return Report("x", {}, [Case(name=f"c{k}", status=s) for k, s in enumerate(statuses)])
+
+    assert _exit_code(report("fail", "preconditions-unmet")) == 1
+    assert _exit_code(report("preconditions-unmet", "fail")) == 1
+    assert _exit_code(report("pass", "preconditions-unmet")) == 2
+    assert _exit_code(report("pass", "pass")) == 0
 
 
 def test_compare_exit_codes(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jumpbsde import LevyModel, ModelError, TimeGrid, levy_norm, simulate_paths, truncate_model
-from jumpbsde.levy import kept_marks_mask
+from jumpbsde.levy import PATH_BLOCK, kept_marks_mask
 from jumpbsde.tree import build_tree
 
 
@@ -68,6 +68,21 @@ def test_simulation_is_deterministic_and_count_stable():
     # path i does not depend on how many paths were requested
     c = simulate_paths(model, grid, count=10, seed=123)
     assert np.array_equal(a.dw[:10], c.dw) and np.array_equal(a.dn[:10], c.dn)
+
+
+def test_path_prefix_identity_across_block_edges():
+    model = LevyModel(0.1, 1.0, ((0.5, 0.8), (-0.3, 0.4)))
+    grid = TimeGrid(1.0, 3)
+    full = simulate_paths(model, grid, count=2 * PATH_BLOCK + 7, seed=42)
+    for count in (1, PATH_BLOCK - 1, PATH_BLOCK, PATH_BLOCK + 1, 2 * PATH_BLOCK + 7):
+        part = simulate_paths(model, grid, count=count, seed=42)
+        assert part.dw.shape == (count, 3) and part.dn.shape == (count, 3, 2)
+        assert np.array_equal(part.dw, full.dw[:count]) and np.array_equal(part.dn, full.dn[:count])
+    # block b is the stream with spawn key b: Brownian increments first, then counts
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(42, spawn_key=(1,))))
+    block = slice(PATH_BLOCK, 2 * PATH_BLOCK)
+    assert np.array_equal(full.dw[block], rng.standard_normal((PATH_BLOCK, 3)) * np.sqrt(grid.dt))
+    assert np.array_equal(full.dn[block], rng.poisson(model.intensities * grid.dt, size=(PATH_BLOCK, 3, 2)))
 
 
 def test_simulate_rejects_zero_paths_but_allows_large_lambda_dt():
