@@ -19,10 +19,11 @@ import numpy as np
 
 from . import experiments
 from .bounds import PiecewiseConstantRate, bihari_bound
-from .config import basis_from_config, generator_from_config, load_config, resolve_model_grid, terminal_from_config
+from .config import basis_from_config, generator_from_config, load_config, resolve_model_grid
 from .experiments import Case, Report
 from .levy import simulate_paths
 from .mc import bootstrap_y0, solve_mc
+from .terminals import make_terminal
 from .tree import DEFAULT_FP_TOL, build_tree, solve_backward, solve_truncated
 
 
@@ -91,7 +92,7 @@ def _cmd_solve_lattice(cfg: dict, out_dir: Path) -> int:
     cfg = cfg or _demo_model_config()
     model, grid = resolve_model_grid(cfg)
     g = generator_from_config(cfg["generator"])
-    xi = terminal_from_config(cfg["terminal"])
+    xi = make_terminal(cfg["terminal"])
     tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
     tree = build_tree(model, grid)
     level = cfg.get("truncation_level")
@@ -110,7 +111,7 @@ def _cmd_solve_mc(cfg: dict, out_dir: Path) -> int:
     cfg = cfg or {**_demo_model_config(), "paths": 20000, "basis_degree": 3}
     model, grid = resolve_model_grid(cfg)
     g = generator_from_config(cfg["generator"])
-    xi = terminal_from_config(cfg["terminal"])
+    xi = make_terminal(cfg["terminal"])
     basis = basis_from_config(cfg)
     sol = solve_mc(model, grid, g, xi, paths=int(cfg["paths"]), basis=basis, seed=int(cfg.get("seed", 0)))
     m = sol.Y.shape[0]

@@ -1,4 +1,4 @@
-"""JSON config parsing: models, grids, drivers, terminals, bases.
+"""JSON config parsing: models, grids, drivers, bases.
 
 The model/grid block is {"drift": a, "sigma": s, "marks": [{"x":, "lambda":}],
 "T":, "steps":}. Drivers are picked by catalog name with optional factory
@@ -10,26 +10,9 @@ from __future__ import annotations
 
 import json
 
-from .generators import (
-    GeneratorSpec,
-    jump_ordering_violator,
-    tanh_jump_integral,
-    linear_driver,
-    linear_y,
-    shift_generator,
-    zero_generator,
-)
+from .generators import GENERATOR_FACTORIES, GeneratorSpec, shift_generator
 from .levy import LevyModel, TimeGrid
 from .mc import RegressionBasis
-from .terminals import make_terminal
-
-_GENERATOR_FACTORIES = {
-    "zero": zero_generator,
-    "linear_y": linear_y,
-    "linear_driver": linear_driver,
-    "tanh_jump_integral": tanh_jump_integral,
-    "jump_ordering_violator": jump_ordering_violator,
-}
 
 
 class ConfigError(ValueError):
@@ -73,17 +56,13 @@ def generator_from_config(spec) -> GeneratorSpec:
     name = params.pop("name")
     shift = params.pop("shift", None)
     try:
-        factory = _GENERATOR_FACTORIES[name]
+        factory = GENERATOR_FACTORIES[name]
     except KeyError:
-        raise ConfigError(f"unknown generator '{name}'; catalog: {sorted(_GENERATOR_FACTORIES)}") from None
+        raise ConfigError(f"unknown generator '{name}'; catalog: {sorted(GENERATOR_FACTORIES)}") from None
     gen = factory(**params)
     if shift is not None:
         gen = shift_generator(gen, float(shift))
     return gen
-
-
-def terminal_from_config(spec):
-    return make_terminal(spec)
 
 
 def basis_from_config(cfg: dict) -> RegressionBasis:

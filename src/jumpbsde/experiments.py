@@ -16,10 +16,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bounds import apriori_bound
-from .config import generator_from_config, model_from_config, resolve_model_grid, terminal_from_config
+from .config import generator_from_config, model_from_config, resolve_model_grid
 from .generators import SamplerConfig, check_jump_ordering, check_growth, check_monotonicity, check_ordering
 from .levy import TimeGrid, kept_marks_mask
 from .mc import RegressionBasis, bootstrap_y0, l2_distance
+from .terminals import make_terminal
 from .tree import DEFAULT_FP_TOL, ScenarioTree, TreeSolution, build_tree, solve_backward, solve_truncated
 
 
@@ -123,10 +124,6 @@ def _timed(fn):
         return report
 
     return wrapper
-
-
-def _resolve(cfg: dict):
-    return resolve_model_grid(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +284,8 @@ def run_comparison(cfg: dict | None = None) -> Report:
         model = model_from_config(pair["model"])
         g = generator_from_config(pair["generator"])
         gp = generator_from_config(pair["generator_prime"])
-        xi = terminal_from_config(pair["terminal"])
-        xip = terminal_from_config(pair["terminal_prime"])
+        xi = make_terminal(pair["terminal"])
+        xip = make_terminal(pair["terminal_prime"])
         grid = TimeGrid(horizon=float(pair.get("T", horizon)), steps=int(pair["steps"]))
         tree = build_tree(model, grid)
 
@@ -358,11 +355,11 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     cfg = cfg or default_counterexample_config()
     fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
     threshold = float(cfg.get("margin_factor", 100.0)) * fp_tol
-    model, grid = _resolve(cfg)
+    model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
     g = generator_from_config(cfg["generator"])
-    xi = terminal_from_config(cfg["terminal"])
-    xip = terminal_from_config(cfg["terminal_prime"])
+    xi = make_terminal(cfg["terminal"])
+    xip = make_terminal(cfg["terminal_prime"])
 
     case = Case(name="violating_driver")
     if check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon)).passed:
@@ -398,7 +395,7 @@ def search_counterexample(lambdas=(0.5, 1.0, 2.0), steps_list=(1, 2, 4, 8), hori
     """Brute-force scan over small single-mark instances; the largest-margin
     hit was frozen as the shipped default instance."""
     g = generator_from_config("jump_ordering_violator")
-    xi = terminal_from_config({"name": "const", "value": 0.0})
+    xi = make_terminal({"name": "const", "value": 0.0})
     results = []
     for lam in lambdas:
         for steps in steps_list:
@@ -407,7 +404,7 @@ def search_counterexample(lambdas=(0.5, 1.0, 2.0), steps_list=(1, 2, 4, 8), hori
             model = model_from_config({"drift": 0.0, "sigma": 0.0, "marks": [{"x": 1.0, "lambda": lam}]})
             grid = TimeGrid(horizon=horizon, steps=steps)
             tree = build_tree(model, grid)
-            xip = terminal_from_config({"name": "jump_indicator", "mark": 0})
+            xip = make_terminal({"name": "jump_indicator", "mark": 0})
             margin = max_ordering_violation(
                 solve_backward(tree, g, xi, tol=fp_tol), solve_backward(tree, g, xip, tol=fp_tol)
             )
@@ -440,7 +437,7 @@ def run_truncation_study(cfg: dict | None = None) -> Report:
     cfg = cfg or default_truncation_config()
     fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
     tol = float(cfg.get("tolerance", 1e-8))
-    model, grid = _resolve(cfg)
+    model, grid = resolve_model_grid(cfg)
     levels = sorted(int(n) for n in cfg["levels"])
     case = Case(name="truncation_levels")
 
@@ -455,7 +452,7 @@ def run_truncation_study(cfg: dict | None = None) -> Report:
 
     tree = build_tree(model, grid)
     g = generator_from_config(cfg["generator"])
-    xi = terminal_from_config(cfg["terminal"])
+    xi = make_terminal(cfg["terminal"])
     full = solve_backward(tree, g, xi, tol=fp_tol)
     rows = []
     dists = []
@@ -501,13 +498,13 @@ def run_apriori_check(cfg: dict | None = None) -> Report:
     """Tree-measured solution norms against the explicit a-priori constants."""
     cfg = cfg or default_apriori_config()
     fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
-    model, grid = _resolve(cfg)
+    model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
     sampler = SamplerConfig(horizon=grid.horizon)
     cases = []
     for inst in cfg["instances"]:
         g = generator_from_config(inst["generator"])
-        xi = terminal_from_config(inst["terminal"])
+        xi = make_terminal(inst["terminal"])
         case = Case(name=f"{g.name}|{inst['terminal'] if isinstance(inst['terminal'], str) else inst['terminal']['name']}")
         growth = check_growth(g, model, sampler)
         mono = check_monotonicity(g, model, sampler)
@@ -606,7 +603,7 @@ def run_convergence(cfg: dict | None = None) -> Report:
     model = model_from_config(cfg["model"])
     horizon = float(cfg.get("T", 1.0))
     g = generator_from_config(cfg["generator"])
-    xi = terminal_from_config(cfg["terminal"])
+    xi = make_terminal(cfg["terminal"])
     steps_list = [int(n) for n in cfg["steps_list"]]
 
     case = Case(name="dt_refinement")
@@ -636,7 +633,7 @@ def run_convergence(cfg: dict | None = None) -> Report:
         mc_model = model_from_config(mc_cfg["model"])
         mc_grid = TimeGrid(horizon=float(mc_cfg.get("T", horizon)), steps=int(mc_cfg["steps"]))
         mc_g = generator_from_config(mc_cfg["generator"])
-        mc_xi = terminal_from_config(mc_cfg["terminal"])
+        mc_xi = make_terminal(mc_cfg["terminal"])
         tree = build_tree(mc_model, mc_grid)
         y0_tree = solve_backward(tree, mc_g, mc_xi, tol=fp_tol).y0
         est = bootstrap_y0(

@@ -66,12 +66,12 @@ def rho_identity() -> RhoFunction:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A driver together with its declared condition coefficients and flags.
+    """A driver together with its declared condition coefficients and flag.
 
     eval(ctx, t, y, z, u) must be pure and vectorized over nodes/paths.
     F, K1, K2 bound the growth |f| <= F + K1|y| + K2(|z| + ||u||); alpha,
-    beta, rho enter the one-sided monotonicity condition. The flags record
-    what the author of the driver claims; checks verify them by sampling.
+    beta, rho enter the one-sided monotonicity condition. The jump-ordering
+    flag records what the author of the driver claims; checks verify it by sampling.
     """
 
     name: str
@@ -82,9 +82,6 @@ class GeneratorSpec:
     beta: Callable = _zero_coeff
     alpha: Callable = lambda t: 0.0
     rho: RhoFunction = field(default_factory=rho_identity)
-    satisfies_growth: bool = True
-    satisfies_monotonicity: bool = True
-    satisfies_rate: bool = True
     satisfies_jump_ordering: bool = True
 
     def growth_bound(self, ctx, t, y, z, u):
@@ -473,12 +470,16 @@ def jump_ordering_violator() -> GeneratorSpec:
     return replace(g, name="jump_ordering_violator", satisfies_jump_ordering=False)
 
 
+# The driver catalog: configs name a factory here and pass its parameters.
+GENERATOR_FACTORIES = {
+    "zero": zero_generator,
+    "linear_y": linear_y,
+    "linear_driver": linear_driver,
+    "tanh_jump_integral": tanh_jump_integral,
+    "jump_ordering_violator": jump_ordering_violator,
+}
+
+
 def builtin_generators() -> dict[str, GeneratorSpec]:
-    """Named catalog used by configs and the experiment suites."""
-    return {
-        "zero": zero_generator(),
-        "linear_y": linear_y(1.0),
-        "linear_driver": linear_driver(),
-        "tanh_jump_integral": tanh_jump_integral(),
-        "jump_ordering_violator": jump_ordering_violator(),
-    }
+    """Every catalog driver, by name, at its default parameters."""
+    return {name: factory() for name, factory in GENERATOR_FACTORIES.items()}

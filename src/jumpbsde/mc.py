@@ -16,7 +16,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, StepContext
 from .levy import PATH_BLOCK, LevyModel, ModelError, PathBundle, TimeGrid, simulate_paths
-from .tree import DEFAULT_FP_MAX_ITER, DEFAULT_FP_TOL, FixedPointError, TreeSolution
+from .tree import TreeSolution, implicit_step
 
 
 class RegressionError(ModelError):
@@ -116,20 +116,6 @@ def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
     return coef, kept
 
 
-def _implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int) -> np.ndarray:
-    """Solve y = ey + dt f(t, y, z, u) by fixed-point iteration, as the tree does."""
-    y = ey
-    for _ in range(DEFAULT_FP_MAX_ITER):
-        y_new = ey + dt * np.asarray(g.eval(ctx, t, y, z, u), dtype=float)
-        delta = float(np.max(np.abs(y_new - y)))
-        y = y_new
-        if delta <= DEFAULT_FP_TOL:
-            return y
-    raise FixedPointError(
-        f"implicit regression step did not converge at step {step} within {DEFAULT_FP_MAX_ITER} iterations"
-    )
-
-
 def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis, weights: np.ndarray,
                    keep: bool = False):
     """Implicit-in-y regression recursion, one weighted replicate per row of `weights`.
@@ -182,7 +168,7 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
             ey = fitted[:, 0]
             z = fitted[:, 1] / dt if model.sigma > 0 else np.zeros(m)
             u = fitted[:, 2:] / lam_dt
-            y[b] = _implicit_step(g, ctx, t, dt, ey, z, u, i)
+            y[b], _ = implicit_step(g, ctx, t, dt, ey, z, u, i)
             if keep and b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
 

@@ -11,6 +11,7 @@ are probability-weighted sums over children, with no regression anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -209,6 +210,66 @@ def _representation_weights(tree: ScenarioTree):
     return w_z, w_u
 
 
+def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int,
+                  project=None, tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_FP_MAX_ITER):
+    """Solve y = ey + dt f(t, y, z, u) at one step by fixed-point iteration from y = ey.
+
+    `project`, when given, maps every driver evaluation before it enters the
+    update. Returns (y, iterations); a diverging or slow iteration raises
+    FixedPointError with the step, the last delta and the contraction dt * max K1.
+    """
+    y = ey
+    for it in range(1, max_iter + 1):
+        f_val = np.asarray(g.eval(ctx, t, y, z, u), dtype=float)
+        y_new = ey + dt * (f_val if project is None else project(f_val))
+        delta = float(np.max(np.abs(y_new - y))) if y.size else 0.0
+        y = y_new
+        if delta <= tol:
+            return y, it
+    contraction = dt * float(np.max(g.K1(ctx, t), initial=0.0))
+    raise FixedPointError(
+        f"implicit step did not converge at step {step} within {max_iter} iterations: "
+        f"last delta {delta:.3g}, estimated contraction dt*K1 = {contraction:.3g}"
+    )
+
+
+def _sweep(tree: ScenarioTree, g: GeneratorSpec, xi, n: int | None, tol: float, max_iter: int) -> TreeSolution:
+    """Implicit backward sweep; with a truncation level n, the level-n coarse problem.
+
+    With n, the terminal values and every driver evaluation are projected onto
+    the coarse sub-filtration and U is zeroed on the removed marks.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    steps, b, dt = tree.n_steps, tree.branching, tree.grid.dt
+    j = tree.model.n_marks
+    times = tree.grid.times
+    w_z, w_u = _representation_weights(tree)
+
+    y_levels = [None] * (steps + 1)
+    z_levels = [None] * steps
+    u_levels = [None] * steps
+    iters = [0] * steps
+    y_levels[steps] = np.asarray(xi(tree.context(steps)), dtype=float)
+    if n is not None:
+        removed = ~kept_marks_mask(tree.model, n)
+        y_levels[steps] = project_coarse(tree, y_levels[steps], n, level=steps)
+
+    for i in range(steps - 1, -1, -1):
+        nxt = y_levels[i + 1].reshape(-1, b)
+        ey = nxt @ tree.branch_prob
+        z = nxt @ w_z if w_z is not None else np.zeros(ey.shape)
+        u = nxt @ w_u if w_u is not None else np.zeros((ey.shape[0], j))
+        project = None
+        if n is not None:
+            u[:, removed] = 0.0
+            project = partial(project_coarse, tree, n=n, level=i)
+        y, iters[i] = implicit_step(g, tree.context(i), float(times[i]), dt, ey, z, u, i, project, tol, max_iter)
+        y_levels[i], z_levels[i], u_levels[i] = y, z, u
+
+    return TreeSolution(tree=tree, Y=tuple(y_levels), Z=tuple(z_levels), U=tuple(u_levels), fp_iterations=tuple(iters))
+
+
 def solve_backward(
     tree: ScenarioTree,
     g: GeneratorSpec,
@@ -222,41 +283,7 @@ def solve_backward(
     implicit y-equation is solved by fixed-point iteration to `tol`.
     The driver is evaluated at the left endpoint with the pre-jump state.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    n, b, dt = tree.n_steps, tree.branching, tree.grid.dt
-    j = tree.model.n_marks
-    times = tree.grid.times
-    w_z, w_u = _representation_weights(tree)
-
-    y_levels = [None] * (n + 1)
-    z_levels = [None] * n
-    u_levels = [None] * n
-    iters = [0] * n
-    y_levels[n] = np.asarray(xi(tree.context(n)), dtype=float)
-
-    for i in range(n - 1, -1, -1):
-        nxt = y_levels[i + 1].reshape(-1, b)
-        ey = nxt @ tree.branch_prob
-        z = nxt @ w_z if w_z is not None else np.zeros(ey.shape)
-        u = nxt @ w_u if w_u is not None else np.zeros((ey.shape[0], j))
-        ctx = tree.context(i)
-        t = float(times[i])
-        y = ey.copy()
-        for it in range(1, max_iter + 1):
-            y_new = ey + dt * np.asarray(g.eval(ctx, t, y, z, u), dtype=float)
-            delta = float(np.max(np.abs(y_new - y))) if y.size else 0.0
-            y = y_new
-            if delta <= tol:
-                iters[i] = it
-                break
-        else:
-            raise FixedPointError(
-                f"one-step equation did not converge at level {i} within {max_iter} iterations"
-            )
-        y_levels[i], z_levels[i], u_levels[i] = y, z, u
-
-    return TreeSolution(tree=tree, Y=tuple(y_levels), Z=tuple(z_levels), U=tuple(u_levels), fp_iterations=tuple(iters))
+    return _sweep(tree, g, xi, None, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -340,42 +367,4 @@ def solve_truncated(
     solution is constant across removed-mark coordinates. With no removed
     marks this reproduces solve_backward bit for bit.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    nsteps, b, dt = tree.n_steps, tree.branching, tree.grid.dt
-    j = tree.model.n_marks
-    times = tree.grid.times
-    w_z, w_u = _representation_weights(tree)
-    removed = ~kept_marks_mask(tree.model, n)
-
-    y_levels = [None] * (nsteps + 1)
-    z_levels = [None] * nsteps
-    u_levels = [None] * nsteps
-    iters = [0] * nsteps
-    y_levels[nsteps] = project_coarse(tree, np.asarray(xi(tree.context(nsteps)), dtype=float), n, level=nsteps)
-
-    for i in range(nsteps - 1, -1, -1):
-        nxt = y_levels[i + 1].reshape(-1, b)
-        ey = nxt @ tree.branch_prob
-        z = nxt @ w_z if w_z is not None else np.zeros(ey.shape)
-        u = nxt @ w_u if w_u is not None else np.zeros((ey.shape[0], j))
-        if j:
-            u[:, removed] = 0.0
-        ctx = tree.context(i)
-        t = float(times[i])
-        y = ey.copy()
-        for it in range(1, max_iter + 1):
-            f_val = np.asarray(g.eval(ctx, t, y, z, u), dtype=float)
-            y_new = ey + dt * project_coarse(tree, f_val, n, level=i)
-            delta = float(np.max(np.abs(y_new - y))) if y.size else 0.0
-            y = y_new
-            if delta <= tol:
-                iters[i] = it
-                break
-        else:
-            raise FixedPointError(
-                f"one-step equation did not converge at level {i} within {max_iter} iterations"
-            )
-        y_levels[i], z_levels[i], u_levels[i] = y, z, u
-
-    return TreeSolution(tree=tree, Y=tuple(y_levels), Z=tuple(z_levels), U=tuple(u_levels), fp_iterations=tuple(iters))
+    return _sweep(tree, g, xi, n, tol, max_iter)

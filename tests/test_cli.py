@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from jumpbsde.cli import _exit_code, main
+from jumpbsde.cli import _COMMANDS, _exit_code, main
 from jumpbsde.experiments import Case, Report
 
 
@@ -174,10 +174,15 @@ def test_bihari_subcommand(tmp_path):
     assert (out / "bound.csv").exists()
 
 
-def test_reports_byte_identical_modulo_meta(tmp_path):
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_reports_byte_identical_modulo_meta(tmp_path, command):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["counterexample", "--out", out1]) == 0
-    assert run_cli(["counterexample", "--out", out2]) == 0
+    assert run_cli([command, "--out", out1]) == 0
+    assert run_cli([command, "--out", out2]) == 0
     r1, r2 = read_report(out1), read_report(out2)
     r1.pop("meta"), r2.pop("meta")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    tables = sorted(f.name for f in out1.glob("*.csv"))
+    assert tables and tables == sorted(f.name for f in out2.glob("*.csv"))
+    for name in tables:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name

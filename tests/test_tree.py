@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpbsde import (
     FixedPointError,
@@ -21,6 +23,7 @@ from jumpbsde import (
 from jumpbsde.terminals import make_terminal
 
 XI_X = make_terminal("x")
+XI_TANH = make_terminal("tanh_x")
 ZERO = zero_generator()
 
 
@@ -159,8 +162,9 @@ def test_one_step_identity_holds_at_solver_tolerance():
 
 
 def test_fixed_point_divergence_raises():
+    # y_k = 1 + 5 y_(k-1) from y_0 = 1: the k-th update moves y by 5^k, and dt * K1 = 5
     tree = build_tree(LevyModel(0.0, 0.0), TimeGrid(1.0, 1))
-    with pytest.raises(FixedPointError):
+    with pytest.raises(FixedPointError, match=r"step 0 .*last delta 8\.88e\+34, estimated contraction dt\*K1 = 5$"):
         solve_backward(tree, linear_y(5.0), make_terminal({"name": "const", "value": 1.0}), max_iter=50)
 
 
@@ -182,17 +186,40 @@ def test_project_en_identity_on_measurable_values():
     assert np.array_equal(project_coarse(tree, vals, 4, level=3), vals)
 
 
-def test_project_en_idempotent_and_contractive():
-    tree = build_tree(TWO_MARK_MODEL, TimeGrid(1.0, 4))
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal(tree.level_size(4))
-    once = project_coarse(tree, vals, 4, level=4)
-    assert np.array_equal(project_coarse(tree, once, 4, level=4), once)
-    assert tree.expectation(once * once, 4) <= tree.expectation(vals * vals, 4) + 1e-15
-    # projection onto the full information is the identity
-    assert np.array_equal(project_coarse(tree, vals, 100, level=4), vals)
-    # and preserves expectations
-    assert tree.expectation(once, 4) == pytest.approx(tree.expectation(vals, 4), abs=1e-13)
+@st.composite
+def coarse_problems(draw):
+    """A small tree whose mark sizes straddle 1/n, values at one level, and n."""
+    n = draw(st.integers(1, 8))
+    steps = draw(st.integers(1, 4))
+    n_marks = draw(st.integers(1, 2))
+    factors = draw(st.lists(st.sampled_from([0.25, 0.5, 0.9, 1.0, 1.5, 3.0]), min_size=n_marks,
+                            max_size=n_marks, unique=True))
+    marks = tuple(
+        (draw(st.sampled_from([1.0, -1.0])) * f / n, draw(st.floats(0.05, 0.95)) * steps) for f in factors
+    )
+    model = LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks)
+    tree = build_tree(model, TimeGrid(1.0, steps))
+    level = draw(st.integers(0, steps))
+    vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(tree.level_size(level))
+    return tree, vals, level, n
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(coarse_problems())
+def test_project_en_idempotent_and_contractive(problem):
+    tree, vals, level, n = problem
+    once = project_coarse(tree, vals, n, level=level)
+    assert np.array_equal(project_coarse(tree, once, n, level=level), once)
+    second = tree.expectation(vals * vals, level)
+    assert tree.expectation(once * once, level) <= second * (1 + 1e-12)
+    assert tree.expectation(once, level) == pytest.approx(tree.expectation(vals, level), abs=1e-12 * (1 + second))
+    # projection onto the full information is the identity, and so is the coarse problem
+    n_all = int(np.ceil(1.0 / np.abs(tree.model.jump_sizes).min())) + 1
+    assert np.array_equal(project_coarse(tree, vals, n_all, level=level), vals)
+    g = linear_driver(0.3, 0.2, -0.5)
+    full, trunc = solve_backward(tree, g, XI_TANH), solve_truncated(tree, g, XI_TANH, n_all)
+    for a, b in zip(full.Y + full.Z + full.U, trunc.Y + trunc.Z + trunc.U):
+        assert np.array_equal(a, b)
 
 
 def test_solve_truncated_reduces_to_full_solver_when_nothing_removed():
