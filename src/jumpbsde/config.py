@@ -20,8 +20,12 @@ class ConfigError(ValueError):
 
 
 def load_config(path) -> dict:
+    """Read a config file; it must hold a non-empty JSON object."""
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict) or not cfg:
+        raise ConfigError(f"{path}: a config must be a non-empty JSON object, got {cfg!r:.60}")
+    return cfg
 
 
 def model_from_config(cfg: dict) -> LevyModel:

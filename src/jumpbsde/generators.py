@@ -235,111 +235,80 @@ def _sample_context(model: LevyModel, cfg: SamplerConfig, rng, m: int) -> StepCo
     return StepContext(model=model, x=x)
 
 
-def check_growth(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = SamplerConfig()) -> CheckReport:
-    """Sample points and test |f| <= F + K1|y| + K2(|z| + ||u||) up to slack."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+def _sampled_check(check: str, label: str, model: LevyModel, cfg: SamplerConfig, seed_offset: int, side) -> CheckReport:
+    """The sampling loop shared by the condition checks.
+
+    At every sampled time, side(ctx, t, y, z, u, rng) returns (lhs, rhs, point):
+    a sample k violates the condition when lhs[k] > rhs[k] + CHECK_SLACK, and
+    point(k) is its witness. Extra arguments are drawn from rng inside side,
+    after the shared draws. The first three violations per time are kept.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
+    m = max(8, model.n_marks + 2)
     violations = []
     n_points = 0
     for t in _sample_times(cfg, rng):
-        m = max(8, model.n_marks + 2)
         ctx = _sample_context(model, cfg, rng, m)
         y, z, u = _sample_args(model, cfg, rng, m)
-        val = np.abs(np.asarray(g.eval(ctx, float(t), y, z, u), dtype=float))
-        bound = np.asarray(g.growth_bound(ctx, float(t), y, z, u), dtype=float)
+        lhs, rhs, point = side(ctx, float(t), y, z, u, rng)
         n_points += m
-        bad = np.flatnonzero(val > bound + CHECK_SLACK)
-        for k in bad[:3]:
-            violations.append(
-                Violation(
-                    point={"t": float(t), "x": float(ctx.x[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()},
-                    lhs=float(val[k]),
-                    rhs=float(bound[k]),
-                )
-            )
-    return CheckReport("growth", g.name, not violations, n_points, violations)
+        for k in np.flatnonzero(lhs > rhs + CHECK_SLACK)[:3]:
+            violations.append(Violation(point=point(k), lhs=float(lhs[k]), rhs=float(rhs[k])))
+    return CheckReport(check, label, not violations, n_points, violations)
+
+
+def check_growth(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = SamplerConfig()) -> CheckReport:
+    """Sample points and test |f| <= F + K1|y| + K2(|z| + ||u||) up to slack."""
+
+    def side(ctx, t, y, z, u, rng):
+        val = np.abs(np.asarray(g.eval(ctx, t, y, z, u), dtype=float))
+        bound = np.asarray(g.growth_bound(ctx, t, y, z, u), dtype=float)
+        return val, bound, lambda k: {"t": t, "x": float(ctx.x[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
+
+    return _sampled_check("growth", g.name, model, cfg, 0, side)
 
 
 def check_monotonicity(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = SamplerConfig()) -> CheckReport:
     """Sample argument pairs at a common (context, t) and test the one-sided condition."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + 1)))
-    violations = []
-    n_points = 0
-    for t in _sample_times(cfg, rng):
-        m = max(8, model.n_marks + 2)
-        ctx = _sample_context(model, cfg, rng, m)
-        y, z, u = _sample_args(model, cfg, rng, m)
-        y2, z2, u2 = _sample_args(model, cfg, rng, m)
+
+    def side(ctx, t, y, z, u, rng):
+        y2, z2, u2 = _sample_args(model, cfg, rng, y.size)
         dy = y - y2
-        lhs = dy * (np.asarray(g.eval(ctx, float(t), y, z, u)) - np.asarray(g.eval(ctx, float(t), y2, z2, u2)))
-        rhs = float(g.alpha(float(t))) * np.asarray(g.rho(dy * dy)) + np.asarray(g.beta(ctx, float(t))) * np.abs(dy) * (
+        lhs = dy * (np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y2, z2, u2)))
+        rhs = float(g.alpha(t)) * np.asarray(g.rho(dy * dy)) + np.asarray(g.beta(ctx, t)) * np.abs(dy) * (
             np.abs(z - z2) + levy_norm(u - u2, model)
         )
-        n_points += m
-        bad = np.flatnonzero(lhs > rhs + CHECK_SLACK)
-        for k in bad[:3]:
-            violations.append(
-                Violation(
-                    point={"t": float(t), "y": float(y[k]), "y2": float(y2[k]), "z": float(z[k]), "z2": float(z2[k])},
-                    lhs=float(lhs[k]),
-                    rhs=float(rhs[k]),
-                )
-            )
-    return CheckReport("monotonicity", g.name, not violations, n_points, violations)
+        return lhs, rhs, lambda k: {"t": t, "y": float(y[k]), "y2": float(y2[k]), "z": float(z[k]), "z2": float(z2[k])}
+
+    return _sampled_check("monotonicity", g.name, model, cfg, 1, side)
 
 
 def check_jump_ordering(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = SamplerConfig()) -> CheckReport:
     """Ordered jump arguments u <= u': test f(..,u) - f(..,u') <= sum_j lambda_j (u'_j - u_j)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + 2)))
-    lam = model.intensities
-    violations = []
-    n_points = 0
-    for t in _sample_times(cfg, rng):
-        m = max(8, model.n_marks + 2)
-        ctx = _sample_context(model, cfg, rng, m)
-        y, z, u = _sample_args(model, cfg, rng, m)
+
+    def side(ctx, t, y, z, u, rng):
         bump = np.abs(rng.standard_normal(size=u.shape))
         if model.n_marks:
             bump[0] = 1.0  # strict increase in every coordinate
         u_hi = u + bump
-        lhs = np.asarray(g.eval(ctx, float(t), y, z, u)) - np.asarray(g.eval(ctx, float(t), y, z, u_hi))
-        rhs = (u_hi - u) @ lam
-        n_points += m
-        bad = np.flatnonzero(lhs > rhs + CHECK_SLACK)
-        for k in bad[:3]:
-            violations.append(
-                Violation(
-                    point={"t": float(t), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist(), "u_hi": u_hi[k].tolist()},
-                    lhs=float(lhs[k]),
-                    rhs=float(rhs[k]),
-                )
-            )
-    return CheckReport("jump_ordering", g.name, not violations, n_points, violations)
+        lhs = np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y, z, u_hi))
+        rhs = (u_hi - u) @ model.intensities
+        return lhs, rhs, lambda k: {"t": t, "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist(), "u_hi": u_hi[k].tolist()}
+
+    return _sampled_check("jump_ordering", g.name, model, cfg, 2, side)
 
 
 def check_ordering(
     g_low: GeneratorSpec, g_high: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = SamplerConfig()
 ) -> CheckReport:
     """Sample points and test g_low <= g_high up to slack (a comparison hypothesis)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + 3)))
-    violations = []
-    n_points = 0
-    for t in _sample_times(cfg, rng):
-        m = max(8, model.n_marks + 2)
-        ctx = _sample_context(model, cfg, rng, m)
-        y, z, u = _sample_args(model, cfg, rng, m)
-        lo = np.asarray(g_low.eval(ctx, float(t), y, z, u), dtype=float)
-        hi = np.asarray(g_high.eval(ctx, float(t), y, z, u), dtype=float)
-        n_points += m
-        bad = np.flatnonzero(lo > hi + CHECK_SLACK)
-        for k in bad[:3]:
-            violations.append(
-                Violation(
-                    point={"t": float(t), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()},
-                    lhs=float(lo[k]),
-                    rhs=float(hi[k]),
-                )
-            )
-    return CheckReport("ordering", f"{g_low.name} <= {g_high.name}", not violations, n_points, violations)
+
+    def side(ctx, t, y, z, u, rng):
+        lo = np.asarray(g_low.eval(ctx, t, y, z, u), dtype=float)
+        hi = np.asarray(g_high.eval(ctx, t, y, z, u), dtype=float)
+        return lo, hi, lambda k: {"t": t, "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
+
+    return _sampled_check("ordering", f"{g_low.name} <= {g_high.name}", model, cfg, 3, side)
 
 
 def rho_report(rho: RhoFunction, name: str = "rho") -> CheckReport:

@@ -7,7 +7,6 @@ larger marks through raw counts.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,16 +181,6 @@ class PathBundle:
         x = np.zeros((self.n_paths, g.steps + 1))
         np.cumsum(inc, axis=1, out=x[:, 1:])
         return x
-
-    def to_csv(self, path) -> None:
-        """Columns: path, step, dW, dN_1..dN_J."""
-        j = self.model.n_marks
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "step", "dW"] + [f"dN_{k + 1}" for k in range(j)])
-            for p in range(self.n_paths):
-                for i in range(self.grid.steps):
-                    writer.writerow([p, i, repr(self.dw[p, i])] + [int(self.dn[p, i, k]) for k in range(j)])
 
 
 def simulate_paths(model: LevyModel, grid: TimeGrid, count: int, seed: int) -> PathBundle:

@@ -8,30 +8,32 @@ are either a catalog name or a dict {"name": ..., params..., "scale": a,
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .generators import StepContext
 
 
-def _x(ctx: StepContext, **_):
+def _x(ctx: StepContext):
     return np.asarray(ctx.x, dtype=float)
 
 
-def _w(ctx: StepContext, **_):
+def _w(ctx: StepContext):
     if ctx.w is None:
         raise ValueError("terminal 'w' needs the Brownian path value in the context")
     return np.asarray(ctx.w, dtype=float)
 
 
-def _tanh_x(ctx: StepContext, **_):
+def _tanh_x(ctx: StepContext):
     return np.tanh(np.asarray(ctx.x, dtype=float))
 
 
-def _clip_x(ctx: StepContext, lo: float = -1.0, hi: float = 1.0, **_):
+def _clip_x(ctx: StepContext, lo: float = -1.0, hi: float = 1.0):
     return np.clip(np.asarray(ctx.x, dtype=float), float(lo), float(hi))
 
 
-def _jump_indicator(ctx: StepContext, mark: int = 0, min_count: int = 1, **_):
+def _jump_indicator(ctx: StepContext, mark: int = 0, min_count: int = 1):
     if ctx.counts is None:
         raise ValueError("terminal 'jump_indicator' needs jump counts in the context")
     counts = np.asarray(ctx.counts)
@@ -40,7 +42,7 @@ def _jump_indicator(ctx: StepContext, mark: int = 0, min_count: int = 1, **_):
     return (counts[..., int(mark)] >= int(min_count)).astype(float)
 
 
-def _const(ctx: StepContext, value: float = 0.0, **_):
+def _const(ctx: StepContext, value: float = 0.0):
     return np.full_like(np.asarray(ctx.x, dtype=float), float(value))
 
 
@@ -72,6 +74,10 @@ def make_terminal(spec):
         base = _CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown terminal '{name}'; catalog: {terminal_names()}") from None
+    valid = list(inspect.signature(base).parameters)[1:]
+    unknown = sorted(set(params) - set(valid))
+    if unknown:
+        raise ValueError(f"terminal '{name}' has no parameter {unknown}; valid: {valid + ['scale', 'shift']}")
 
     def terminal(ctx: StepContext):
         return scale * base(ctx, **params) + shift

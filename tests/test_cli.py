@@ -4,6 +4,7 @@ import json
 import pytest
 
 from jumpbsde.cli import _COMMANDS, _exit_code, main
+from jumpbsde.config import ConfigError
 from jumpbsde.experiments import Case, Report
 
 
@@ -18,19 +19,25 @@ def read_report(out_dir):
 def test_simulate_writes_paths_and_report(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "model": {"drift": 1.0, "sigma": 0.0, "marks": []},
+        "model": {"drift": 1.0, "sigma": 0.0, "marks": [{"x": 0.5, "lambda": 0.8}]},
         "grid": {"T": 1.0, "steps": 3},
         "count": 5,
         "seed": 1,
     }))
     out = tmp_path / "out"
     assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
-    with open(out / "paths.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["path", "step", "dW"]
-    assert len(rows) == 1 + 5 * 3
+    lines = (out / "paths.csv").read_text().strip().splitlines()
+    assert lines[0] == "path,step,dW,dN_1"
+    assert len(lines) == 1 + 5 * 3
     report = read_report(out)
     assert report["cases"][0]["data"]["analytic_terminal_mean"] == pytest.approx(1.0)
+
+
+def test_empty_config_is_rejected(tmp_path):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    with pytest.raises(ConfigError, match="non-empty JSON object"):
+        run_cli(["solve-lattice", "--config", cfg, "--out", tmp_path / "out"])
 
 
 def test_solve_lattice_solution_table(tmp_path):
@@ -180,7 +187,8 @@ def test_reports_byte_identical_modulo_meta(tmp_path, command):
     assert run_cli([command, "--out", out1]) == 0
     assert run_cli([command, "--out", out2]) == 0
     r1, r2 = read_report(out1), read_report(out2)
-    r1.pop("meta"), r2.pop("meta")
+    assert r1.pop("meta")["runtime_seconds"] > 0
+    r2.pop("meta")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     tables = sorted(f.name for f in out1.glob("*.csv"))
     assert tables and tables == sorted(f.name for f in out2.glob("*.csv"))

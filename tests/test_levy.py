@@ -136,13 +136,3 @@ def test_levy_norm_vectorized_over_rows():
     out = levy_norm(u, model)
     assert out.shape == (2,)
     assert out[0] == pytest.approx(np.sqrt(3.0)) and out[1] == 0.0
-
-
-def test_csv_export(tmp_path):
-    model = LevyModel(0.0, 1.0, ((0.5, 0.8),))
-    bundle = simulate_paths(model, TimeGrid(1.0, 3), count=4, seed=1)
-    path = tmp_path / "paths.csv"
-    bundle.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "path,step,dW,dN_1"
-    assert len(lines) == 1 + 4 * 3
