@@ -2,9 +2,12 @@
 Gronwall bound, the explicit a-priori constants, the two-solution stability
 bound, and the weighted second-moment bound.
 
-The transform G(x) is the integral of 1/rho from 1 to x (signed); its
-inverse is computed by bracket doubling plus bisection, so non-smooth
-moduli (piecewise-linear rho) are fine.
+The transform G(x) is the integral of 1/rho from 1 to x (signed). It is
+inverted by Newton steps, which need no bracket: G' = 1/rho is exact, and G
+is concave for a nondecreasing rho, so steps started below the target stay
+below it and converge quadratically. The rise of G is carried along the
+iterates as a sum of short quadratures between them, so non-smooth moduli
+(piecewise-linear rho) and unbounded transforms are fine.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from scipy.integrate import IntegrationWarning, quad
 from .generators import RhoFunction
 
 QUAD_ABS_TOL = 1e-10
-BISECT_MAX_ITER = 200
+NEWTON_MAX_ITER = 200
 BRACKET_CAP = 1e300
+
+_quadratures_run = 0  # 1/rho quadratures run in this process; bihari_bound reports the difference
 
 
 class BoundInputError(ValueError):
@@ -63,66 +68,52 @@ def get_rho(spec) -> RhoFunction:
         raise BoundInputError(f"unknown rho '{spec}'; catalog: {sorted(rho_catalog())}") from None
 
 
+def _integral_inv_rho(a: float, b: float, rho: RhoFunction, quad_tol: float) -> float:
+    """Signed adaptive quadrature of 1/rho from a to b."""
+    global _quadratures_run
+    _quadratures_run += 1
+
+    def integrand(r):
+        return 1.0 / float(rho(r))
+
+    with warnings.catch_warnings():
+        # a step toward an unreachable target may span an astronomically wide
+        # range; the bracket cap, not this accuracy warning, decides that case
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(integrand, a, b, epsabs=quad_tol, epsrel=1e-10, limit=200)
+    return float(val)
+
+
 def bihari_transform(x: float, rho: RhoFunction, quad_tol: float = QUAD_ABS_TOL) -> float:
     """G(x): signed adaptive quadrature of 1/rho from 1 to x; needs x > 0."""
     if x <= 0:
         raise BoundInputError("the transform is defined for positive arguments")
     if x == 1.0:
         return 0.0
-
-    def integrand(r):
-        return 1.0 / float(rho(r))
-
-    with warnings.catch_warnings():
-        # bracket probing may integrate over astronomically wide ranges where
-        # the accuracy warning is irrelevant to the sign decision being made
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 1.0, x, epsabs=quad_tol, epsrel=1e-10, limit=200)
-    return float(val)
+    return _integral_inv_rho(1.0, x, rho, quad_tol)
 
 
-def _invert_transform(target: float, rho: RhoFunction, x_start: float, quad_tol: float) -> float | None:
-    """Solve G(x) = target by bracket doubling/halving from x_start, then bisection.
+def _invert_transform(rise: float, rho: RhoFunction, x_start: float, quad_tol: float) -> float | None:
+    """Solve G(x) - G(x_start) = rise >= 0 by Newton steps from x_start.
 
-    Returns None when the target exceeds what G can reach below the bracket cap.
+    The rise is carried along the iterates as a sum of short quadratures
+    between them, never re-integrated over the whole range. Steps are
+    signed, so an iterate above the root (possible only if rho decreases
+    somewhere) steps back down. Returns None when an iterate leaves
+    (0, BRACKET_CAP] or the steps do not settle, i.e. the target lies above
+    what G reaches.
     """
-
-    def g(x):
-        return bihari_transform(x, rho, quad_tol)
-
-    g_start = g(x_start)
-    if g_start == target:
-        return x_start
-    if g_start < target:
-        lo, hi = x_start, 2.0 * x_start
-        for _ in range(BISECT_MAX_ITER):
-            if hi > BRACKET_CAP:
-                return None
-            if g(hi) >= target:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
+    x, gained = x_start, 0.0
+    for _ in range(NEWTON_MAX_ITER):
+        with np.errstate(over="ignore"):  # rho may overflow near the cap: an infinite step is out of domain
+            step = (rise - gained) * float(rho(x))
+        if abs(step) <= 1e-14 * x:
+            return x + step
+        x_next = x + step
+        if not 0.0 < x_next <= BRACKET_CAP:
             return None
-    else:
-        hi, lo = x_start, 0.5 * x_start
-        for _ in range(BISECT_MAX_ITER):
-            if lo < 1.0 / BRACKET_CAP:
-                return None
-            if g(lo) <= target:
-                break
-            hi, lo = lo, 0.5 * lo
-        else:
-            return None
-
-    for _ in range(BISECT_MAX_ITER):
-        mid = math.sqrt(lo * hi) if hi / lo > 2.0 else 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+        x, gained = x_next, gained + _integral_inv_rho(x, x_next, rho, quad_tol)
+    return None
 
 
 @dataclass(frozen=True)
@@ -131,6 +122,7 @@ class BihariResult:
     bound: float | None
     G_of_c: float
     integral_K: float
+    quadratures: int = 0  # 1/rho integrals the bound ran, G(c) included
 
 
 def _integrate_rate(K, t: float, T: float) -> float:
@@ -159,12 +151,12 @@ def bihari_bound(c: float, K, rho, t: float, T: float, quad_tol: float = QUAD_AB
     integral_k = _integrate_rate(K, t, T)
     if integral_k < 0:
         raise BoundInputError("the rate integral must be nonnegative")
+    before = _quadratures_run
     g_of_c = bihari_transform(c, rho, quad_tol)
-    target = g_of_c + integral_k
-    root = _invert_transform(target, rho, x_start=float(c), quad_tol=quad_tol)
-    if root is None:
-        return BihariResult(status="out-of-domain", bound=None, G_of_c=g_of_c, integral_K=integral_k)
-    return BihariResult(status="ok", bound=float(root), G_of_c=g_of_c, integral_K=integral_k)
+    root = _invert_transform(integral_k, rho, float(c), quad_tol)
+    status = "ok" if root is not None else "out-of-domain"
+    return BihariResult(status=status, bound=root, G_of_c=g_of_c, integral_K=integral_k,
+                        quadratures=_quadratures_run - before)
 
 
 class PiecewiseConstantRate:
@@ -185,7 +177,10 @@ class PiecewiseConstantRate:
         return float(self.values[k])
 
     def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] within the table's span."""
+        """Exact integral over [a, b]; the window must lie within the table's span."""
+        if a < self.times[0] or b > self.times[-1]:
+            raise BoundInputError(f"rate window [{float(a)}, {float(b)}] leaves the table span "
+                                  f"[{float(self.times[0])}, {float(self.times[-1])}]")
         lo = np.maximum(self.times[:-1], a)
         hi = np.minimum(self.times[1:], b)
         return float((np.maximum(hi - lo, 0.0) * self.values).sum())
@@ -240,8 +235,7 @@ def stability_bound(a: float, b: float, delta: float, rho, quad_tol: float = QUA
         return 0.0
     rho = get_rho(rho)
     e4b = math.exp(4.0 * b)
-    target = bihari_transform(e4b * delta, rho, quad_tol) + 2.0 * e4b * a
-    h = _invert_transform(target, rho, x_start=e4b * delta, quad_tol=quad_tol)
+    h = _invert_transform(2.0 * e4b * a, rho, e4b * delta, quad_tol)
     if h is None:
         return math.inf
     return 2.0 * e4b * delta + (2.0 * e4b * a + 1.0) * (h + float(rho(h)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import experiments
 from .bounds import PiecewiseConstantRate, bihari_bound
-from .config import basis_from_config, generator_from_config, load_config, resolve_model_grid
+from .config import ConfigError, basis_from_config, generator_from_config, load_config, resolve_model_grid
 from .experiments import Case, Report
 from .levy import simulate_paths
 from .mc import bootstrap_y0, solve_mc
@@ -63,7 +63,7 @@ def _simulate(cfg):
         "analytic_terminal_mean": model.mean_terminal_state(grid.horizon),
     })
     j = model.n_marks
-    rows = ([p, i, repr(bundle.dw[p, i])] + [int(bundle.dn[p, i, k]) for k in range(j)]
+    rows = ([p, i, repr(float(bundle.dw[p, i]))] + [int(bundle.dn[p, i, k]) for k in range(j)]
             for p in range(bundle.n_paths) for i in range(grid.steps))
     header = ["path", "step", "dW"] + [f"dN_{k + 1}" for k in range(j)]
     return Report("simulate", cfg, [case]), header, rows, f"{bundle.n_paths} paths -> paths.csv"
@@ -168,8 +168,14 @@ def _convergence(cfg):
     return report, ["steps", "y0", "error_vs_reference"], list(zip(steps, y0s, errs)), summary
 
 
+_BIHARI_KEYS = ("c", "K", "rho", "t", "T")
+
+
 def _bihari(cfg):
     cfg = cfg or {"c": 1.0, "K": {"times": [0.0, 1.0], "values": [2.0]}, "rho": "identity", "t": 0.0, "T": 1.0}
+    unknown = sorted(set(cfg) - set(_BIHARI_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown bihari config keys {unknown}; valid: {list(_BIHARI_KEYS)}")
     k_spec = cfg["K"]
     if isinstance(k_spec, dict):
         rate = PiecewiseConstantRate(k_spec["times"], k_spec["values"])
@@ -181,7 +187,8 @@ def _bihari(cfg):
                                      "G_of_c": res.G_of_c, "integral_K": res.integral_K})
     header = ["c", "rho", "t", "T", "integral_K", "G_of_c", "status", "bound"]
     row = [cfg["c"], cfg.get("rho", "identity"), cfg["t"], cfg["T"], res.integral_K, res.G_of_c, res.status, res.bound]
-    return Report("bihari", cfg, [case]), header, [row], str(res.bound if res.status == "ok" else res.status)
+    report = Report("bihari", cfg, [case], meta={"quadratures": res.quadratures})
+    return report, header, [row], str(res.bound if res.status == "ok" else res.status)
 
 
 # Subcommand name -> (command, CSV file name).

@@ -93,6 +93,7 @@ class Report:
     config: dict
     cases: list
     runtime_seconds: float = 0.0
+    meta: dict = field(default_factory=dict)  # run diagnostics, merged into the meta block
 
     @property
     def passed(self) -> bool:
@@ -107,6 +108,7 @@ class Report:
         }
         if include_meta:
             out["meta"] = {
+                **self.meta,  # merged first: the measured timestamp and runtime always win
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 "runtime_seconds": self.runtime_seconds,
             }

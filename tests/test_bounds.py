@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from jumpbsde import (
@@ -12,6 +14,7 @@ from jumpbsde import (
     stability_bound,
     weighted_y_bound,
 )
+from jumpbsde import bounds
 from jumpbsde.bounds import BoundInputError, rho_catalog
 from jumpbsde.generators import RhoFunction
 
@@ -154,3 +157,95 @@ def test_weighted_bound_examples():
     assert doubled - base == pytest.approx(2.0)  # only the second summand moves, linearly
     with pytest.raises(BoundInputError):
         weighted_y_bound(-1.0, 0.0, 0.0, 0.0)
+
+
+def test_rate_window_outside_table_is_rejected():
+    rate = PiecewiseConstantRate([0.0, 1.0], [2.0])
+    assert rate(1.5) == 2.0  # the table extends its end values when evaluated
+    with pytest.raises(BoundInputError, match=r"window \[0.0, 2.0\] leaves the table span \[0.0, 1.0\]"):
+        bihari_bound(1.0, rate, "identity", 0.0, 2.0)
+    with pytest.raises(BoundInputError, match="leaves the table span"):
+        bihari_bound(1.0, PiecewiseConstantRate([0.5, 1.0], [2.0]), "identity", 0.25, 1.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    rho_name=st.sampled_from(sorted(rho_catalog())),
+    c=st.floats(0.05, 5.0),
+    shape=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4),
+    integral=st.floats(0.0, 3.0),
+    dc=st.floats(0.0, 1.0),
+    dk=st.floats(0.0, 1.0),
+)
+def test_inversion_properties(rho_name, c, shape, integral, dc, dk):
+    """G(bound) - G(c) = int K, the bound grows with c and with int K, and the
+    identity modulus gives c exp(int K), for piecewise rates on [0, 1]."""
+    rho = rho_catalog()[rho_name]
+    times = np.linspace(0.0, 1.0, len(shape) + 1)
+    values = np.asarray(shape) * integral / np.mean(shape)
+    res = bihari_bound(c, PiecewiseConstantRate(times, values), rho, 0.0, 1.0)
+    assert res.status == "ok"
+    assert res.integral_K == pytest.approx(integral, rel=1e-12, abs=1e-12)
+    lhs = bihari_transform(res.bound, rho) - bihari_transform(c, rho)
+    assert abs(lhs - res.integral_K) <= 1e-8 * max(1.0, res.integral_K)
+    larger_c = bihari_bound(c + dc, PiecewiseConstantRate(times, values), rho, 0.0, 1.0)
+    larger_k = bihari_bound(c, PiecewiseConstantRate(times, values + dk), rho, 0.0, 1.0)
+    assert larger_c.bound >= res.bound * (1.0 - 1e-12)
+    assert larger_k.bound >= res.bound * (1.0 - 1e-12)
+    if rho_name == "identity":
+        exact = c * math.exp(res.integral_K)
+        assert abs(res.bound - exact) <= 1e-8 * exact
+
+
+def test_stability_sqrt_rho_closed_form():
+    # G(x) = 2(sqrt(x) - 1), so H = (sqrt(e^{4b} delta) + e^{4b} a)^2
+    for a, b, delta in [(0.5, 0.49, 1e-3), (1.2, 0.1, 0.05), (0.0, 0.0, 1.0), (0.3, 0.2, 4.0)]:
+        e4b = math.exp(4.0 * b)
+        h = (math.sqrt(e4b * delta) + e4b * a) ** 2
+        expected = 2.0 * e4b * delta + (2.0 * e4b * a + 1.0) * (h + math.sqrt(h))
+        got = stability_bound(a, b, delta, "sqrt")
+        assert abs(got - expected) / expected <= 1e-8
+
+
+def test_nonsmooth_concave_rho_matches_backward_ode_oracle():
+    # kinks at r = 0.8 and r = 2, both crossed by the bounds below
+    kinked = RhoFunction(
+        lambda x: np.minimum.reduce([np.asarray(x, dtype=float), 0.4 + 0.5 * np.asarray(x), 1.2 + 0.1 * np.asarray(x)]),
+        "piecewise-linear, concave",
+    )
+    for c, times, values in [(0.3, [0.0, 1.0], [2.0]), (0.5, [0.0, 0.4, 1.5], [3.0, 1.0]), (1.9, [0.0, 2.0], [0.2])]:
+        rate = PiecewiseConstantRate(times, values)
+        res = bihari_bound(c, rate, kinked, times[0], times[-1])
+        oracle = backward_ode_value(c, rate, kinked, times[0], times[-1])
+        assert res.status == "ok"
+        assert abs(res.bound - oracle) / oracle <= 1e-6
+
+
+def test_quadratures_per_bound_are_few(monkeypatch):
+    """Newton steps need a handful of 1/rho quadratures; a bracket-and-bisect
+    search (about 50 per bound) would show here."""
+    calls = []
+    real_quad = bounds.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(1)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "quad", counting_quad)
+    for rho in sorted(rho_catalog()):
+        for c in (0.05, 0.3, 1.0, 2.5, 5.0):
+            for k0 in (0.0, 0.5, 1.5, 3.0):
+                calls.clear()
+                res = bihari_bound(c, PiecewiseConstantRate([0.0, 1.0], [k0]), rho, 0.0, 1.0)
+                assert res.status == "ok"
+                assert res.quadratures == len(calls) <= 12, (rho, c, k0)
+
+
+def test_overshoot_of_decreasing_rho_steps_back():
+    # rho(r) = 1/r decreases, so G(x) = (x^2 - 1)/2 is convex and the first
+    # Newton step from c = 1 lands at 2.5, above the root 2 of G(x) = 1.5;
+    # signed steps come back down (2.05, 2.0006, ...)
+    falling = RhoFunction(lambda x: 1.0 / np.asarray(x, dtype=float), "decreasing")
+    res = bihari_bound(1.0, PiecewiseConstantRate([0.0, 1.0], [1.5]), falling, 0.0, 1.0)
+    assert res.status == "ok"
+    assert res.bound == pytest.approx(2.0, rel=1e-12)

@@ -29,6 +29,8 @@ def test_simulate_writes_paths_and_report(tmp_path):
     lines = (out / "paths.csv").read_text().strip().splitlines()
     assert lines[0] == "path,step,dW,dN_1"
     assert len(lines) == 1 + 5 * 3
+    for line in lines[1:]:
+        float(line.split(",")[2])  # a plain number, not a numpy repr
     report = read_report(out)
     assert report["cases"][0]["data"]["analytic_terminal_mean"] == pytest.approx(1.0)
 
@@ -179,6 +181,20 @@ def test_bihari_subcommand(tmp_path):
     import math
     assert report["cases"][0]["data"]["bound"] == pytest.approx(math.exp(1.5), rel=1e-8)
     assert (out / "bound.csv").exists()
+
+
+def test_bihari_reports_quadratures_in_meta_only(tmp_path):
+    assert run_cli(["bihari", "--out", tmp_path / "bh"]) == 0
+    report = read_report(tmp_path / "bh")
+    assert 1 <= report["meta"]["quadratures"] <= 12
+    assert "quadratures" not in json.dumps({k: v for k, v in report.items() if k != "meta"})
+
+
+def test_bihari_rejects_unknown_keys(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": 1.0, "K": 2.0, "rh0": "xlogx", "t": 0.0, "T": 1.0}))
+    with pytest.raises(ConfigError, match=r"unknown bihari config keys \['rh0'\]; valid: \['c', 'K', 'rho', 't', 'T'\]"):
+        run_cli(["bihari", "--config", cfg, "--out", tmp_path / "bh"])
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
