@@ -15,7 +15,6 @@ from .bounds import (
     bihari_transform,
     rho_catalog,
     stability_bound,
-    weighted_y_bound,
 )
 from .generators import (
     CheckReport,
@@ -51,7 +50,7 @@ from .levy import (
     truncate_model,
 )
 from .mc import BootstrapEstimate, L2Distance, McSolution, RegressionBasis, bootstrap_y0, l2_distance, solve_mc
-from .terminals import make_terminal, terminal_names
+from .terminals import make_terminal
 from .tree import (
     FixedPointError,
     ScenarioTree,

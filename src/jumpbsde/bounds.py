@@ -1,6 +1,6 @@
 """Numerical engine for the integral inequalities: the backward nonlinear
-Gronwall bound, the explicit a-priori constants, the two-solution stability
-bound, and the weighted second-moment bound.
+Gronwall bound, the explicit a-priori constants and the two-solution
+stability bound.
 
 The transform G(x) is the integral of 1/rho from 1 to x (signed). It is
 inverted by Newton steps, which need no bracket: G' = 1/rho is exact, and G
@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .generators import RhoFunction
+from .config import resolve_spec
+from .generators import RHO_CATALOG, RhoFunction
 
 QUAD_ABS_TOL = 1e-10
+TRANSFORM_PIECE_RATIO = 1e3
 NEWTON_MAX_ITER = 200
 BRACKET_CAP = 1e300
 
@@ -33,42 +35,18 @@ class BoundInputError(ValueError):
 
 
 def rho_catalog() -> dict[str, RhoFunction]:
-    """Shipped moduli.
-
-    'sqrt' fails both the divergent-integral requirement and the small-x
-    rate condition; it is shipped for bound experiments only.
-    """
-
-    def xlogx(x):
-        x = np.asarray(x, dtype=float)
-        m = np.minimum(x, 1.0 / np.e)
-        with np.errstate(invalid="ignore"):
-            out = 1.0 - m**m
-        return np.where(m == 0.0, 0.0, out)  # 0^0 = 1 at the origin
-
-    return {
-        "identity": RhoFunction(lambda x: np.asarray(x, dtype=float) + 0.0, "identity modulus"),
-        "sqrt": RhoFunction(
-            lambda x: np.sqrt(np.asarray(x, dtype=float)),
-            "square root; for bound experiments only (integrable near zero, small-x rate 1)",
-        ),
-        "xlogx": RhoFunction(
-            xlogx,
-            "behaves like -x log x near zero, constant above 1/e; concave with divergent integral",
-        ),
-    }
+    """The shipped moduli, by name."""
+    return dict(RHO_CATALOG)
 
 
 def get_rho(spec) -> RhoFunction:
     if isinstance(spec, RhoFunction):
         return spec
-    try:
-        return rho_catalog()[spec]
-    except KeyError:
-        raise BoundInputError(f"unknown rho '{spec}'; catalog: {sorted(rho_catalog())}") from None
+    rho, _, _ = resolve_spec("rho", RHO_CATALOG, spec, context_args=1)
+    return rho
 
 
-def _integral_inv_rho(a: float, b: float, rho: RhoFunction, quad_tol: float) -> float:
+def _integral_inv_rho(a: float, b: float, rho: RhoFunction) -> float:
     """Signed adaptive quadrature of 1/rho from a to b."""
     global _quadratures_run
     _quadratures_run += 1
@@ -80,20 +58,30 @@ def _integral_inv_rho(a: float, b: float, rho: RhoFunction, quad_tol: float) -> 
         # a step toward an unreachable target may span an astronomically wide
         # range; the bracket cap, not this accuracy warning, decides that case
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, a, b, epsabs=quad_tol, epsrel=1e-10, limit=200)
+        val, _ = quad(integrand, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
     return float(val)
 
 
-def bihari_transform(x: float, rho: RhoFunction, quad_tol: float = QUAD_ABS_TOL) -> float:
-    """G(x): signed adaptive quadrature of 1/rho from 1 to x; needs x > 0."""
+def bihari_transform(x: float, rho: RhoFunction) -> float:
+    """G(x): signed integral of 1/rho from 1 to x; needs x > 0.
+
+    One adaptive quadrature per factor TRANSFORM_PIECE_RATIO away from 1, as a
+    single quadrature over many decades misplaces its samples (G(1e12) for
+    sqrt came out 2000000.000000015, not 1999998).
+    """
     if x <= 0:
         raise BoundInputError("the transform is defined for positive arguments")
     if x == 1.0:
         return 0.0
-    return _integral_inv_rho(1.0, x, rho, quad_tol)
+    step = TRANSFORM_PIECE_RATIO if x > 1.0 else 1.0 / TRANSFORM_PIECE_RATIO
+    edges = [1.0]
+    while max(x / edges[-1], edges[-1] / x) > TRANSFORM_PIECE_RATIO:
+        edges.append(edges[-1] * step)
+    edges.append(x)
+    return sum(_integral_inv_rho(a, b, rho) for a, b in zip(edges, edges[1:]))
 
 
-def _invert_transform(rise: float, rho: RhoFunction, x_start: float, quad_tol: float) -> float | None:
+def _invert_transform(rise: float, rho: RhoFunction, x_start: float) -> float | None:
     """Solve G(x) - G(x_start) = rise >= 0 by Newton steps from x_start.
 
     The rise is carried along the iterates as a sum of short quadratures
@@ -112,7 +100,7 @@ def _invert_transform(rise: float, rho: RhoFunction, x_start: float, quad_tol: f
         x_next = x + step
         if not 0.0 < x_next <= BRACKET_CAP:
             return None
-        x, gained = x_next, gained + _integral_inv_rho(x, x_next, rho, quad_tol)
+        x, gained = x_next, gained + _integral_inv_rho(x, x_next, rho)
     return None
 
 
@@ -137,7 +125,7 @@ def _integrate_rate(K, t: float, T: float) -> float:
     return float(val)
 
 
-def bihari_bound(c: float, K, rho, t: float, T: float, quad_tol: float = QUAD_ABS_TOL) -> BihariResult:
+def bihari_bound(c: float, K, rho, t: float, T: float) -> BihariResult:
     """Backward nonlinear Gronwall bound: the x solving G(x) = G(c) + int_t^T K.
 
     For the identity modulus this reproduces c * exp(int_t^T K). The result
@@ -152,8 +140,8 @@ def bihari_bound(c: float, K, rho, t: float, T: float, quad_tol: float = QUAD_AB
     if integral_k < 0:
         raise BoundInputError("the rate integral must be nonnegative")
     before = _quadratures_run
-    g_of_c = bihari_transform(c, rho, quad_tol)
-    root = _invert_transform(integral_k, rho, float(c), quad_tol)
+    g_of_c = bihari_transform(c, rho)
+    root = _invert_transform(integral_k, rho, float(c))
     status = "ok" if root is not None else "out-of-domain"
     return BihariResult(status=status, bound=root, G_of_c=g_of_c, integral_K=integral_k,
                         quadratures=_quadratures_run - before)
@@ -219,7 +207,7 @@ def apriori_bound(C_K: float, e_xi2: float, e_IF2: float) -> AprioriBound:
     return AprioriBound(sup_Y_bound=sup_bound, ZU_bound=zu_bound, c1=c1, min_C1=min_c1)
 
 
-def stability_bound(a: float, b: float, delta: float, rho, quad_tol: float = QUAD_ABS_TOL) -> float:
+def stability_bound(a: float, b: float, delta: float, rho) -> float:
     """Bound on the summed squared solution gaps given the data gap `delta`.
 
     delta aggregates the terminal gap and the driver gap along the first
@@ -235,15 +223,8 @@ def stability_bound(a: float, b: float, delta: float, rho, quad_tol: float = QUA
         return 0.0
     rho = get_rho(rho)
     e4b = math.exp(4.0 * b)
-    h = _invert_transform(2.0 * e4b * a, rho, e4b * delta, quad_tol)
+    h = _invert_transform(2.0 * e4b * a, rho, e4b * delta)
     if h is None:
         return math.inf
     return 2.0 * e4b * delta + (2.0 * e4b * a + 1.0) * (h + float(rho(h)))
 
-
-def weighted_y_bound(intH_xi2: float, intH_IF_norm: float, Y_s2_norm: float, C_K: float) -> float:
-    """Bound on the H-weighted second moment of Y in terms of the data."""
-    if min(intH_xi2, intH_IF_norm, Y_s2_norm, C_K) < 0:
-        raise BoundInputError("all inputs must be nonnegative")
-    e2 = math.exp(2.0 * C_K)
-    return e2 * intH_xi2 + 2.0 * e2 * intH_IF_norm * Y_s2_norm

@@ -179,9 +179,10 @@ def _bihari(cfg):
     k_spec = cfg["K"]
     if isinstance(k_spec, dict):
         rate = PiecewiseConstantRate(k_spec["times"], k_spec["values"])
-    else:
+    else:  # a constant rate; a zero-length window has no table span, and its integral is 0
         const = float(k_spec)
-        rate = PiecewiseConstantRate([float(cfg["t"]), float(cfg["T"])], [const])
+        t, T = float(cfg["t"]), float(cfg["T"])
+        rate = PiecewiseConstantRate([t, T], [const]) if T > t else (lambda s: const)
     res = bihari_bound(float(cfg["c"]), rate, cfg.get("rho", "identity"), float(cfg["t"]), float(cfg["T"]))
     case = Case(name="bihari", data={"status": res.status, "bound": res.bound,
                                      "G_of_c": res.G_of_c, "integral_K": res.integral_K})

@@ -1,13 +1,14 @@
 """JSON config parsing: models, grids, drivers, bases.
 
 The model/grid block is {"drift": a, "sigma": s, "marks": [{"x":, "lambda":}],
-"T":, "steps":}. Drivers are picked by catalog name with optional factory
-parameters and an optional additive "shift". User-defined drivers enter only
+"T":, "steps":}. Drivers, terminals and moduli are picked from their catalogs
+with one spec grammar (see resolve_spec). User-defined drivers enter only
 through the library interface, not through configs.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 
 from .generators import GENERATOR_FACTORIES, GeneratorSpec, shift_generator
@@ -51,23 +52,36 @@ def resolve_model_grid(cfg: dict) -> tuple[LevyModel, TimeGrid]:
     return model, grid
 
 
+def resolve_spec(kind: str, catalog: dict, spec, modifiers: tuple = (), context_args: int = 0):
+    """Look up a catalog spec: a name, or {"name": ..., parameters..., modifiers...}.
+
+    Parameters are the entry's call arguments after its first `context_args`;
+    modifiers are handed back to the caller. Returns (entry, parameters,
+    modifiers). An unknown or missing name and an unknown parameter raise
+    ConfigError naming the valid choices.
+    """
+    fields = dict(spec) if isinstance(spec, dict) else {"name": spec}
+    name = fields.pop("name", None)
+    if not isinstance(name, str) or name not in catalog:
+        raise ConfigError(f"unknown {kind} '{name}'; catalog: {sorted(catalog)}")
+    entry = catalog[name]
+    mods = {m: fields.pop(m) for m in modifiers if m in fields}
+    if fields:  # inspect.signature is slow next to a lookup, and the bounds resolve their modulus per call
+        valid = list(inspect.signature(entry).parameters)[context_args:]
+        unknown = sorted(set(fields) - set(valid))
+        if unknown:
+            raise ConfigError(f"{kind} '{name}' has no parameter {unknown}; valid: {valid + list(modifiers)}")
+    return entry, fields, mods
+
+
 def generator_from_config(spec) -> GeneratorSpec:
+    """A driver from a catalog spec; the modifier "shift" adds a constant."""
     if isinstance(spec, GeneratorSpec):
         return spec
-    if isinstance(spec, str):
-        spec = {"name": spec}
-    params = dict(spec)
-    name = params.pop("name")
-    shift = params.pop("shift", None)
-    try:
-        factory = GENERATOR_FACTORIES[name]
-    except KeyError:
-        raise ConfigError(f"unknown generator '{name}'; catalog: {sorted(GENERATOR_FACTORIES)}") from None
+    factory, params, mods = resolve_spec("generator", GENERATOR_FACTORIES, spec, ("shift",))
     gen = factory(**params)
-    if shift is not None:
-        gen = shift_generator(gen, float(shift))
-    return gen
+    return shift_generator(gen, float(mods["shift"])) if "shift" in mods else gen
 
 
 def basis_from_config(cfg: dict) -> RegressionBasis:
-    return RegressionBasis(family=cfg.get("basis_family", "poly"), degree=int(cfg.get("basis_degree", 3)))
+    return RegressionBasis(degree=int(cfg.get("basis_degree", 3)))

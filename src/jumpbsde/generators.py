@@ -8,7 +8,7 @@ Condition checks are sampling based and report witnesses instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -33,10 +33,6 @@ class StepContext:
     w: np.ndarray | None = None
     counts: np.ndarray | None = None
 
-    @property
-    def size(self) -> int:
-        return int(np.asarray(self.x).shape[0]) if np.ndim(self.x) else 1
-
 
 @dataclass(frozen=True)
 class RhoFunction:
@@ -49,6 +45,29 @@ class RhoFunction:
         return self.value(x)
 
 
+def _xlogx(x):
+    x = np.asarray(x, dtype=float)
+    m = np.minimum(x, 1.0 / np.e)
+    with np.errstate(invalid="ignore"):
+        out = 1.0 - m**m
+    return np.where(m == 0.0, 0.0, out)  # 0^0 = 1 at the origin
+
+
+# The modulus catalog. 'sqrt' fails both the divergent-integral requirement
+# and the small-x rate condition; it is shipped for bound experiments only.
+RHO_CATALOG = {
+    "identity": RhoFunction(lambda x: np.asarray(x, dtype=float) + 0.0, "identity modulus"),
+    "sqrt": RhoFunction(
+        lambda x: np.sqrt(np.asarray(x, dtype=float)),
+        "square root; for bound experiments only (integrable near zero, small-x rate 1)",
+    ),
+    "xlogx": RhoFunction(
+        _xlogx,
+        "behaves like -x log x near zero, constant above 1/e; concave with divergent integral",
+    ),
+}
+
+
 def _zero_coeff(ctx, t):
     return np.zeros_like(np.asarray(ctx.x, dtype=float))
 
@@ -58,10 +77,6 @@ def constant_coeff(c: float) -> Callable:
         return np.full_like(np.asarray(ctx.x, dtype=float), float(c))
 
     return coeff
-
-
-def rho_identity() -> RhoFunction:
-    return RhoFunction(lambda x: np.asarray(x, dtype=float) + 0.0, "identity modulus")
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,7 @@ class GeneratorSpec:
     K2: Callable = _zero_coeff
     beta: Callable = _zero_coeff
     alpha: Callable = lambda t: 0.0
-    rho: RhoFunction = field(default_factory=rho_identity)
+    rho: RhoFunction = RHO_CATALOG["identity"]
     satisfies_jump_ordering: bool = True
 
     def growth_bound(self, ctx, t, y, z, u):

@@ -59,13 +59,22 @@ class LevyModel:
         return np.array([lam for _, lam in self.marks], dtype=float)
 
     @property
-    def total_intensity(self) -> float:
-        return float(self.intensities.sum()) if self.marks else 0.0
-
-    @property
     def small_mask(self) -> np.ndarray:
         """Marks entering through compensated increments (|x| <= 1)."""
         return np.abs(self.jump_sizes) <= SMALL_JUMP_CUTOFF
+
+    def state_increment(self, dt: float, dw, dn):
+        """State increment a*dt + sigma*dW + dN @ sizes, less the small marks' compensator.
+
+        dn carries one count per mark in its last axis; the path simulator and
+        the tree's branch alphabet both step the state through this law.
+        """
+        inc = self.drift * dt + self.sigma * dw
+        if self.n_marks:
+            sizes, small = self.jump_sizes, self.small_mask
+            comp = float((sizes[small] * self.intensities[small]).sum()) * dt
+            inc = inc + dn @ sizes - comp
+        return inc
 
     def mean_terminal_state(self, horizon: float) -> float:
         """Exact mean of the state at the horizon: a*T + T * sum over large marks of lambda*x."""
@@ -172,13 +181,8 @@ class PathBundle:
         Small marks contribute through compensated increments, large marks
         through raw counts.
         """
-        m, g = self.model, self.grid
-        sizes, lam, small = m.jump_sizes, m.intensities, m.small_mask
-        inc = m.drift * g.dt + m.sigma * self.dw
-        if m.n_marks:
-            comp = float((sizes[small] * lam[small]).sum()) * g.dt
-            inc = inc + self.dn @ sizes - comp
-        x = np.zeros((self.n_paths, g.steps + 1))
+        inc = self.model.state_increment(self.grid.dt, self.dw, self.dn)
+        x = np.zeros((self.n_paths, self.grid.steps + 1))
         np.cumsum(inc, axis=1, out=x[:, 1:])
         return x
 

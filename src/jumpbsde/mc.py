@@ -25,12 +25,11 @@ class RegressionError(ModelError):
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    family: str = "poly"
+    """Polynomial regression basis of the given degree in the state."""
+
     degree: int = 3
 
     def __post_init__(self):
-        if self.family != "poly":
-            raise RegressionError(f"unknown basis family '{self.family}'")
         if self.degree < 0:
             raise RegressionError("basis degree must be nonnegative")
 
@@ -249,7 +248,7 @@ class L2Distance:
         return self.dY + self.dZ + self.dU
 
 
-def l2_distance(sol_a, sol_b, grid: TimeGrid | None = None) -> L2Distance:
+def l2_distance(sol_a, sol_b) -> L2Distance:
     """Distance between two solutions on the same tree or the same path bundle.
 
     The Y integral runs over the N left endpoints, so a constant offset c

@@ -2,16 +2,15 @@
 
 A terminal functional maps the terminal context (state, Brownian value and
 jump counts at the horizon) to one payoff per node or path. Config entries
-are either a catalog name or a dict {"name": ..., params..., "scale": a,
-"shift": b}; scale and shift apply after the base payoff.
+are catalog specs (config.resolve_spec) with the modifiers "scale": a and
+"shift": b, which apply after the base payoff.
 """
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
+from .config import resolve_spec
 from .generators import StepContext
 
 
@@ -46,7 +45,7 @@ def _const(ctx: StepContext, value: float = 0.0):
     return np.full_like(np.asarray(ctx.x, dtype=float), float(value))
 
 
-_CATALOG = {
+TERMINAL_CATALOG = {
     "x": _x,
     "w": _w,
     "tanh_x": _tanh_x,
@@ -56,31 +55,16 @@ _CATALOG = {
 }
 
 
-def terminal_names() -> list[str]:
-    return sorted(_CATALOG)
-
-
 def make_terminal(spec):
     """Build a terminal functional from a name or a config dict."""
     if callable(spec):
         return spec
-    if isinstance(spec, str):
-        spec = {"name": spec}
-    params = dict(spec)
-    name = params.pop("name")
-    scale = float(params.pop("scale", 1.0))
-    shift = float(params.pop("shift", 0.0))
-    try:
-        base = _CATALOG[name]
-    except KeyError:
-        raise ValueError(f"unknown terminal '{name}'; catalog: {terminal_names()}") from None
-    valid = list(inspect.signature(base).parameters)[1:]
-    unknown = sorted(set(params) - set(valid))
-    if unknown:
-        raise ValueError(f"terminal '{name}' has no parameter {unknown}; valid: {valid + ['scale', 'shift']}")
+    base, params, mods = resolve_spec("terminal", TERMINAL_CATALOG, spec, ("scale", "shift"), context_args=1)
+    scale = float(mods.get("scale", 1.0))
+    shift = float(mods.get("shift", 0.0))
 
     def terminal(ctx: StepContext):
         return scale * base(ctx, **params) + shift
 
-    terminal.__name__ = f"terminal_{name}"
+    terminal.__name__ = f"terminal{base.__name__}"  # catalog entries are named _<name>
     return terminal

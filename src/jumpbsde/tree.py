@@ -85,21 +85,20 @@ class ScenarioTree:
         return float(v @ self.node_prob[lvl])
 
 
-def build_tree(model: LevyModel, grid: TimeGrid, node_cap: int = DEFAULT_NODE_CAP) -> ScenarioTree:
-    """Enumerate the product tree; rejects lambda*dt >= 1 and oversize trees."""
+def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
+    """Enumerate the product tree; rejects lambda*dt >= 1 and trees above DEFAULT_NODE_CAP nodes."""
     grid.validate_for_tree(model)
     j = model.n_marks
     has_w = model.sigma > 0.0
     branching = (2 if has_w else 1) * 2**j
     total = sum(branching**i for i in range(grid.steps + 1))
-    if total > node_cap:
+    if total > DEFAULT_NODE_CAP:
         raise TreeSizeError(
-            f"tree needs {total} nodes (branching {branching}, {grid.steps} steps), cap is {node_cap}"
+            f"tree needs {total} nodes (branching {branching}, {grid.steps} steps), cap is {DEFAULT_NODE_CAP}"
         )
 
     dt = grid.dt
-    sizes, lam, small = model.jump_sizes, model.intensities, model.small_mask
-    p_jump = lam * dt
+    p_jump = model.intensities * dt
 
     b_idx = np.arange(branching)
     # Bit layout: mark j occupies bit j; the Brownian sign, if present, is the top bit.
@@ -115,8 +114,7 @@ def build_tree(model: LevyModel, grid: TimeGrid, node_cap: int = DEFAULT_NODE_CA
         bit = dn_branch[:, k]
         prob = prob * np.where(bit == 1.0, p_jump[k], 1.0 - p_jump[k])
 
-    comp = float((sizes[small] * lam[small]).sum()) * dt if j else 0.0
-    inc_x = model.drift * dt + model.sigma * dw_branch + (dn_branch @ sizes if j else 0.0) - comp
+    inc_x = model.state_increment(dt, dw_branch, dn_branch)
 
     states = [np.zeros(1)]
     wpaths = [np.zeros(1)]

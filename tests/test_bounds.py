@@ -12,7 +12,6 @@ from jumpbsde import (
     bihari_bound,
     bihari_transform,
     stability_bound,
-    weighted_y_bound,
 )
 from jumpbsde import bounds
 from jumpbsde.bounds import BoundInputError, rho_catalog
@@ -69,6 +68,15 @@ def test_transform_satisfies_defining_identity():
     res = bihari_bound(0.8, PiecewiseConstantRate([0.0, 1.0], [1.3]), "xlogx", 0.0, 1.0)
     rho = rho_catalog()["xlogx"]
     assert bihari_transform(res.bound, rho) == pytest.approx(res.G_of_c + res.integral_K, abs=1e-8)
+
+
+@pytest.mark.parametrize("rho, x, exact", [
+    (rho_catalog()["sqrt"], 1e12, 1999998.0),
+    (RhoFunction(lambda x: np.asarray(x, dtype=float) ** 2, "square"), 4.29e9, 1.0 - 1.0 / 4.29e9),
+])
+def test_transform_far_from_one(rho, x, exact):
+    # a single quadrature from 1 to x gave 2000000.000000015 and -2.3e-10 here
+    assert bihari_transform(x, rho) == pytest.approx(exact, rel=1e-9)
 
 
 def test_out_of_domain_for_bounded_transform():
@@ -147,16 +155,6 @@ def test_stability_zero_gap_and_monotonicity():
     assert vals == sorted(vals)
     with pytest.raises(BoundInputError):
         stability_bound(-0.1, 0.0, 1.0, "identity")
-
-
-def test_weighted_bound_examples():
-    assert weighted_y_bound(0.0, 0.0, 0.0, 1.0) == 0.0
-    assert weighted_y_bound(1.0, 1.0, 1.0, 0.0) == pytest.approx(3.0)
-    base = weighted_y_bound(1.0, 1.0, 1.0, 0.0)
-    doubled = weighted_y_bound(1.0, 1.0, 2.0, 0.0)
-    assert doubled - base == pytest.approx(2.0)  # only the second summand moves, linearly
-    with pytest.raises(BoundInputError):
-        weighted_y_bound(-1.0, 0.0, 0.0, 0.0)
 
 
 def test_rate_window_outside_table_is_rejected():

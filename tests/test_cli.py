@@ -197,6 +197,14 @@ def test_bihari_rejects_unknown_keys(tmp_path):
         run_cli(["bihari", "--config", cfg, "--out", tmp_path / "bh"])
 
 
+def test_bihari_scalar_rate_on_zero_length_window(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": 1.5, "K": 2.0, "t": 1, "T": 1}))
+    assert run_cli(["bihari", "--config", cfg, "--out", tmp_path / "bh"]) == 0
+    data = read_report(tmp_path / "bh")["cases"][0]["data"]
+    assert data["bound"] == 1.5 and data["integral_K"] == 0.0
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_reports_byte_identical_modulo_meta(tmp_path, command):
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,0 +1,53 @@
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+from jumpbsde.bounds import get_rho, rho_catalog
+from jumpbsde.config import ConfigError, generator_from_config
+from jumpbsde.generators import GENERATOR_FACTORIES, GeneratorSpec, RhoFunction
+from jumpbsde.terminals import TERMINAL_CATALOG, make_terminal
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# README catalog row -> (error-text kind, catalog, public resolver, result type)
+CATALOGS = {
+    "driver": ("generator", GENERATOR_FACTORIES, generator_from_config, GeneratorSpec),
+    "terminal": ("terminal", TERMINAL_CATALOG, make_terminal, types.FunctionType),
+    "modulus": ("rho", rho_catalog(), get_rho, RhoFunction),
+}
+
+
+def readme_catalogs() -> dict:
+    """{row: ({entry: [parameters]}, [modifiers])} from README's catalog table."""
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in CATALOGS:
+            entries = {m[0]: re.findall(r"\w+", m[1]) for m in re.findall(r"`(\w+)(?:\(([^)]*)\))?`", cells[2])}
+            rows[cells[0]] = (entries, re.findall(r"`(\w+)`", cells[1]))
+    return rows
+
+
+def test_readme_lists_every_catalog_entry():
+    rows = readme_catalogs()
+    assert sorted(rows) == sorted(CATALOGS)
+    for row, (_, catalog, _, _) in CATALOGS.items():
+        assert sorted(rows[row][0]) == sorted(catalog), row
+
+
+@pytest.mark.parametrize("row, name", [(row, name) for row, (_, catalog, _, _) in CATALOGS.items() for name in catalog])
+def test_catalog_entry_resolves_and_bad_specs_name_the_choices(row, name):
+    kind, catalog, resolve, result_type = CATALOGS[row]
+    assert isinstance(resolve(name), result_type)
+    assert isinstance(resolve({"name": name}), result_type)
+    entries, modifiers = readme_catalogs()[row]
+    valid = entries[name] + modifiers
+    with pytest.raises(ConfigError, match=re.escape(f"{kind} '{name}' has no parameter ['bogus']; valid: {valid}")):
+        resolve({"name": name, "bogus": 1})
+    listing = re.escape(f"catalog: {sorted(catalog)}")
+    with pytest.raises(ConfigError, match=listing):
+        resolve({"nmae": name})
+    with pytest.raises(ConfigError, match=f"unknown {kind} '{name}x'; {listing}"):
+        resolve(name + "x")
