@@ -5,7 +5,8 @@ Every subcommand takes --config <file.json> and --out <dir>; without
 --config a small built-in demo configuration is used. Each subcommand writes
 one CSV table plus report.json, whose meta.runtime_seconds is the time the
 subcommand took to compute its results. Exit status: 0 when every asserted
-verdict passed, 2 when hypothesis checks were unmet, 1 otherwise.
+verdict passed, 2 when hypothesis checks were unmet, 1 otherwise, and 3 with
+one line on stderr when the config or an input is invalid (console script).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .bounds import PiecewiseConstantRate, bihari_bound
+from .bounds import BoundInputError, PiecewiseConstantRate, bihari_bound
 from .config import ConfigError, basis_from_config, generator_from_config, load_config, resolve_model_grid
 from .experiments import Case, Report
-from .levy import simulate_paths
+from .levy import ModelError, simulate_paths
 from .mc import bootstrap_y0, solve_mc
 from .terminals import make_terminal
 from .tree import DEFAULT_FP_TOL, build_tree, solve_backward, solve_truncated
@@ -95,7 +96,8 @@ def _solve_lattice(cfg):
     case = Case(name="solve-lattice", data={"y0": sol.y0, "levels": tree.n_steps + 1,
                                             "max_fixed_point_iterations": max(sol.fp_iterations, default=0)})
     header = ["level", "node", "Y", "Z"] + [f"U_{k + 1}" for k in range(model.n_marks)]
-    return Report("solve-lattice", cfg, [case]), header, _solution_rows(sol), f"Y0 = {sol.y0:.10g}"
+    report = Report("solve-lattice", cfg, [case], meta={"fp_iterations": list(sol.fp_iterations)})
+    return report, header, _solution_rows(sol), f"Y0 = {sol.y0:.10g}"
 
 
 def _solve_mc(cfg):
@@ -183,11 +185,13 @@ def _bihari(cfg):
         const = float(k_spec)
         t, T = float(cfg["t"]), float(cfg["T"])
         rate = PiecewiseConstantRate([t, T], [const]) if T > t else (lambda s: const)
-    res = bihari_bound(float(cfg["c"]), rate, cfg.get("rho", "identity"), float(cfg["t"]), float(cfg["T"]))
+    rho = cfg.get("rho", "identity")
+    res = bihari_bound(float(cfg["c"]), rate, rho, float(cfg["t"]), float(cfg["T"]))
     case = Case(name="bihari", data={"status": res.status, "bound": res.bound,
                                      "G_of_c": res.G_of_c, "integral_K": res.integral_K})
     header = ["c", "rho", "t", "T", "integral_K", "G_of_c", "status", "bound"]
-    row = [cfg["c"], cfg.get("rho", "identity"), cfg["t"], cfg["T"], res.integral_K, res.G_of_c, res.status, res.bound]
+    rho_name = rho["name"] if isinstance(rho, dict) else rho
+    row = [cfg["c"], rho_name, cfg["t"], cfg["T"], res.integral_K, res.G_of_c, res.status, res.bound]
     report = Report("bihari", cfg, [case], meta={"quadratures": res.quadratures})
     return report, header, [row], str(res.bound if res.status == "ok" else res.status)
 
@@ -234,5 +238,15 @@ def main(argv=None) -> int:
     return _exit_code(report)
 
 
+def run(argv=None) -> int:
+    """Console entry point: main(), with config and input errors as one line on stderr."""
+    try:
+        return main(argv)
+    except (ConfigError, BoundInputError, ModelError) as exc:
+        command = next(a for a in (sys.argv[1:] if argv is None else argv) if a in _COMMANDS)
+        print(f"jumpbsde {command}: error: {exc}", file=sys.stderr)
+        return 3  # distinct from the verdict codes 0, 1 and 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import json
+from numbers import Real
 
 from .generators import GENERATOR_FACTORIES, GeneratorSpec, shift_generator
 from .levy import LevyModel, TimeGrid
@@ -58,7 +59,8 @@ def resolve_spec(kind: str, catalog: dict, spec, modifiers: tuple = (), context_
     Parameters are the entry's call arguments after its first `context_args`;
     modifiers are handed back to the caller. Returns (entry, parameters,
     modifiers). An unknown or missing name and an unknown parameter raise
-    ConfigError naming the valid choices.
+    ConfigError naming the valid choices; a parameter or modifier value that
+    is not a number or a list of numbers raises ConfigError naming it.
     """
     fields = dict(spec) if isinstance(spec, dict) else {"name": spec}
     name = fields.pop("name", None)
@@ -71,6 +73,10 @@ def resolve_spec(kind: str, catalog: dict, spec, modifiers: tuple = (), context_
         unknown = sorted(set(fields) - set(valid))
         if unknown:
             raise ConfigError(f"{kind} '{name}' has no parameter {unknown}; valid: {valid + list(modifiers)}")
+    for key, value in {**fields, **mods}.items():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in items):
+            raise ConfigError(f"{kind} '{name}' parameter '{key}' must be a number or a list of numbers, got {value!r}")
     return entry, fields, mods
 
 

@@ -11,7 +11,7 @@ are probability-weighted sums over children, with no regression anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -38,6 +38,10 @@ class ScenarioTree:
 
     dw_branch, dn_branch and branch_prob describe one step's alphabet;
     states/wpaths/counts/node_prob hold per-node values for levels 0..N.
+    The children of node k are k*B + b, so a level-i node index has i
+    base-B digits, the first step most significant. In branch b, mark j is
+    bit j and the Brownian sign (when sigma > 0) is the top bit, so a level
+    reshapes to one binary axis per step and bit; project_coarse relies on it.
     """
 
     model: LevyModel
@@ -289,47 +293,14 @@ def solve_backward(
 # ---------------------------------------------------------------------------
 
 
-def _branch_partition(tree: ScenarioTree, removed: np.ndarray):
-    """Group branches by their kept coordinates.
-
-    Returns (branches_by_group, group_of_branch, weights) where the first
-    column of branches_by_group is the representative with no removed-mark
-    jumps, and weights are the removed-coordinate probabilities.
-    """
-    b = tree.branching
-    j = tree.model.n_marks
-    removed_idx = np.flatnonzero(removed)
-    removed_bits_mask = int(sum(1 << int(k) for k in removed_idx))
-    p_jump = tree.model.intensities * tree.grid.dt
-
-    r = 1 << len(removed_idx)
-    keys = [bi & ~removed_bits_mask for bi in range(b)]
-    group_keys = sorted(set(keys))
-    key_to_group = {k: gi for gi, k in enumerate(group_keys)}
-    group_of_branch = np.array([key_to_group[k] for k in keys], dtype=np.intp)
-
-    branches_by_group = np.empty((len(group_keys), r), dtype=np.intp)
-    weights = np.empty(r)
-    for ridx in range(r):
-        extra = 0
-        w = 1.0
-        for pos, mark in enumerate(removed_idx):
-            bit = (ridx >> pos) & 1
-            extra |= bit << int(mark)
-            w *= p_jump[mark] if bit else 1.0 - p_jump[mark]
-        weights[ridx] = w
-        for gi, key in enumerate(group_keys):
-            branches_by_group[gi, ridx] = key | extra
-    return branches_by_group, group_of_branch, weights
-
-
 def project_coarse(tree: ScenarioTree, values, n: int, level: int | None = None) -> np.ndarray:
     """Exact conditional expectation given the Brownian signs and the jumps
     of marks with |x| >= 1/n, applied to per-node values at one level.
 
-    Averages over the removed-mark coordinates of every step letter. The
-    averaging is centered at the no-jump representative, so values that are
-    already measurable pass through bitwise and the projection is idempotent.
+    One transpose of the level's bit tensor (see ScenarioTree) moves the
+    removed-mark bits of every step to the end; each row is then averaged
+    under their product law, centered at the pattern with no removed jumps,
+    so measurable values pass through bitwise and the projection is idempotent.
     """
     v = np.asarray(values, dtype=float)
     lvl = tree.infer_level(v) if level is None else int(level)
@@ -337,17 +308,16 @@ def project_coarse(tree: ScenarioTree, values, n: int, level: int | None = None)
     if not removed.any() or lvl == 0:
         return v.copy()
 
-    groups, group_of_branch, w = _branch_partition(tree, removed)
-    b = tree.branching
-    arr = v.reshape((b,) * lvl)
-    for ax in range(lvl):
-        moved = np.moveaxis(arr, ax, -1)
-        vg = moved[..., groups]                      # (..., G, R)
-        rep = vg[..., :1]
-        mean = rep[..., 0] + (vg - rep) @ w          # exact on constant groups
-        out = mean[..., group_of_branch]
-        arr = np.moveaxis(out, -1, ax)
-    return arr.reshape(-1)
+    nb = tree.branching.bit_length() - 1
+    # Step s holds axes s*nb .. s*nb + nb - 1, most significant bit first: bit k is axis s*nb + nb - 1 - k.
+    gone = [s * nb + nb - 1 - k for s in range(lvl) for k in np.flatnonzero(removed)]
+    perm = [a for a in range(nb * lvl) if a not in gone] + gone
+    laws = [[1.0 - p, p] for p in tree.model.intensities[removed] * tree.grid.dt]
+    w = reduce(np.multiply.outer, laws * lvl, 1.0).ravel()  # ordered as the removed axes of perm
+    t = v.reshape((2,) * (nb * lvl)).transpose(perm)
+    rows = t.reshape(-1, w.size)
+    mean = rows[:, 0] + (rows - rows[:, :1]) @ w
+    return np.broadcast_to(mean[:, None], rows.shape).reshape(t.shape).transpose(np.argsort(perm)).reshape(-1)
 
 
 def solve_truncated(

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jumpbsde
 from jumpbsde.cli import _COMMANDS, _exit_code, main
 from jumpbsde.config import ConfigError
 from jumpbsde.experiments import Case, Report
@@ -56,8 +61,10 @@ def test_solve_lattice_solution_table(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["level", "node", "Y", "Z", "U_1"]
     assert len(rows) == 1 + sum(2**i for i in range(5))
-    y0 = read_report(out)["cases"][0]["data"]["y0"]
-    assert y0 == pytest.approx(1 - (1 - 0.7 / 4) ** 4, abs=1e-12)
+    report = read_report(out)
+    assert report["cases"][0]["data"]["y0"] == pytest.approx(1 - (1 - 0.7 / 4) ** 4, abs=1e-12)
+    iterations = report["meta"]["fp_iterations"]
+    assert len(iterations) == 4 and max(iterations) == report["cases"][0]["data"]["max_fixed_point_iterations"]
 
 
 def test_solve_lattice_truncation_level(tmp_path):
@@ -195,6 +202,26 @@ def test_bihari_rejects_unknown_keys(tmp_path):
     cfg.write_text(json.dumps({"c": 1.0, "K": 2.0, "rh0": "xlogx", "t": 0.0, "T": 1.0}))
     with pytest.raises(ConfigError, match=r"unknown bihari config keys \['rh0'\]; valid: \['c', 'K', 'rho', 't', 'T'\]"):
         run_cli(["bihari", "--config", cfg, "--out", tmp_path / "bh"])
+
+
+def test_bihari_dict_rho_spec_writes_its_name(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": 1.0, "K": 2.0, "rho": {"name": "xlogx"}, "t": 0.0, "T": 1.0}))
+    assert run_cli(["bihari", "--config", cfg, "--out", tmp_path / "bh"]) == 0
+    with open(tmp_path / "bh" / "bound.csv") as fh:
+        assert list(csv.DictReader(fh))[0]["rho"] == "xlogx"
+
+
+def test_console_script_reports_input_errors_in_one_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": 1.0, "K": 2.0, "rho": "xlogy", "t": 0.0, "T": 1.0}))
+    env = {**os.environ, "PYTHONPATH": str(Path(jumpbsde.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "jumpbsde.cli", "bihari", "--config", str(cfg), "--out",
+                           str(tmp_path / "bh")], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "jumpbsde bihari: error: unknown rho 'xlogy'; catalog: ['identity', 'sqrt', 'xlogx']"
+    ]
 
 
 def test_bihari_scalar_rate_on_zero_length_window(tmp_path):

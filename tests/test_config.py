@@ -51,3 +51,19 @@ def test_catalog_entry_resolves_and_bad_specs_name_the_choices(row, name):
         resolve({"nmae": name})
     with pytest.raises(ConfigError, match=f"unknown {kind} '{name}x'; {listing}"):
         resolve(name + "x")
+
+
+# The moduli take no parameters, so only the driver and terminal catalogs have values to check.
+@pytest.mark.parametrize("row, spec, key", [
+    ("driver", {"name": "linear_y", "k": "abc"}, "k"),
+    ("driver", {"name": "linear_driver", "c": [0.5, "abc"]}, "c"),
+    ("driver", {"name": "zero", "shift": None}, "shift"),
+    ("terminal", {"name": "x", "scale": "abc"}, "scale"),
+    ("terminal", {"name": "clip_x", "lo": True}, "lo"),
+])
+def test_parameter_values_must_be_numbers(row, spec, key):
+    kind, _, resolve, _ = CATALOGS[row]
+    message = f"{kind} '{spec['name']}' parameter '{key}' must be a number or a list of numbers, got {spec[key]!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve(spec)
+    assert resolve({**spec, key: [1.0, 2] if key == "c" else 1})

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumpbsde import (
@@ -20,6 +20,7 @@ from jumpbsde import (
     solve_truncated,
     zero_generator,
 )
+from jumpbsde.levy import kept_marks_mask
 from jumpbsde.terminals import make_terminal
 
 XI_X = make_terminal("x")
@@ -220,6 +221,68 @@ def test_project_en_idempotent_and_contractive(problem):
     full, trunc = solve_backward(tree, g, XI_TANH), solve_truncated(tree, g, XI_TANH, n_all)
     for a, b in zip(full.Y + full.Z + full.U, trunc.Y + trunc.Z + trunc.U):
         assert np.array_equal(a, b)
+
+
+def per_axis_projection(tree, values, n, level):
+    """Reference projection: one gather, per-group weighted sum and scatter per step axis."""
+    removed = ~kept_marks_mask(tree.model, n)
+    if not removed.any() or level == 0:
+        return np.array(values, dtype=float)
+    b = tree.branching
+    removed_idx = np.flatnonzero(removed)
+    removed_bits_mask = int(sum(1 << int(k) for k in removed_idx))
+    p_jump = tree.model.intensities * tree.grid.dt
+    r = 1 << len(removed_idx)
+    keys = [bi & ~removed_bits_mask for bi in range(b)]
+    group_keys = sorted(set(keys))
+    key_to_group = {k: gi for gi, k in enumerate(group_keys)}
+    group_of_branch = np.array([key_to_group[k] for k in keys], dtype=np.intp)
+    groups = np.empty((len(group_keys), r), dtype=np.intp)
+    w = np.empty(r)
+    for ridx in range(r):
+        extra, wr = 0, 1.0
+        for pos, mark in enumerate(removed_idx):
+            bit = (ridx >> pos) & 1
+            extra |= bit << int(mark)
+            wr *= p_jump[mark] if bit else 1.0 - p_jump[mark]
+        w[ridx] = wr
+        for gi, key in enumerate(group_keys):
+            groups[gi, ridx] = key | extra
+    arr = np.asarray(values, dtype=float).reshape((b,) * level)
+    for ax in range(level):
+        vg = np.moveaxis(arr, ax, -1)[..., groups]
+        rep = vg[..., :1]
+        mean = rep[..., 0] + (vg - rep) @ w
+        arr = np.moveaxis(mean[..., group_of_branch], -1, ax)
+    return arr.reshape(-1)
+
+
+def projection_problem(n, sigma, kept, steps, level, seed, lam=0.4):
+    """Marks in the given kept/removed pattern at level n, with N(0,1) values at one level."""
+    marks = tuple(((1.0 + i) / n if keep else (0.2 + 0.2 * i) / n, lam / (1 + i)) for i, keep in enumerate(kept))
+    tree = build_tree(LevyModel(0.1, sigma, marks), TimeGrid(1.0, steps))
+    return tree, np.random.default_rng(seed).standard_normal(tree.level_size(level)), level, n
+
+
+@st.composite
+def projection_problems(draw):
+    kept = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    steps = draw(st.integers(1, 3))
+    return projection_problem(draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 1.0])), kept, steps,
+                              draw(st.integers(0, steps)), draw(st.integers(0, 2**32 - 1)),
+                              draw(st.floats(0.05, 0.95)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(projection_problems())
+@example(projection_problem(2, 0.0, [False, True], 3, 3, 1))  # sigma = 0
+@example(projection_problem(3, 1.0, [False, True, False], 3, 3, 2))  # removed bits not adjacent
+@example(projection_problem(1, 0.0, [False, False, False], 2, 2, 3))  # R = 8
+def test_project_coarse_matches_per_axis_reference(problem):
+    tree, vals, level, n = problem
+    expected = per_axis_projection(tree, vals, n, level)
+    got = project_coarse(tree, vals, n, level=level)
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * (1 + np.max(np.abs(vals)))
 
 
 def test_solve_truncated_reduces_to_full_solver_when_nothing_removed():
