@@ -6,7 +6,8 @@ Every subcommand takes --config <file.json> and --out <dir>; without
 one CSV table plus report.json, whose meta.runtime_seconds is the time the
 subcommand took to compute its results. Exit status: 0 when every asserted
 verdict passed, 2 when hypothesis checks were unmet, 1 otherwise, and 3 with
-one line on stderr when the config or an input is invalid (console script).
+one line on stderr when the config or an input is invalid, or with argparse's
+usage message on a usage error (console script).
 """
 
 from __future__ import annotations
@@ -239,13 +240,20 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """Console entry point: main(), with config and input errors as one line on stderr."""
+    """Console entry point: main(), with config and input errors as one line on stderr.
+
+    Input errors and argparse usage errors exit 3, distinct from the verdict codes 0, 1 and 2.
+    """
     try:
         return main(argv)
     except (ConfigError, BoundInputError, ModelError) as exc:
         command = next(a for a in (sys.argv[1:] if argv is None else argv) if a in _COMMANDS)
         print(f"jumpbsde {command}: error: {exc}", file=sys.stderr)
-        return 3  # distinct from the verdict codes 0, 1 and 2
+        return 3
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse has printed its usage message
+            return 3
+        raise
 
 
 if __name__ == "__main__":

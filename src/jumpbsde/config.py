@@ -22,9 +22,17 @@ class ConfigError(ValueError):
 
 
 def load_config(path) -> dict:
-    """Read a config file; it must hold a non-empty JSON object."""
-    with open(path) as fh:
-        cfg = json.load(fh)
+    """Read a config file; it must hold a non-empty JSON object.
+
+    A file that cannot be read or is not valid JSON raises ConfigError naming the path.
+    """
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(cfg, dict) or not cfg:
         raise ConfigError(f"{path}: a config must be a non-empty JSON object, got {cfg!r:.60}")
     return cfg

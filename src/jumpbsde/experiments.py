@@ -118,6 +118,12 @@ class Report:
         return json.dumps(self.to_dict(include_meta=include_meta), indent=2, sort_keys=True)
 
 
+def _checks_meta(reports) -> dict:
+    """meta.checks: the condition checks a runner ran, their sampled points and the seconds spent in them."""
+    return {"calls": len(reports), "points": sum(r.n_points for r in reports),
+            "seconds": sum(r.seconds for r in reports)}
+
+
 def _timed(fn):
     def wrapper(cfg=None):
         start = time.perf_counter()
@@ -280,7 +286,7 @@ def run_comparison(cfg: dict | None = None) -> Report:
     fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
     comp_tol = float(cfg.get("comparison_tol", 10.0 * fp_tol))
     horizon = float(cfg.get("horizon", 1.0))
-    cases = []
+    cases, checks = [], []
     for pair in cfg["pairs"]:
         case = Case(name=pair["name"])
         model = model_from_config(pair["model"])
@@ -300,6 +306,7 @@ def run_comparison(cfg: dict | None = None) -> Report:
             case.unmet(f"terminal ordering fails node-wise (max excess {term_gap})")
         gamma = check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon))
         gamma_p = check_jump_ordering(gp, model, SamplerConfig(horizon=grid.horizon))
+        checks += [order, gamma, gamma_p]
         if not (gamma.passed or gamma_p.passed):
             case.unmet("neither driver passes the ordered-jump condition")
         if case.status == "preconditions-unmet":
@@ -318,7 +325,7 @@ def run_comparison(cfg: dict | None = None) -> Report:
             case.data["max_violation_refined"] = viol2
             case.assert_leq("violation_nonincreasing_under_refinement", viol2, max(viol, 0.0), tolerance=1e-15)
         cases.append(case)
-    return Report("comparison", cfg, cases)
+    return Report("comparison", cfg, cases, meta={"checks": _checks_meta(checks)})
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +371,8 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     xip = make_terminal(cfg["terminal_prime"])
 
     case = Case(name="violating_driver")
-    if check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon)).passed:
+    gamma = check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon))
+    if gamma.passed:
         case.unmet("the configured driver does not violate the ordered-jump condition")
     term_gap = float(np.max(xi(tree.context(tree.n_steps)) - xip(tree.context(tree.n_steps))))
     if term_gap > 1e-12:
@@ -380,7 +388,8 @@ def run_counterexample(cfg: dict | None = None) -> Report:
 
     boundary = Case(name="boundary_driver")
     gb = generator_from_config(cfg.get("boundary_generator", {"name": "linear_driver", "a": 0.0, "b": 0.0, "c": -1.0}))
-    if not check_jump_ordering(gb, model, SamplerConfig(horizon=grid.horizon)).passed:
+    gamma_b = check_jump_ordering(gb, model, SamplerConfig(horizon=grid.horizon))
+    if not gamma_b.passed:
         boundary.unmet("the boundary driver fails the ordered-jump condition")
     else:
         sol = solve_backward(tree, gb, xi, tol=fp_tol)
@@ -389,7 +398,7 @@ def run_counterexample(cfg: dict | None = None) -> Report:
         boundary.data.update({"max_margin": margin})
         boundary.assert_leq("no_violation", margin, 0.0, tolerance=10.0 * fp_tol)
 
-    return Report("counterexample", cfg, [case, boundary])
+    return Report("counterexample", cfg, [case, boundary], meta={"checks": _checks_meta([gamma, gamma_b])})
 
 
 def search_counterexample(lambdas=(0.5, 1.0, 2.0), steps_list=(1, 2, 4, 8), horizon: float = 1.0,
@@ -503,13 +512,14 @@ def run_apriori_check(cfg: dict | None = None) -> Report:
     model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
     sampler = SamplerConfig(horizon=grid.horizon)
-    cases = []
+    cases, checks = [], []
     for inst in cfg["instances"]:
         g = generator_from_config(inst["generator"])
         xi = make_terminal(inst["terminal"])
         case = Case(name=f"{g.name}|{inst['terminal'] if isinstance(inst['terminal'], str) else inst['terminal']['name']}")
         growth = check_growth(g, model, sampler)
         mono = check_monotonicity(g, model, sampler)
+        checks += [growth, mono]
         if not growth.passed:
             case.unmet("declared growth coefficients fail on sampled points")
         if not mono.passed:
@@ -529,7 +539,7 @@ def run_apriori_check(cfg: dict | None = None) -> Report:
         case.assert_leq("sup_Y_dominated", sup_y2, bound.sup_Y_bound)
         case.assert_leq("ZU_dominated", z2 + u2, bound.ZU_bound)
         cases.append(case)
-    return Report("apriori", cfg, cases)
+    return Report("apriori", cfg, cases, meta={"checks": _checks_meta(checks)})
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 A driver evaluates vectorized: y, z are arrays with one entry per node or
 path, u has one extra trailing axis with one entry per jump mark, and the
-context supplies the model plus the state path information at time t.
-Condition checks are sampling based and report witnesses instead of raising.
+context supplies the model plus the state path information at time t. The
+time t is a scalar when a solver calls (one time per level or step) or an
+array with one time per point when a condition check calls; drivers and
+their coefficients accept both. Condition checks are sampling based and
+report witnesses instead of raising: each draws all its points first, then
+evaluates the driver once on all of them.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -85,7 +90,9 @@ class GeneratorSpec:
 
     eval(ctx, t, y, z, u) must be pure and vectorized over nodes/paths.
     F, K1, K2 bound the growth |f| <= F + K1|y| + K2(|z| + ||u||); alpha,
-    beta, rho enter the one-sided monotonicity condition. The jump-ordering
+    beta, rho enter the one-sided monotonicity condition. eval and the
+    coefficients F, K1, K2, beta, alpha take t as a scalar (solvers) or as
+    an array with one time per point (condition checks). The jump-ordering
     flag records what the author of the driver claims; checks verify it by sampling.
     """
 
@@ -208,6 +215,7 @@ class CheckReport:
     n_points: int
     violations: list[Violation]
     note: str = ""
+    seconds: float = 0.0  # time the check took; a measurement, so not part of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -227,58 +235,63 @@ def _sample_times(cfg: SamplerConfig, rng) -> np.ndarray:
     return np.concatenate([corners, np.minimum(drawn, T)])
 
 
-def _sample_args(model: LevyModel, cfg: SamplerConfig, rng, m: int):
-    """y, z boxes plus Gaussian jump vectors with deterministic corner rows."""
-    j = model.n_marks
-    y = rng.uniform(-cfg.y_bound, cfg.y_bound, size=m)
-    z = rng.uniform(-cfg.z_bound, cfg.z_bound, size=m)
-    u = rng.standard_normal(size=(m, j)) * cfg.u_scale
-    corners_y = np.array([0.0, 1.0, -1.0, cfg.y_bound])
-    y[: corners_y.size] = corners_y
-    z[: corners_y.size] = np.array([0.0, 1.0, -1.0, -cfg.z_bound])
-    if j:
-        u[0] = 0.0
-        for k in range(min(j, max(0, m - 1))):
-            u[1 + k] = 0.0
-            u[1 + k, k] = cfg.u_scale  # single-coordinate spike
-    return y, z, u
+def _sampled_check(check: str, label: str, model: LevyModel, cfg: SamplerConfig, seed_offset: int, side,
+                   extra: str | None = None) -> CheckReport:
+    """The sampler shared by the condition checks: a draw phase, then one evaluation.
 
-
-def _sample_context(model: LevyModel, cfg: SamplerConfig, rng, m: int) -> StepContext:
-    x = rng.uniform(-cfg.x_bound, cfg.x_bound, size=m)
-    x[0] = 0.0
-    return StepContext(model=model, x=x)
-
-
-def _sampled_check(check: str, label: str, model: LevyModel, cfg: SamplerConfig, seed_offset: int, side) -> CheckReport:
-    """The sampling loop shared by the condition checks.
-
-    At every sampled time, side(ctx, t, y, z, u, rng) returns (lhs, rhs, point):
-    a sample k violates the condition when lhs[k] > rhs[k] + CHECK_SLACK, and
-    point(k) is its witness. Extra arguments are drawn from rng inside side,
-    after the shared draws. The first three violations per time are kept.
+    Draw phase: at every sampled time, in stream order, m states x, m
+    arguments (y, z, u) and the check's extra draws: a second (y, z, u) for
+    extra="args", a nonnegative jump increment for extra="bump". Corner rows
+    are then set on every time at once. Evaluation: side(ctx, t, y, z, u,
+    *extras) sees all points in one call, t per point, and returns (lhs, rhs,
+    point): point k violates the condition when lhs[k] > rhs[k] + CHECK_SLACK,
+    and point(k) is its witness. The first three violations per time are kept.
     """
+    start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
-    m = max(8, model.n_marks + 2)
-    violations = []
-    n_points = 0
-    for t in _sample_times(cfg, rng):
-        ctx = _sample_context(model, cfg, rng, m)
-        y, z, u = _sample_args(model, cfg, rng, m)
-        lhs, rhs, point = side(ctx, float(t), y, z, u, rng)
-        n_points += m
-        for k in np.flatnonzero(lhs > rhs + CHECK_SLACK)[:3]:
-            violations.append(Violation(point=point(k), lhs=float(lhs[k]), rhs=float(rhs[k])))
-    return CheckReport(check, label, not violations, n_points, violations)
+    j = model.n_marks
+    m = max(8, j + 2)
+    times = _sample_times(cfg, rng)
+    n_args = 2 if extra == "args" else 1
+    x = np.empty((times.size, m))
+    y, z = np.empty((n_args, times.size, m)), np.empty((n_args, times.size, m))
+    u = np.empty((n_args, times.size, m, j))
+    bump = np.empty((times.size, m, j)) if extra == "bump" else None
+    for i in range(times.size):
+        x[i] = rng.uniform(-cfg.x_bound, cfg.x_bound, size=m)
+        for a in range(n_args):
+            y[a, i] = rng.uniform(-cfg.y_bound, cfg.y_bound, size=m)
+            z[a, i] = rng.uniform(-cfg.z_bound, cfg.z_bound, size=m)
+            u[a, i] = rng.standard_normal(size=(m, j))
+        if bump is not None:
+            bump[i] = rng.standard_normal(size=(m, j))
+    x[:, 0] = 0.0
+    y[..., :4] = (0.0, 1.0, -1.0, cfg.y_bound)
+    z[..., :4] = (0.0, 1.0, -1.0, -cfg.z_bound)
+    u *= cfg.u_scale
+    u[..., 0, :] = 0.0
+    u[..., 1:1 + j, :] = np.where(np.eye(j, dtype=bool), cfg.u_scale, 0.0)  # single-coordinate spikes
+    n = times.size * m
+    args = [arr for a in range(n_args) for arr in (y[a].reshape(n), z[a].reshape(n), u[a].reshape(n, j))]
+    if bump is not None:
+        bump = np.abs(bump)
+        bump[:, 0] = 1.0  # strict increase in every coordinate
+        args.append(bump.reshape(n, j))
+    lhs, rhs, point = side(StepContext(model=model, x=x.reshape(n)), np.repeat(times, m), *args)
+    violated = (lhs > rhs + CHECK_SLACK).reshape(times.size, m)
+    first = violated & (np.cumsum(violated, axis=1) <= 3)
+    violations = [Violation(point=point(k), lhs=float(lhs[k]), rhs=float(rhs[k])) for k in np.flatnonzero(first)]
+    return CheckReport(check, label, not violations, n, violations, seconds=time.perf_counter() - start)
 
 
 def check_growth(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = SamplerConfig()) -> CheckReport:
     """Sample points and test |f| <= F + K1|y| + K2(|z| + ||u||) up to slack."""
 
-    def side(ctx, t, y, z, u, rng):
+    def side(ctx, t, y, z, u):
         val = np.abs(np.asarray(g.eval(ctx, t, y, z, u), dtype=float))
         bound = np.asarray(g.growth_bound(ctx, t, y, z, u), dtype=float)
-        return val, bound, lambda k: {"t": t, "x": float(ctx.x[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
+        return val, bound, lambda k: {"t": float(t[k]), "x": float(ctx.x[k]), "y": float(y[k]), "z": float(z[k]),
+                                      "u": u[k].tolist()}
 
     return _sampled_check("growth", g.name, model, cfg, 0, side)
 
@@ -286,31 +299,29 @@ def check_growth(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = Sample
 def check_monotonicity(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = SamplerConfig()) -> CheckReport:
     """Sample argument pairs at a common (context, t) and test the one-sided condition."""
 
-    def side(ctx, t, y, z, u, rng):
-        y2, z2, u2 = _sample_args(model, cfg, rng, y.size)
+    def side(ctx, t, y, z, u, y2, z2, u2):
         dy = y - y2
         lhs = dy * (np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y2, z2, u2)))
-        rhs = float(g.alpha(t)) * np.asarray(g.rho(dy * dy)) + np.asarray(g.beta(ctx, t)) * np.abs(dy) * (
+        rhs = np.asarray(g.alpha(t)) * np.asarray(g.rho(dy * dy)) + np.asarray(g.beta(ctx, t)) * np.abs(dy) * (
             np.abs(z - z2) + levy_norm(u - u2, model)
         )
-        return lhs, rhs, lambda k: {"t": t, "y": float(y[k]), "y2": float(y2[k]), "z": float(z[k]), "z2": float(z2[k])}
+        return lhs, rhs, lambda k: {"t": float(t[k]), "y": float(y[k]), "y2": float(y2[k]), "z": float(z[k]),
+                                    "z2": float(z2[k])}
 
-    return _sampled_check("monotonicity", g.name, model, cfg, 1, side)
+    return _sampled_check("monotonicity", g.name, model, cfg, 1, side, extra="args")
 
 
 def check_jump_ordering(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = SamplerConfig()) -> CheckReport:
     """Ordered jump arguments u <= u': test f(..,u) - f(..,u') <= sum_j lambda_j (u'_j - u_j)."""
 
-    def side(ctx, t, y, z, u, rng):
-        bump = np.abs(rng.standard_normal(size=u.shape))
-        if model.n_marks:
-            bump[0] = 1.0  # strict increase in every coordinate
+    def side(ctx, t, y, z, u, bump):
         u_hi = u + bump
         lhs = np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y, z, u_hi))
         rhs = (u_hi - u) @ model.intensities
-        return lhs, rhs, lambda k: {"t": t, "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist(), "u_hi": u_hi[k].tolist()}
+        return lhs, rhs, lambda k: {"t": float(t[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist(),
+                                    "u_hi": u_hi[k].tolist()}
 
-    return _sampled_check("jump_ordering", g.name, model, cfg, 2, side)
+    return _sampled_check("jump_ordering", g.name, model, cfg, 2, side, extra="bump")
 
 
 def check_ordering(
@@ -318,10 +329,10 @@ def check_ordering(
 ) -> CheckReport:
     """Sample points and test g_low <= g_high up to slack (a comparison hypothesis)."""
 
-    def side(ctx, t, y, z, u, rng):
+    def side(ctx, t, y, z, u):
         lo = np.asarray(g_low.eval(ctx, t, y, z, u), dtype=float)
         hi = np.asarray(g_high.eval(ctx, t, y, z, u), dtype=float)
-        return lo, hi, lambda k: {"t": t, "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
+        return lo, hi, lambda k: {"t": float(t[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
 
     return _sampled_check("ordering", f"{g_low.name} <= {g_high.name}", model, cfg, 3, side)
 
@@ -428,22 +439,23 @@ def tanh_jump_integral() -> GeneratorSpec:
     coefficient K2(t) = t^(-1/4) ||kappa(t, .)|| finite on the grid.
     """
 
-    def kappa_weights(model: LevyModel, t: float) -> np.ndarray:
-        return float(t) ** -0.25 * np.minimum(np.abs(model.jump_sizes), 1.0)
+    def kappa_weights(model: LevyModel, t) -> np.ndarray:
+        """kappa(t, x_j): shape (J,) for a scalar t, (N, J) for per-point t; 0 where t <= 0."""
+        t = np.asarray(t, dtype=float)
+        # [()] turns a 0-d t into a numpy scalar, whose power is libm pow as for a float;
+        # t <= 0 becomes inf, and inf ** -0.25 = 0
+        decay = np.where(t > 0.0, t, np.inf)[()] ** -0.25
+        return np.multiply.outer(decay, np.minimum(np.abs(model.jump_sizes), 1.0))
 
     def eval_tanh_jump(ctx, t, y, z, u):
-        y = np.asarray(y, dtype=float)
-        if float(t) <= 0.0 or not ctx.model.n_marks:
-            return np.zeros_like(y)
         w = kappa_weights(ctx.model, t) * ctx.model.intensities
-        return np.tanh(np.asarray(u, dtype=float) @ w)
+        u = np.asarray(u, dtype=float)
+        integral = u @ w if w.ndim == 1 else np.einsum("nj,nj->n", u, w)
+        return np.where(np.asarray(t) > 0.0, np.tanh(integral), 0.0)  # +0, not tanh(-0), at t <= 0
 
     def k2(ctx, t):
-        x0 = np.zeros_like(np.asarray(ctx.x, dtype=float))
-        if float(t) <= 0.0 or not ctx.model.n_marks:
-            return x0
         kap = kappa_weights(ctx.model, t)
-        return x0 + float(np.sqrt((kap * kap) @ ctx.model.intensities))
+        return np.zeros_like(np.asarray(ctx.x, dtype=float)) + np.sqrt((kap * kap) @ ctx.model.intensities)
 
     return GeneratorSpec(name="tanh_jump_integral", eval=eval_tanh_jump, K2=k2, beta=k2)
 

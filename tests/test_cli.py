@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import jumpbsde
-from jumpbsde.cli import _COMMANDS, _exit_code, main
-from jumpbsde.config import ConfigError
+from jumpbsde.cli import _COMMANDS, _exit_code, main, run
+from jumpbsde.config import ConfigError, load_config
 from jumpbsde.experiments import Case, Report
 
 
@@ -245,3 +246,42 @@ def test_reports_byte_identical_modulo_meta(tmp_path, command):
     assert tables and tables == sorted(f.name for f in out2.glob("*.csv"))
     for name in tables:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_usage_error_exits_3_with_argparse_message(capsys):
+    assert run(["bih"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: jumpbsde") and "invalid choice: 'bih'" in err
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "invalid_json"])
+def test_unreadable_config_is_one_line_and_exit_3(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "invalid_json":
+        path.write_text('{\n  "c": 1.0,\n  "K": \n')
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load_config(path)
+    assert run(["bihari", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    expected = {
+        "missing": "cannot read the config: No such file or directory",
+        "directory": "cannot read the config: Is a directory",
+        "invalid_json": "invalid JSON at line 4 column 1: Expecting value",
+    }[kind]
+    assert line == f"jumpbsde bihari: error: {path}: {expected}"
+
+
+def test_check_counts_in_meta_only(tmp_path):
+    assert run_cli(["apriori", "--out", tmp_path / "ap"]) == 0
+    report = read_report(tmp_path / "ap")
+    checks = report["meta"]["checks"]
+    # 10 instances, growth and monotonicity each, 303 sampled times of 8 points
+    assert (checks["calls"], checks["points"]) == (20, 20 * 303 * 8) and checks["seconds"] > 0
+    assert '"checks"' not in json.dumps({k: v for k, v in report.items() if k != "meta"})
+    assert run_cli(["counterexample", "--out", tmp_path / "ce"]) == 0
+    assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 2  # the two jump-ordering checks

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jumpbsde import (
     GeneratorSpec,
@@ -25,6 +27,7 @@ from jumpbsde import (
     zero_generator,
 )
 from jumpbsde.bounds import rho_catalog
+from jumpbsde.generators import CHECK_SLACK, CheckReport, Violation
 
 MODEL = LevyModel(0.1, 1.0, ((0.5, 0.8), (-0.3, 0.4)))
 FAST = SamplerConfig(count=60, seed=3)
@@ -234,3 +237,141 @@ def test_rho_reports():
         assert "below the grid" in report.note
     convex = rho_report(lambda x: np.asarray(x, dtype=float) ** 2, "square")
     assert not convex.passed  # convex: the midpoint check must flag it
+
+
+# ---------------------------------------------------------------------------
+# The batched sampler against a per-time reference
+# ---------------------------------------------------------------------------
+
+
+def ref_sampled_check(check, label, model, cfg, seed_offset, side):
+    """Reference sampler: a fresh context and fresh arguments per sampled time, one side call each."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
+    m = max(8, model.n_marks + 2)
+    T = cfg.horizon
+    drawn = rng.uniform(0.0, T, size=cfg.count) + 1e-9
+    violations, n_points = [], 0
+    for t in np.concatenate([[T, 0.5 * T, 1e-6 * T], np.minimum(drawn, T)]):
+        x = rng.uniform(-cfg.x_bound, cfg.x_bound, size=m)
+        x[0] = 0.0
+        ctx = StepContext(model=model, x=x)
+        y, z, u = ref_sample_args(model, cfg, rng, m)
+        lhs, rhs, point = side(ctx, float(t), y, z, u, rng)
+        n_points += m
+        for k in np.flatnonzero(lhs > rhs + CHECK_SLACK)[:3]:
+            violations.append(Violation(point=point(k), lhs=float(lhs[k]), rhs=float(rhs[k])))
+    return CheckReport(check, label, not violations, n_points, violations)
+
+
+def ref_sample_args(model, cfg, rng, m):
+    j = model.n_marks
+    y = rng.uniform(-cfg.y_bound, cfg.y_bound, size=m)
+    z = rng.uniform(-cfg.z_bound, cfg.z_bound, size=m)
+    u = rng.standard_normal(size=(m, j)) * cfg.u_scale
+    y[:4] = [0.0, 1.0, -1.0, cfg.y_bound]
+    z[:4] = [0.0, 1.0, -1.0, -cfg.z_bound]
+    if j:
+        u[0] = 0.0
+        for k in range(min(j, max(0, m - 1))):
+            u[1 + k] = 0.0
+            u[1 + k, k] = cfg.u_scale
+    return y, z, u
+
+
+def ref_growth(g, model, cfg):
+    def side(ctx, t, y, z, u, rng):
+        val = np.abs(np.asarray(g.eval(ctx, t, y, z, u), dtype=float))
+        bound = np.asarray(g.growth_bound(ctx, t, y, z, u), dtype=float)
+        return val, bound, lambda k: {"t": t, "x": float(ctx.x[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
+
+    return ref_sampled_check("growth", g.name, model, cfg, 0, side)
+
+
+def ref_monotonicity(g, model, cfg):
+    def side(ctx, t, y, z, u, rng):
+        y2, z2, u2 = ref_sample_args(model, cfg, rng, y.size)
+        dy = y - y2
+        lhs = dy * (np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y2, z2, u2)))
+        rhs = float(g.alpha(t)) * np.asarray(g.rho(dy * dy)) + np.asarray(g.beta(ctx, t)) * np.abs(dy) * (
+            np.abs(z - z2) + levy_norm(u - u2, model)
+        )
+        return lhs, rhs, lambda k: {"t": t, "y": float(y[k]), "y2": float(y2[k]), "z": float(z[k]), "z2": float(z2[k])}
+
+    return ref_sampled_check("monotonicity", g.name, model, cfg, 1, side)
+
+
+def ref_jump_ordering(g, model, cfg):
+    def side(ctx, t, y, z, u, rng):
+        bump = np.abs(rng.standard_normal(size=u.shape))
+        if model.n_marks:
+            bump[0] = 1.0
+        u_hi = u + bump
+        lhs = np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y, z, u_hi))
+        rhs = (u_hi - u) @ model.intensities
+        return lhs, rhs, lambda k: {"t": t, "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist(), "u_hi": u_hi[k].tolist()}
+
+    return ref_sampled_check("jump_ordering", g.name, model, cfg, 2, side)
+
+
+def ref_ordering(g_low, g_high, model, cfg):
+    def side(ctx, t, y, z, u, rng):
+        lo = np.asarray(g_low.eval(ctx, t, y, z, u), dtype=float)
+        hi = np.asarray(g_high.eval(ctx, t, y, z, u), dtype=float)
+        return lo, hi, lambda k: {"t": t, "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
+
+    return ref_sampled_check("ordering", f"{g_low.name} <= {g_high.name}", model, cfg, 3, side)
+
+
+# Drivers for the sampler comparison; the flag says whether the driver reads t.
+SAMPLER_DRIVERS = {
+    **{name: (g, name == "tanh_jump_integral") for name, g in builtin_generators().items()},
+    "truncated_linear": (truncate_generator(linear_driver(0.5, 0.5, 0.5), 2), False),
+    "truncated_tanh": (truncate_generator(tanh_jump_integral(), 1), True),
+    "shifted_linear_y": (shift_generator(linear_y(0.8), 0.5), False),
+    "growth_underdeclared": (GeneratorSpec(name="two_y", eval=lambda ctx, t, y, z, u: 2.0 * np.asarray(y, dtype=float),
+                                           K1=constant_coeff(1.0)), False),
+    "monotonicity_violator": (GeneratorSpec(name="y_no_alpha", eval=lambda ctx, t, y, z, u: np.asarray(y, dtype=float)
+                                            + 0.0, K1=constant_coeff(1.0)), False),
+}
+
+
+@st.composite
+def sampler_problems(draw):
+    cfg = SamplerConfig(count=draw(st.integers(1, 40)), seed=draw(st.integers(0, 2**16)))
+    n_marks = draw(st.integers(0, 3))
+    sizes = draw(st.lists(st.sampled_from([0.5, -0.3, 1.5, -1.5, 0.05]), min_size=n_marks, max_size=n_marks,
+                          unique=True))
+    marks = tuple((x, draw(st.floats(0.1, 1.0))) for x in sizes)
+    return cfg, LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks)
+
+
+def assert_reports_match(got, want, reads_t):
+    assert (got.check, got.generator, got.passed, got.n_points) == (want.check, want.generator, want.passed,
+                                                                    want.n_points)
+    assert [v.point for v in got.violations] == [v.point for v in want.violations]
+    sides = [(a, b) for v, w in zip(got.violations, want.violations) for a, b in ((v.lhs, w.lhs), (v.rhs, w.rhs))]
+    if reads_t:  # per-point t ** -0.25 and the per-point jump integral round differently from the scalar path
+        for a, b in sides:
+            assert abs(a - b) <= 1e-15 * max(abs(a), abs(b), 1.0), (a, b)
+    else:
+        assert all(a == b for a, b in sides)
+
+
+@pytest.mark.parametrize("name", list(SAMPLER_DRIVERS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(sampler_problems())
+@example((SamplerConfig(count=5, seed=1), LevyModel(0.0, 0.0, ((1.5, 0.5), (-0.3, 0.4), (0.05, 1.0)))))
+def test_batched_sampler_matches_per_time_reference(name, problem):
+    cfg, model = problem
+    g, reads_t = SAMPLER_DRIVERS[name]
+    up = shift_generator(g, 0.25)
+    pairs = [
+        (check_growth(g, model, cfg), ref_growth(g, model, cfg)),
+        (check_monotonicity(g, model, cfg), ref_monotonicity(g, model, cfg)),
+        (check_jump_ordering(g, model, cfg), ref_jump_ordering(g, model, cfg)),
+        (check_ordering(g, up, model, cfg), ref_ordering(g, up, model, cfg)),
+        (check_ordering(up, g, model, cfg), ref_ordering(up, g, model, cfg)),
+    ]
+    for got, want in pairs:
+        assert_reports_match(got, want, reads_t)
+    assert not pairs[4][0].passed  # the reversed pair fails at every sampled point

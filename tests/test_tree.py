@@ -16,12 +16,14 @@ from jumpbsde import (
     linear_driver,
     linear_y,
     project_coarse,
+    shift_generator,
     solve_backward,
     solve_truncated,
     zero_generator,
 )
 from jumpbsde.levy import kept_marks_mask
 from jumpbsde.terminals import make_terminal
+from jumpbsde.tree import DEFAULT_FP_TOL
 
 XI_X = make_terminal("x")
 XI_TANH = make_terminal("tanh_x")
@@ -354,3 +356,31 @@ def test_l2_distance_constant_offset():
     d = l2_distance(sol, shifted)
     assert d.dY == pytest.approx(0.25 * 1.0)  # c^2 * T over the left endpoints
     assert d.dZ == pytest.approx(0.0, abs=1e-28)
+
+
+@st.composite
+def ordered_pairs(draw):
+    """A small tree (lambda dt < 1), a linear driver with every c_j >= -1, and ordered shifts of it and of x."""
+    steps = draw(st.integers(2, 4))
+    n_marks = draw(st.integers(0, 2))
+    sizes = draw(st.lists(st.sampled_from([0.5, -0.3, 1.5, 0.05]), min_size=n_marks, max_size=n_marks, unique=True))
+    marks = tuple((x, draw(st.floats(0.05, 0.95)) * steps) for x in sizes)
+    tree = build_tree(LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks),
+                      TimeGrid(1.0, steps))
+    c = tuple(draw(st.floats(-1.0, 2.0)) for _ in sizes) or 0.0
+    g = linear_driver(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), c)
+    return tree, g, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ordered_pairs())
+@example((build_tree(LevyModel(0.0, 1.0, ((0.5, 0.8), (-0.3, 0.4))), TimeGrid(1.0, 4)),
+          linear_driver(0.5, 0.5, (-1.0, -1.0)), 0.0, 0.0))
+def test_comparison_theorem_holds_node_wise(pair):
+    """Ordered data f <= f + delta, x <= x + s and the ordered-jump condition c_j >= -1 order Y at every node."""
+    tree, g, delta, s = pair
+    assert g.satisfies_jump_ordering
+    sol = solve_backward(tree, g, XI_X)
+    sol_up = solve_backward(tree, shift_generator(g, delta), make_terminal({"name": "x", "shift": s}))
+    for lvl, (y, y_up) in enumerate(zip(sol.Y, sol_up.Y)):
+        assert np.all(y <= y_up + 10 * DEFAULT_FP_TOL), (lvl, float(np.max(y - y_up)))
