@@ -97,7 +97,8 @@ def _solve_lattice(cfg):
     case = Case(name="solve-lattice", data={"y0": sol.y0, "levels": tree.n_steps + 1,
                                             "max_fixed_point_iterations": max(sol.fp_iterations, default=0)})
     header = ["level", "node", "Y", "Z"] + [f"U_{k + 1}" for k in range(model.n_marks)]
-    report = Report("solve-lattice", cfg, [case], meta={"fp_iterations": list(sol.fp_iterations)})
+    report = Report("solve-lattice", cfg, [case],
+                    meta={"fp_iterations": list(sol.fp_iterations), "nodes": tree.node_counts()})
     return report, header, _solution_rows(sol), f"Y0 = {sol.y0:.10g}"
 
 

@@ -38,7 +38,21 @@ def load_config(path) -> dict:
     return cfg
 
 
+_MODEL_KEYS = ("drift", "sigma", "marks")
+_MARK_KEYS = ("x", "lambda")
+
+
+def _reject_unknown(kind: str, block: dict, valid: tuple) -> None:
+    unknown = sorted(set(block) - set(valid))
+    if unknown:
+        raise ConfigError(f"unknown {kind} keys {unknown}; valid: {list(valid)}")
+
+
 def model_from_config(cfg: dict) -> LevyModel:
+    """A model block {"drift", "sigma", "marks": [{"x", "lambda"}, ...]}; unknown keys raise ConfigError."""
+    _reject_unknown("model", cfg, _MODEL_KEYS)
+    for m in cfg.get("marks", ()):
+        _reject_unknown("model mark", m, _MARK_KEYS)
     try:
         marks = tuple((m["x"], m["lambda"]) for m in cfg.get("marks", ()))
         return LevyModel(drift=float(cfg.get("drift", 0.0)), sigma=float(cfg.get("sigma", 0.0)), marks=marks)
@@ -55,8 +69,8 @@ def grid_from_config(cfg: dict) -> TimeGrid:
 
 def resolve_model_grid(cfg: dict) -> tuple[LevyModel, TimeGrid]:
     """Accept either nested {"model": {...}, "grid": {...}} blocks or the flat
-    layout {drift, sigma, marks, T, steps}."""
-    model = model_from_config(cfg.get("model", cfg))
+    layout {drift, sigma, marks, T, steps}, beside the runner's own keys."""
+    model = model_from_config(cfg["model"] if "model" in cfg else {k: cfg[k] for k in _MODEL_KEYS if k in cfg})
     grid = grid_from_config(cfg.get("grid", cfg))
     return model, grid
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bounds import apriori_bound
-from .config import generator_from_config, model_from_config, resolve_model_grid
+from .config import ConfigError, generator_from_config, model_from_config, resolve_model_grid
 from .generators import SamplerConfig, check_jump_ordering, check_growth, check_monotonicity, check_ordering
 from .levy import TimeGrid, kept_marks_mask
 from .mc import RegressionBasis, bootstrap_y0, l2_distance
@@ -170,9 +170,18 @@ def measure_beta2_budget(tree: ScenarioTree, g) -> float:
     return float(sums.max())
 
 
+def _terminal_gap(tree: ScenarioTree, xi, xi_prime) -> float:
+    """Largest node-wise excess of one terminal over another, taken over the leaf lattice points."""
+    leaf = tree.lattice.context(tree.n_steps)
+    return float(np.max(xi(leaf) - xi_prime(leaf)))
+
+
 def max_ordering_violation(sol: TreeSolution, sol_prime: TreeSolution) -> float:
-    """Largest node-wise excess of Y over Y' across all levels (negative when ordered strictly)."""
-    return max(float(np.max(ya - yb)) for ya, yb in zip(sol.Y, sol_prime.Y))
+    """Largest node-wise excess of Y over Y' across all levels (negative when ordered strictly).
+
+    Every lattice point is some node's, so the maximum is taken over the lattice values.
+    """
+    return max(float(np.max(ya - yb)) for ya, yb in zip(sol.Y.lattice, sol_prime.Y.lattice))
 
 
 def stability_inputs(tree: ScenarioTree, sol, sol_prime, g, g_prime) -> dict:
@@ -301,7 +310,7 @@ def run_comparison(cfg: dict | None = None) -> Report:
         if not order.passed:
             case.unmet("driver ordering f <= f' fails on sampled points")
             case.witnesses.extend(v.to_dict() for v in order.violations[:3])
-        term_gap = float(np.max(xi(tree.context(tree.n_steps)) - xip(tree.context(tree.n_steps))))
+        term_gap = _terminal_gap(tree, xi, xip)
         if term_gap > 1e-12:
             case.unmet(f"terminal ordering fails node-wise (max excess {term_gap})")
         gamma = check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon))
@@ -374,7 +383,7 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     gamma = check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon))
     if gamma.passed:
         case.unmet("the configured driver does not violate the ordered-jump condition")
-    term_gap = float(np.max(xi(tree.context(tree.n_steps)) - xip(tree.context(tree.n_steps))))
+    term_gap = _terminal_gap(tree, xi, xip)
     if term_gap > 1e-12:
         case.unmet("terminal ordering fails node-wise")
     if case.status != "preconditions-unmet":
@@ -485,7 +494,7 @@ def run_truncation_study(cfg: dict | None = None) -> Report:
     case.assert_leq("final_distance_zero", final.total(), 0.0,
                     note="no mark removed at the finest level: the coarse solve is the full solve")
     case.assert_leq("final_distance_below_tolerance", final.total(), tol)
-    return Report("truncate-study", cfg, [case])
+    return Report("truncate-study", cfg, [case], meta={"nodes": tree.node_counts()})
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +616,11 @@ def fit_order(ns, errs) -> float:
     return float(-slope)
 
 
+def gap_orders(gaps) -> list:
+    """log2 of each ratio of consecutive refinement gaps; a pair with a zero gap has no order and is skipped."""
+    return [math.log2(a / b) for a, b in zip(gaps[:-1], gaps[1:]) if a > 0 and b > 0]
+
+
 @_timed
 def run_convergence(cfg: dict | None = None) -> Report:
     """dt-refinement of the lattice value plus Monte-Carlo versus lattice gaps."""
@@ -617,6 +631,8 @@ def run_convergence(cfg: dict | None = None) -> Report:
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     steps_list = [int(n) for n in cfg["steps_list"]]
+    if any(a >= b for a, b in zip(steps_list[:-1], steps_list[1:])):
+        raise ConfigError(f"steps_list must be strictly increasing, got {steps_list}")
 
     case = Case(name="dt_refinement")
     y0s = []
@@ -634,9 +650,7 @@ def run_convergence(cfg: dict | None = None) -> Report:
         tol = float(cfg.get("order_tol", 0.3))
         case.assert_leq("order_within_band", abs(order - target), tol)
     else:
-        case.data["fitted_order_from_gaps"] = (
-            [math.log2(a / b) for a, b in zip(gaps[:-1], gaps[1:]) if b > 0] if len(gaps) > 1 else []
-        )
+        case.data["fitted_order_from_gaps"] = gap_orders(gaps)
     cases = [case]
 
     mc_cfg = cfg.get("mc")

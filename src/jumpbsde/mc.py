@@ -251,8 +251,10 @@ class L2Distance:
 def l2_distance(sol_a, sol_b) -> L2Distance:
     """Distance between two solutions on the same tree or the same path bundle.
 
-    The Y integral runs over the N left endpoints, so a constant offset c
-    contributes exactly c^2 * T.
+    Tree solutions are compared on their count lattice, whose points carry
+    the probability of all the nodes that share their values. The Y integral
+    runs over the N left endpoints, so a constant offset c contributes
+    exactly c^2 * T.
     """
     if isinstance(sol_a, TreeSolution) and isinstance(sol_b, TreeSolution):
         ta, tb = sol_a.tree, sol_b.tree
@@ -260,10 +262,13 @@ def l2_distance(sol_a, sol_b) -> L2Distance:
             raise ModelError("tree solutions live on different trees")
         dt = ta.grid.dt
         lam = ta.model.intensities
-        dy = sum(ta.expectation((ya - yb) ** 2, i) for i, (ya, yb) in enumerate(zip(sol_a.Y[:-1], sol_b.Y[:-1]))) * dt
-        dz = sum(ta.expectation((za - zb) ** 2, i) for i, (za, zb) in enumerate(zip(sol_a.Z, sol_b.Z))) * dt
+        mean = ta.lattice.expectation
+        dy = sum(
+            mean((ya - yb) ** 2, i) for i, (ya, yb) in enumerate(zip(sol_a.Y.lattice[:-1], sol_b.Y.lattice[:-1]))
+        ) * dt
+        dz = sum(mean((za - zb) ** 2, i) for i, (za, zb) in enumerate(zip(sol_a.Z.lattice, sol_b.Z.lattice))) * dt
         du = sum(
-            ta.expectation(((ua - ub) ** 2) @ lam, i) for i, (ua, ub) in enumerate(zip(sol_a.U, sol_b.U))
+            mean(((ua - ub) ** 2) @ lam, i) for i, (ua, ub) in enumerate(zip(sol_a.U.lattice, sol_b.U.lattice))
         ) * dt
         return L2Distance(float(dy), float(dz), float(du))
     if isinstance(sol_a, McSolution) and isinstance(sol_b, McSolution):

@@ -6,12 +6,22 @@ is positive) with one jump/no-jump bit per mark. Branch b at any node has
 the same increment and probability, so level i holds exactly B^i nodes laid
 out so that the children of node k are k*B + b. All conditional expectations
 are probability-weighted sums over children, with no regression anywhere.
+
+A node's state, Brownian value and jump counts depend only on how many
+times each of its nb branch bits (Brownian sign, one per mark) was set
+along its path, and so does every value the solvers compute from them.
+The solvers therefore sweep the recombining count lattice, whose level i
+has (i+1)^nb points, and the product tree keeps one lattice index per
+node: its per-node arrays are gathers from the lattice, made on first
+access.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -33,8 +43,109 @@ class FixedPointError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class CountLattice:
+    """Per-level values on the recombining lattice of branch-bit counts.
+
+    A level-i point is the vector of counts of each branch bit over i steps,
+    most significant bit first: down signs (when sigma > 0), then the jumps
+    of marks J-1 .. 0. Points are numbered in C order of the (i+1,)*nb box.
+    x, w and counts are the state, Brownian value and per-mark jump counts;
+    mass is the point's probability, a product of binomial laws, and
+    path_prob the probability of each single path that reaches it.
+    kids[i][p, b] is the level-(i+1) point that branch b leads to from p:
+    the point plus the branch's bits; rows past the level's points pad it.
+    """
+
+    model: LevyModel
+    x: tuple
+    w: tuple
+    counts: tuple
+    mass: tuple
+    path_prob: tuple
+    kids: tuple
+
+    def context(self, level: int) -> StepContext:
+        return StepContext(model=self.model, x=self.x[level], w=self.w[level], counts=self.counts[level])
+
+    def expectation(self, values, level: int) -> float:
+        """Unconditional expectation of per-point values at one level."""
+        return float(self.mass[level] @ values)
+
+
+def _count_law(level: int, q: float):
+    """For k = 0..level successes in `level` Bernoulli(q) trials: the probability
+    of one sequence with k successes, and the binomial mass of k."""
+    k = np.arange(level + 1)
+    path = q**k * (1.0 - q) ** (level - k)
+    return path, path * np.array([math.comb(level, int(c)) for c in k], dtype=float)
+
+
+def _build_lattice(model: LevyModel, grid: TimeGrid, nb: int) -> CountLattice:
+    j = model.n_marks
+    has_w = nb > j
+    times, sqrt_dt = grid.times, np.sqrt(grid.dt)
+    q = ([0.5] if has_w else []) + list(model.intensities[::-1] * grid.dt)  # per bit, most significant first
+    bits = (np.arange(2**nb)[:, None] >> np.arange(nb - 1, -1, -1)) & 1
+    x, w, counts, mass, path_prob, kids = [], [], [], [], [], []
+    for i in range(grid.steps + 1):
+        size = (i + 1) ** nb
+        coords = np.indices((i + 1,) * nb).reshape(nb, size).T
+        path, point = np.ones(size), np.ones(size)
+        for a, qa in enumerate(q):
+            path_a, point_a = _count_law(i, qa)
+            path, point = path * path_a[coords[:, a]], point * point_a[coords[:, a]]
+        counts.append(coords[:, ::-1][:, :j].astype(float))
+        w.append((i - 2 * coords[:, 0]) * sqrt_dt if has_w else np.zeros(size))
+        x.append(model.state_increment(float(times[i]), w[-1], counts[-1]))
+        mass.append(point)
+        path_prob.append(path)
+        if i < grid.steps:
+            strides = (i + 2) ** np.arange(nb - 1, -1, -1)
+            # Rows of point 0 pad a level of more than one point to a multiple of four: BLAS
+            # matrix products sum a row left over from blocks of four in another order, and
+            # the sweep needs equal rows to give equal values wherever they sit.
+            pad = -size % 4 if size > 1 else 0
+            kid = (coords @ strides)[:, None] + bits @ strides
+            kids.append(np.pad(kid, ((0, pad), (0, 0))).astype(np.int32))
+    return CountLattice(model, tuple(x), tuple(w), tuple(counts), tuple(mass), tuple(path_prob), tuple(kids))
+
+
+class LevelArrays(Sequence):
+    """Per-level arrays over the product tree's nodes, gathered on first access
+    from per-point values on the count lattice.
+
+    lattice[i] holds one value (or row) per lattice point at level i, and
+    index[i] the lattice point of every level-i node. Slices and sums with
+    other sequences give tuples.
+    """
+
+    def __init__(self, index: tuple, lattice):
+        self.index = index
+        self.lattice = tuple(lattice)
+        self._gathered = {}
+
+    def __len__(self) -> int:
+        return len(self.lattice)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self[i] for i in range(len(self))[key])
+        i = range(len(self))[key]
+        if i not in self._gathered:
+            v = self.lattice[i]
+            self._gathered[i] = v[self.index[i]] if v.ndim == 1 else np.take(v, self.index[i], axis=0)
+        return self._gathered[i]
+
+    def __add__(self, other) -> tuple:
+        return tuple(self) + tuple(other)
+
+    def __radd__(self, other) -> tuple:
+        return tuple(other) + tuple(self)
+
+
+@dataclass(frozen=True)
 class ScenarioTree:
-    """Enumerated product tree with per-level state arrays.
+    """Enumerated product tree over the count lattice.
 
     dw_branch, dn_branch and branch_prob describe one step's alphabet;
     states/wpaths/counts/node_prob hold per-node values for levels 0..N.
@@ -42,6 +153,8 @@ class ScenarioTree:
     base-B digits, the first step most significant. In branch b, mark j is
     bit j and the Brownian sign (when sigma > 0) is the top bit, so a level
     reshapes to one binary axis per step and bit; project_coarse relies on it.
+    index[i] holds each level-i node's lattice point, through which the
+    per-node arrays are gathered from the lattice on first access.
     """
 
     model: LevyModel
@@ -50,10 +163,12 @@ class ScenarioTree:
     dw_branch: np.ndarray
     dn_branch: np.ndarray
     branch_prob: np.ndarray
-    states: tuple
-    wpaths: tuple
-    counts: tuple
-    node_prob: tuple
+    lattice: CountLattice
+    index: tuple
+    states: LevelArrays
+    wpaths: LevelArrays
+    counts: LevelArrays
+    node_prob: LevelArrays
 
     @property
     def n_steps(self) -> int:
@@ -61,6 +176,11 @@ class ScenarioTree:
 
     def level_size(self, level: int) -> int:
         return self.branching**level
+
+    def node_counts(self) -> dict:
+        """Nodes of the product tree and points of the lattice, summed over levels."""
+        return {"product": sum(map(self.level_size, range(self.n_steps + 1))),
+                "lattice": sum(x.size for x in self.lattice.x)}
 
     def context(self, level: int) -> StepContext:
         return StepContext(
@@ -118,22 +238,14 @@ def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
         bit = dn_branch[:, k]
         prob = prob * np.where(bit == 1.0, p_jump[k], 1.0 - p_jump[k])
 
-    inc_x = model.state_increment(dt, dw_branch, dn_branch)
+    lattice = _build_lattice(model, grid, int(has_w) + j)
+    # A child's point is its parent's point plus the branch bits: kids[:, 0] re-numbers
+    # the parent's point on the next level, and kids[0] holds the branch offsets.
+    index = [np.zeros(1, dtype=np.int32)]
+    for kids in lattice.kids:
+        index.append(np.add.outer(kids[:, 0][index[-1]], kids[0]).ravel())
 
-    states = [np.zeros(1)]
-    wpaths = [np.zeros(1)]
-    counts = [np.zeros((1, j))]
-    node_prob = [np.ones(1)]
-    for _ in range(grid.steps):
-        states.append(np.add.outer(states[-1], inc_x).ravel())
-        wpaths.append(np.add.outer(wpaths[-1], dw_branch).ravel())
-        counts.append(
-            (counts[-1][:, None, :] + dn_branch[None, :, :]).reshape(-1, j)
-            if j
-            else np.zeros((states[-1].size, 0))
-        )
-        node_prob.append(np.multiply.outer(node_prob[-1], prob).ravel())
-
+    index = tuple(index)
     return ScenarioTree(
         model=model,
         grid=grid,
@@ -141,10 +253,12 @@ def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
         dw_branch=dw_branch,
         dn_branch=dn_branch,
         branch_prob=prob,
-        states=tuple(states),
-        wpaths=tuple(wpaths),
-        counts=tuple(counts),
-        node_prob=tuple(node_prob),
+        lattice=lattice,
+        index=index,
+        states=LevelArrays(index, lattice.x),
+        wpaths=LevelArrays(index, lattice.w),
+        counts=LevelArrays(index, lattice.counts),
+        node_prob=LevelArrays(index, lattice.path_prob),
     )
 
 
@@ -161,12 +275,16 @@ def conditional_expectation(tree: ScenarioTree, values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TreeSolution:
-    """Backward solution on a tree: Y per level 0..N, Z and U per level 0..N-1."""
+    """Backward solution on a tree: Y per level 0..N, Z and U per level 0..N-1.
+
+    The sweep leaves its values on the count lattice (Y.lattice and so on);
+    Y, Z and U gather them to the product nodes level by level on access.
+    """
 
     tree: ScenarioTree
-    Y: tuple
-    Z: tuple
-    U: tuple
+    Y: LevelArrays
+    Z: LevelArrays
+    U: LevelArrays
     fp_iterations: tuple
 
     @property
@@ -182,14 +300,16 @@ class TreeSolution:
 
     def sup_expected_y_squared(self) -> float:
         """Maximum over grid times of E|Y|^2."""
-        return max(self.tree.expectation(y * y, lvl) for lvl, y in enumerate(self.Y))
+        mean = self.tree.lattice.expectation
+        return max(mean(y * y, lvl) for lvl, y in enumerate(self.Y.lattice))
 
     def zu_integrals(self) -> tuple[float, float]:
         """Time-integrated second moments: (E int |Z|^2 ds, E int ||U||^2 ds)."""
         dt = self.tree.grid.dt
         lam = self.tree.model.intensities
-        z_tot = sum(self.tree.expectation(z * z, i) for i, z in enumerate(self.Z)) * dt
-        u_tot = sum(self.tree.expectation((u * u) @ lam, i) for i, u in enumerate(self.U)) * dt
+        mean = self.tree.lattice.expectation
+        z_tot = sum(mean(z * z, i) for i, z in enumerate(self.Z.lattice)) * dt
+        u_tot = sum(mean((u * u) @ lam, i) for i, u in enumerate(self.U.lattice)) * dt
         return float(z_tot), float(u_tot)
 
 
@@ -236,40 +356,44 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
 
 
 def _sweep(tree: ScenarioTree, g: GeneratorSpec, xi, n: int | None, tol: float, max_iter: int) -> TreeSolution:
-    """Implicit backward sweep; with a truncation level n, the level-n coarse problem.
+    """Implicit backward sweep on the count lattice; with a truncation level n, the level-n coarse problem.
 
-    With n, the terminal values and every driver evaluation are projected onto
-    the coarse sub-filtration and U is zeroed on the removed marks.
+    With n, the terminal values and every driver evaluation are averaged over
+    the removed marks' counts and U is zeroed on the removed marks.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    steps, b, dt = tree.n_steps, tree.branching, tree.grid.dt
+    lat = tree.lattice
+    steps, dt = tree.n_steps, tree.grid.dt
     j = tree.model.n_marks
     times = tree.grid.times
     w_z, w_u = _representation_weights(tree)
+    removed = ~kept_marks_mask(tree.model, n) if n is not None else np.zeros(j, dtype=bool)
+    coarse = bool(removed.any())
 
     y_levels = [None] * (steps + 1)
     z_levels = [None] * steps
     u_levels = [None] * steps
     iters = [0] * steps
-    y_levels[steps] = np.asarray(xi(tree.context(steps)), dtype=float)
-    if n is not None:
-        removed = ~kept_marks_mask(tree.model, n)
-        y_levels[steps] = project_coarse(tree, y_levels[steps], n, level=steps)
+    y_levels[steps] = np.asarray(xi(lat.context(steps)), dtype=float)
+    if coarse:
+        y_levels[steps] = _removed_count_average(tree, removed, steps)(y_levels[steps])
 
     for i in range(steps - 1, -1, -1):
-        nxt = y_levels[i + 1].reshape(-1, b)
-        ey = nxt @ tree.branch_prob
-        z = nxt @ w_z if w_z is not None else np.zeros(ey.shape)
-        u = nxt @ w_u if w_u is not None else np.zeros((ey.shape[0], j))
+        size = lat.x[i].size
+        nxt = y_levels[i + 1][lat.kids[i]]
+        ey = (nxt @ tree.branch_prob)[:size]
+        z = (nxt @ w_z)[:size] if w_z is not None else np.zeros(size)
+        u = (nxt @ w_u)[:size] if w_u is not None else np.zeros((size, j))
         project = None
-        if n is not None:
+        if coarse:
             u[:, removed] = 0.0
-            project = partial(project_coarse, tree, n=n, level=i)
-        y, iters[i] = implicit_step(g, tree.context(i), float(times[i]), dt, ey, z, u, i, project, tol, max_iter)
+            project = _removed_count_average(tree, removed, i)
+        y, iters[i] = implicit_step(g, lat.context(i), float(times[i]), dt, ey, z, u, i, project, tol, max_iter)
         y_levels[i], z_levels[i], u_levels[i] = y, z, u
 
-    return TreeSolution(tree=tree, Y=tuple(y_levels), Z=tuple(z_levels), U=tuple(u_levels), fp_iterations=tuple(iters))
+    return TreeSolution(tree=tree, Y=LevelArrays(tree.index, y_levels), Z=LevelArrays(tree.index, z_levels),
+                        U=LevelArrays(tree.index, u_levels), fp_iterations=tuple(iters))
 
 
 def solve_backward(
@@ -293,14 +417,28 @@ def solve_backward(
 # ---------------------------------------------------------------------------
 
 
+def _centered_average(values, shape: tuple, gone: list, w: np.ndarray) -> np.ndarray:
+    """Average values of the given shape over the `gone` axes under the weights w
+    (their joint law, C order over gone), and broadcast the mean back.
+
+    The average is centred at index 0 of every gone axis, so values constant
+    along those axes pass through bitwise and the average is idempotent.
+    """
+    perm = [a for a in range(len(shape)) if a not in gone] + list(gone)
+    t = np.asarray(values, dtype=float).reshape(shape).transpose(perm)
+    rows = t.reshape(-1, w.size)
+    mean = rows[:, 0] + (rows - rows[:, :1]) @ w
+    return np.broadcast_to(mean[:, None], rows.shape).reshape(t.shape).transpose(np.argsort(perm)).reshape(-1)
+
+
 def project_coarse(tree: ScenarioTree, values, n: int, level: int | None = None) -> np.ndarray:
     """Exact conditional expectation given the Brownian signs and the jumps
     of marks with |x| >= 1/n, applied to per-node values at one level.
 
-    One transpose of the level's bit tensor (see ScenarioTree) moves the
-    removed-mark bits of every step to the end; each row is then averaged
-    under their product law, centered at the pattern with no removed jumps,
-    so measurable values pass through bitwise and the projection is idempotent.
+    The level's values form a tensor of branch bits (see ScenarioTree); each
+    row over the removed-mark bits of every step is averaged under their
+    product law by _centered_average, so measurable values pass through
+    bitwise and the projection is idempotent.
     """
     v = np.asarray(values, dtype=float)
     lvl = tree.infer_level(v) if level is None else int(level)
@@ -311,13 +449,19 @@ def project_coarse(tree: ScenarioTree, values, n: int, level: int | None = None)
     nb = tree.branching.bit_length() - 1
     # Step s holds axes s*nb .. s*nb + nb - 1, most significant bit first: bit k is axis s*nb + nb - 1 - k.
     gone = [s * nb + nb - 1 - k for s in range(lvl) for k in np.flatnonzero(removed)]
-    perm = [a for a in range(nb * lvl) if a not in gone] + gone
     laws = [[1.0 - p, p] for p in tree.model.intensities[removed] * tree.grid.dt]
-    w = reduce(np.multiply.outer, laws * lvl, 1.0).ravel()  # ordered as the removed axes of perm
-    t = v.reshape((2,) * (nb * lvl)).transpose(perm)
-    rows = t.reshape(-1, w.size)
-    mean = rows[:, 0] + (rows - rows[:, :1]) @ w
-    return np.broadcast_to(mean[:, None], rows.shape).reshape(t.shape).transpose(np.argsort(perm)).reshape(-1)
+    w = reduce(np.multiply.outer, laws * lvl, 1.0).ravel()  # ordered as gone
+    return _centered_average(v, (2,) * (nb * lvl), gone, w)
+
+
+def _removed_count_average(tree: ScenarioTree, removed: np.ndarray, level: int):
+    """project_coarse on lattice values at one level: the average over the
+    removed marks' counts under their Binomial(level, lambda dt) laws."""
+    nb = tree.branching.bit_length() - 1
+    gone = [nb - 1 - k for k in np.flatnonzero(removed)]  # mark k is bit k, on axis nb - 1 - k
+    laws = [_count_law(level, p)[1] for p in tree.model.intensities[removed] * tree.grid.dt]
+    w = reduce(np.multiply.outer, laws, 1.0).ravel()
+    return lambda values: _centered_average(values, (level + 1,) * nb, gone, w)
 
 
 def solve_truncated(
@@ -331,8 +475,9 @@ def solve_truncated(
     """Backward solve for the level-n coarse problem on the full tree.
 
     Terminal values and every driver evaluation are projected onto the
-    coarse sub-filtration, and U is zeroed on removed marks, so the returned
-    solution is constant across removed-mark coordinates. With no removed
-    marks this reproduces solve_backward bit for bit.
+    coarse sub-filtration (on the lattice: averaged over the removed marks'
+    counts), and U is zeroed on removed marks, so the returned solution is
+    constant across removed-mark coordinates. With no removed marks this
+    reproduces solve_backward bit for bit.
     """
     return _sweep(tree, g, xi, n, tol, max_iter)

@@ -152,6 +152,30 @@ def test_counterexample_and_truncate_study_defaults(tmp_path):
     assert rows[0][0] == "n" and len(rows) == 4
 
 
+def test_tree_runners_write_node_counts_in_meta(tmp_path):
+    # demo: BM + one mark, 8 steps (branching 4, 2 lattice axes); truncate-study: BM + two marks, 4 steps
+    assert run_cli(["solve-lattice", "--out", tmp_path / "sl"]) == 0
+    nodes = read_report(tmp_path / "sl")["meta"]["nodes"]
+    assert nodes == {"product": sum(4**i for i in range(9)), "lattice": sum((i + 1) ** 2 for i in range(9))}
+    assert run_cli(["truncate-study", "--out", tmp_path / "ts"]) == 0
+    nodes = read_report(tmp_path / "ts")["meta"]["nodes"]
+    assert nodes == {"product": sum(8**i for i in range(5)), "lattice": sum((i + 1) ** 3 for i in range(5))}
+
+
+def test_model_block_keys_are_strict(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"drift": 0.1, "sigam": 1.0, "marks": []},
+        "grid": {"T": 1.0, "steps": 2},
+        "generator": "zero",
+        "terminal": "x",
+    }))
+    assert run(["solve-lattice", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "jumpbsde solve-lattice: error: unknown model keys ['sigam']; valid: ['drift', 'sigma', 'marks']"
+    ]
+
+
 def test_apriori_default(tmp_path):
     assert run_cli(["apriori", "--out", tmp_path / "ap"]) == 0
     assert (tmp_path / "ap" / "instances.csv").exists()

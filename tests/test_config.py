@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from jumpbsde.bounds import get_rho, rho_catalog
-from jumpbsde.config import ConfigError, generator_from_config
+from jumpbsde.config import ConfigError, generator_from_config, model_from_config, resolve_model_grid
 from jumpbsde.generators import GENERATOR_FACTORIES, GeneratorSpec, RhoFunction
 from jumpbsde.terminals import TERMINAL_CATALOG, make_terminal
 
@@ -67,3 +67,23 @@ def test_parameter_values_must_be_numbers(row, spec, key):
     with pytest.raises(ConfigError, match=re.escape(message)):
         resolve(spec)
     assert resolve({**spec, key: [1.0, 2] if key == "c" else 1})
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"drift": 0.1, "sigam": 1.0, "marks": [{"x": 0.5, "lambda": 0.8}]},
+     "unknown model keys ['sigam']; valid: ['drift', 'sigma', 'marks']"),
+    ({"drift": 0.1, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.8, "lamda": 4}]},
+     "unknown model mark keys ['lamda']; valid: ['x', 'lambda']"),
+])
+def test_model_blocks_reject_unknown_keys(block, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        model_from_config(block)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_model_grid({"model": block, "grid": {"T": 1.0, "steps": 2}})
+
+
+def test_flat_layout_passes_only_model_keys():
+    model, grid = resolve_model_grid({"drift": 0.1, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.8}],
+                                      "T": 2.0, "steps": 4, "generator": "zero", "terminal": "x"})
+    assert (model.drift, model.sigma, model.marks) == (0.1, 1.0, ((0.5, 0.8),))
+    assert (grid.horizon, grid.steps) == (2.0, 4)

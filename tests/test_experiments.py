@@ -15,10 +15,12 @@ from jumpbsde import (
     solve_backward,
     stability_bound,
 )
+from jumpbsde.config import ConfigError
 from jumpbsde.experiments import (
     default_comparison_pairs,
     default_counterexample_config,
     default_truncation_config,
+    gap_orders,
     run_apriori_check,
     run_comparison,
     run_convergence,
@@ -189,6 +191,20 @@ def test_convergence_zero_driver_gaps_vanish():
     }
     report = run_convergence(cfg)
     assert all(g <= 1e-13 for g in report.cases[0].data["gaps"])
+
+
+def test_convergence_rejects_steps_that_do_not_increase():
+    cfg = {"model": {"drift": 0.3, "sigma": 1.0, "marks": []}, "T": 1.0, "steps_list": [4, 4, 8],
+           "generator": "zero", "terminal": "x", "reference": None, "mc": None}
+    with pytest.raises(ConfigError, match=r"steps_list must be strictly increasing, got \[4, 4, 8\]"):
+        run_convergence(cfg)
+
+
+def test_gap_orders_skip_zero_gaps():
+    # a zero gap next to a positive one has no order (log2 of 0 or of infinity)
+    assert gap_orders([0.0, 0.1, 0.05, 0.0, 0.0]) == [1.0]
+    assert gap_orders([0.4, 0.1]) == [2.0]
+    assert gap_orders([0.1]) == [] and gap_orders([]) == []
 
 
 def test_reports_are_reproducible_modulo_meta():

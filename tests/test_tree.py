@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from jumpbsde import (
     TreeSizeError,
     build_tree,
     conditional_expectation,
+    jump_ordering_violator,
     l2_distance,
     linear_driver,
     linear_y,
@@ -19,11 +23,13 @@ from jumpbsde import (
     shift_generator,
     solve_backward,
     solve_truncated,
+    tanh_jump_integral,
     zero_generator,
 )
+from jumpbsde.experiments import max_ordering_violation
 from jumpbsde.levy import kept_marks_mask
 from jumpbsde.terminals import make_terminal
-from jumpbsde.tree import DEFAULT_FP_TOL
+from jumpbsde.tree import DEFAULT_FP_MAX_ITER, DEFAULT_FP_TOL, _representation_weights, implicit_step
 
 XI_X = make_terminal("x")
 XI_TANH = make_terminal("tanh_x")
@@ -323,6 +329,26 @@ def test_solve_truncated_solution_is_coarse_measurable():
         assert np.array_equal(project_coarse(tree, y, 4, level=lvl), y)
 
 
+@pytest.mark.parametrize("marks, steps, n", [
+    (((0.05, 2.0), (0.5, 0.8)), 6, 4),
+    (((0.05, 2.0), (0.5, 0.8), (-0.2, 1.0)), 5, 3),
+])
+def test_truncated_solution_is_coarse_measurable_on_wide_lattices(marks, steps, n):
+    # lattice levels of 27, 125 and 216 points: rows outside blocks of four must sum as the others do
+    tree = build_tree(LevyModel(0.1, 1.0, marks), TimeGrid(1.0, steps))
+    state_tanh = GeneratorSpec(
+        name="state_tanh",
+        eval=lambda ctx, t, y, z, u: 0.3 * np.tanh(np.asarray(ctx.x, dtype=float)) - 0.2 * np.asarray(y, dtype=float),
+    )
+    sol = solve_truncated(tree, state_tanh, XI_X, n)
+    for lvl in range(steps + 1):
+        assert np.array_equal(project_coarse(tree, sol.Y[lvl], n, level=lvl), sol.Y[lvl]), lvl
+    xi = make_terminal({"name": "jump_indicator", "mark": 1})  # kept mark only
+    full, trunc = solve_backward(tree, linear_y(0.5), xi), solve_truncated(tree, linear_y(0.5), xi, n)
+    d = l2_distance(full, trunc)
+    assert (d.dY, d.dZ) == (0.0, 0.0)
+
+
 def test_truncation_distances_decrease_through_thresholds():
     tree = build_tree(TWO_MARK_MODEL, TimeGrid(1.0, 4))
     full = solve_backward(tree, linear_y(0.5), XI_X)
@@ -358,29 +384,179 @@ def test_l2_distance_constant_offset():
     assert d.dZ == pytest.approx(0.0, abs=1e-28)
 
 
+def one_step_weight_margin(tree, b, c) -> float:
+    """Smallest one-step weight 1 + b dW + sum_j c_j dN~_j / (1 - lambda_j dt) of linear_driver(a, b, c).
+
+    The implicit step gives (1 - a dt) Y_i = E[weight * Y_(i+1)] + dt * (the driver's constant),
+    so a nonnegative margin orders the solutions of ordered terminals node by node.
+    A jump of mark j contributes c_j and its absence -c_j p_j / (1 - p_j), p_j = lambda_j dt.
+    """
+    p = tree.model.intensities * tree.grid.dt
+    margin = 1.0 - abs(b) * np.sqrt(tree.grid.dt) * (tree.model.sigma > 0)
+    return margin + sum(min(cj, -cj * pj / (1.0 - pj)) for cj, pj in zip(c, p))
+
+
 @st.composite
 def ordered_pairs(draw):
-    """A small tree (lambda dt < 1), a linear driver with every c_j >= -1, and ordered shifts of it and of x."""
+    """A small tree (lambda dt < 1), a linear driver inside the discrete margin, a shift of it,
+    and a terminal gap s * 1{N_k >= m} (s alone without marks) above x."""
     steps = draw(st.integers(2, 4))
     n_marks = draw(st.integers(0, 2))
     sizes = draw(st.lists(st.sampled_from([0.5, -0.3, 1.5, 0.05]), min_size=n_marks, max_size=n_marks, unique=True))
     marks = tuple((x, draw(st.floats(0.05, 0.95)) * steps) for x in sizes)
     tree = build_tree(LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks),
                       TimeGrid(1.0, steps))
-    c = tuple(draw(st.floats(-1.0, 2.0)) for _ in sizes) or 0.0
-    g = linear_driver(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), c)
-    return tree, g, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    b = draw(st.floats(-1.0, 1.0))
+    c = [draw(st.floats(-1.0, 2.0)) for _ in sizes]
+    # The jump terms scale with c: shrink c into the margin when the drawn one falls below it.
+    base, margin = one_step_weight_margin(tree, b, []), one_step_weight_margin(tree, b, c)
+    if margin < 0.0:
+        c = [cj * base / (base - margin) for cj in c]
+    g = linear_driver(draw(st.floats(-1.0, 1.0)), b, tuple(c) or 0.0)
+    s = draw(st.floats(0.0, 1.0))
+    if n_marks:
+        gap = make_terminal({"name": "jump_indicator", "mark": draw(st.integers(0, n_marks - 1)),
+                             "min_count": draw(st.integers(1, 2)), "scale": s})
+    else:
+        gap = make_terminal({"name": "const", "value": s})
+    return tree, g, one_step_weight_margin(tree, b, c), draw(st.floats(0.0, 1.0)), lambda ctx: XI_X(ctx) + gap(ctx)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(ordered_pairs())
 @example((build_tree(LevyModel(0.0, 1.0, ((0.5, 0.8), (-0.3, 0.4))), TimeGrid(1.0, 4)),
-          linear_driver(0.5, 0.5, (-1.0, -1.0)), 0.0, 0.0))
+          linear_driver(0.5, 0.5, (-0.5, -0.25)), 0.0, 0.0, make_terminal("x")))
 def test_comparison_theorem_holds_node_wise(pair):
-    """Ordered data f <= f + delta, x <= x + s and the ordered-jump condition c_j >= -1 order Y at every node."""
-    tree, g, delta, s = pair
-    assert g.satisfies_jump_ordering
+    """Ordered data f <= f + delta, x <= x + s 1{jump} and a driver inside the discrete margin
+    (1 + c_j >= |b| sqrt(dt) for one mark: every one-step weight nonnegative) order Y at every node."""
+    tree, g, margin, delta, xi_up = pair
+    assert g.satisfies_jump_ordering and margin >= -1e-12
     sol = solve_backward(tree, g, XI_X)
-    sol_up = solve_backward(tree, shift_generator(g, delta), make_terminal({"name": "x", "shift": s}))
+    sol_up = solve_backward(tree, shift_generator(g, delta), xi_up)
     for lvl, (y, y_up) in enumerate(zip(sol.Y, sol_up.Y)):
         assert np.all(y <= y_up + 10 * DEFAULT_FP_TOL), (lvl, float(np.max(y - y_up)))
+
+
+def test_comparison_fails_outside_the_discrete_margin():
+    """BM + one mark (x 0.5, lambda 0.8), 4 steps, linear_driver(0, 0.5, -1): c = -1 passes the
+    ordered-jump condition c >= -1, but the discrete margin 1 + c >= |b| sqrt(dt) fails (0 < 0.25).
+    On a jump branch with dW = -sqrt(dt) the one-step weight 1 + c + b dW is -0.25, so the
+    nonnegative terminal gap 1{a jump} max(-W, 0) above 0 leaves Y above Y' by 0.05."""
+    tree = build_tree(LevyModel(0.0, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 4))
+    g = linear_driver(0.0, 0.5, -1.0)
+    assert g.satisfies_jump_ordering
+    assert one_step_weight_margin(tree, 0.5, [-1.0]) == -0.25
+    zero = make_terminal({"name": "const", "value": 0.0})
+    gap = lambda ctx: (ctx.counts[:, 0] >= 1) * np.maximum(-ctx.w, 0.0)  # noqa: E731
+    excess = max_ordering_violation(solve_backward(tree, g, zero), solve_backward(tree, g, gap))
+    assert excess == pytest.approx(0.05, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The lattice sweep against the product-tree sweep it replaced
+# ---------------------------------------------------------------------------
+
+
+def product_sweep(tree, g, xi, n=None):
+    """Reference: the implicit backward sweep over every node of the product tree,
+    projecting with project_coarse when a truncation level n is given."""
+    steps, b, dt, j = tree.n_steps, tree.branching, tree.grid.dt, tree.model.n_marks
+    w_z, w_u = _representation_weights(tree)
+    ys, zs, us = [None] * (steps + 1), [None] * steps, [None] * steps
+    ys[steps] = np.asarray(xi(tree.context(steps)), dtype=float)
+    if n is not None:
+        removed = ~kept_marks_mask(tree.model, n)
+        ys[steps] = project_coarse(tree, ys[steps], n, level=steps)
+    for i in range(steps - 1, -1, -1):
+        nxt = ys[i + 1].reshape(-1, b)
+        ey = nxt @ tree.branch_prob
+        z = nxt @ w_z if w_z is not None else np.zeros(ey.shape)
+        u = nxt @ w_u if w_u is not None else np.zeros((ey.shape[0], j))
+        project = None
+        if n is not None:
+            u[:, removed] = 0.0
+            project = partial(project_coarse, tree, n=n, level=i)
+        ys[i], _ = implicit_step(g, tree.context(i), float(tree.grid.times[i]), dt, ey, z, u, i, project,
+                                 DEFAULT_FP_TOL, DEFAULT_FP_MAX_ITER)
+        zs[i], us[i] = z, u
+    return ys, zs, us
+
+
+STATE_TANH = GeneratorSpec(
+    name="state_tanh",
+    eval=lambda ctx, t, y, z, u: 0.3 * np.tanh(np.asarray(ctx.x, dtype=float)) - 0.2 * np.asarray(y, dtype=float),
+)
+SWEEP_DRIVERS = [zero_generator(), linear_y(0.5), linear_driver(0.3, 0.4, -0.5), tanh_jump_integral(),
+                 jump_ordering_violator(), STATE_TANH]
+SWEEP_TERMINALS = ["x", "w", "tanh_x", {"name": "clip_x", "lo": -0.3, "hi": 0.4}, {"name": "const", "value": 0.7}]
+
+
+@st.composite
+def sweep_problems(draw):
+    """sigma in {0, 1}, 0-3 marks kept or removed at level n, 1-5 steps (fewer on wide trees),
+    a driver and a terminal."""
+    n = draw(st.integers(1, 5))
+    sigma = draw(st.sampled_from([0.0, 1.0]))
+    kept = draw(st.lists(st.booleans(), max_size=3))
+    branching = (2 if sigma else 1) * 2 ** len(kept)
+    fits = [s for s in range(1, 6) if sum(branching**i for i in range(s + 1)) <= 40_000]
+    steps = min(draw(st.integers(1, 5)), fits[-1])
+    marks = tuple((draw(st.sampled_from([1.0, -1.0])) * ((1.0 + i) / n if keep else (0.2 + 0.2 * i) / n),
+                   draw(st.floats(0.05, 0.95)) * steps) for i, keep in enumerate(kept))
+    tree = build_tree(LevyModel(draw(st.floats(-0.5, 0.5)), sigma, marks), TimeGrid(1.0, steps))
+    terminals = SWEEP_TERMINALS + [{"name": "jump_indicator", "mark": k, "min_count": m}
+                                   for k in range(len(kept)) for m in (1, 2)]
+    return tree, draw(st.sampled_from(SWEEP_DRIVERS)), make_terminal(draw(st.sampled_from(terminals))), n
+
+
+def assert_matches_product(sol, reference):
+    for name, got, want in zip("YZU", (sol.Y, sol.Z, sol.U), reference):
+        for lvl, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape, (name, lvl)
+            assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b))), (name, lvl, float(np.max(np.abs(a - b))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(sweep_problems())
+def test_lattice_sweep_matches_product_sweep(problem):
+    tree, g, xi, n = problem
+    full = solve_backward(tree, g, xi)
+    assert_matches_product(full, product_sweep(tree, g, xi))
+    for level in range(1, n + 2):
+        trunc = solve_truncated(tree, g, xi, level)
+        assert_matches_product(trunc, product_sweep(tree, g, xi, level))
+        if kept_marks_mask(tree.model, level).all():
+            for a, b in zip(full.Y + full.Z + full.U, trunc.Y + trunc.Z + trunc.U):
+                assert np.array_equal(a, b)
+
+
+def test_lattice_coordinates_and_node_counts():
+    tree = build_tree(TWO_MARK_MODEL, TimeGrid(1.0, 3))
+    assert tree.node_counts() == {"product": 1 + 8 + 64 + 512, "lattice": 1 + 8 + 27 + 64}
+    # a node's lattice point carries its path's sign and jump counts
+    bits = (np.arange(512)[:, None] >> np.arange(9)[None, :]) & 1  # three base-8 digits, bit k of each step
+    steps_bits = bits.reshape(512, 3, 3)
+    counts = steps_bits[:, :, :2].sum(axis=1)
+    downs = steps_bits[:, :, 2].sum(axis=1)
+    assert np.array_equal(tree.counts[3], counts)
+    assert np.allclose(tree.wpaths[3], (3 - 2 * downs) * np.sqrt(1.0 / 3.0), atol=1e-15)
+    assert tree.lattice.expectation(np.ones(64), 3) == pytest.approx(1.0, abs=1e-15)
+    assert tree.expectation(np.ones(512), 3) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_solve_keeps_no_per_node_float_arrays():
+    """About 1.1M nodes: build_tree plus solve_backward stays below 16 bytes per node.
+
+    The product tree holds one int32 lattice index per node; states, node
+    probabilities and the solution are gathered per node only when read.
+    """
+    model = LevyModel(0.1, 1.0, ((0.05, 2.0), (0.5, 0.8), (-0.2, 1.0)))
+    nodes = sum(16**i for i in range(6))
+    tracemalloc.start()
+    try:
+        y0 = solve_backward(build_tree(model, TimeGrid(1.0, 5)), linear_y(0.5), XI_X).y0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(y0)
+    assert peak < 16 * nodes, f"peak {peak / nodes:.1f} bytes per node"
