@@ -40,6 +40,7 @@ def load_config(path) -> dict:
 
 _MODEL_KEYS = ("drift", "sigma", "marks")
 _MARK_KEYS = ("x", "lambda")
+_GRID_KEYS = ("T", "steps")
 
 
 def _reject_unknown(kind: str, block: dict, valid: tuple) -> None:
@@ -61,6 +62,8 @@ def model_from_config(cfg: dict) -> LevyModel:
 
 
 def grid_from_config(cfg: dict) -> TimeGrid:
+    """A grid block {"T", "steps"}; unknown keys raise ConfigError."""
+    _reject_unknown("grid", cfg, _GRID_KEYS)
     try:
         return TimeGrid(horizon=float(cfg["T"]), steps=int(cfg["steps"]))
     except KeyError as exc:
@@ -68,10 +71,10 @@ def grid_from_config(cfg: dict) -> TimeGrid:
 
 
 def resolve_model_grid(cfg: dict) -> tuple[LevyModel, TimeGrid]:
-    """Accept either nested {"model": {...}, "grid": {...}} blocks or the flat
-    layout {drift, sigma, marks, T, steps}, beside the runner's own keys."""
+    """Accept either nested {"model": {...}, "grid": {...}} blocks, whose keys are
+    strict, or the flat layout {drift, sigma, marks, T, steps}, beside the runner's own keys."""
     model = model_from_config(cfg["model"] if "model" in cfg else {k: cfg[k] for k in _MODEL_KEYS if k in cfg})
-    grid = grid_from_config(cfg.get("grid", cfg))
+    grid = grid_from_config(cfg["grid"] if "grid" in cfg else {k: cfg[k] for k in _GRID_KEYS if k in cfg})
     return model, grid
 
 

@@ -235,36 +235,55 @@ def _sample_times(cfg: SamplerConfig, rng) -> np.ndarray:
     return np.concatenate([corners, np.minimum(drawn, T)])
 
 
+def _draw_points(cfg: SamplerConfig, seed_offset: int, j: int, extra: str | None):
+    """The condition checks' random points, in stream order.
+
+    After the times, every sampled time draws m states x, m arguments
+    (y, z, u) and the check's extra draws: a second (y, z, u) for
+    extra="args", a jump increment for extra="bump". Uniforms and normals
+    that sit together in the stream are drawn by one call, and the uniforms
+    are scaled afterwards as Generator.uniform scales them. Returns times
+    (T,), x (T, m), y and z (A, T, m), u (A, T, m, j) and bump (T, m, j) or
+    None, with A = 2 argument sets for extra="args" and 1 otherwise.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
+    m = max(8, j + 2)
+    times = _sample_times(cfg, rng)
+    n_args = 2 if extra == "args" else 1
+    runs = 1 if extra is None else 2  # normal runs per time: u, then u2 or bump
+    high = np.repeat(np.array([cfg.x_bound] + [cfg.y_bound, cfg.z_bound] * n_args, dtype=float), m)
+    unif = np.empty((times.size, high.size))  # per time: x, y, z (, y2, z2)
+    nrm = np.empty((times.size, runs * m * j))
+    for i in range(times.size):
+        if extra == "args":
+            rng.random(out=unif[i, :3 * m])
+            rng.standard_normal(out=nrm[i, :m * j])
+            rng.random(out=unif[i, 3 * m:])
+            rng.standard_normal(out=nrm[i, m * j:])
+        else:
+            rng.random(out=unif[i])
+            rng.standard_normal(out=nrm[i])
+    low = -high
+    unif = (low + (high - low) * unif).reshape(times.size, 1 + 2 * n_args, m)
+    nrm = nrm.reshape(times.size, runs, m, j)
+    x, y, z = unif[:, 0], unif[:, 1::2].swapaxes(0, 1), unif[:, 2::2].swapaxes(0, 1)
+    return times, x, y, z, nrm[:, :n_args].swapaxes(0, 1), nrm[:, 1] if extra == "bump" else None
+
+
 def _sampled_check(check: str, label: str, model: LevyModel, cfg: SamplerConfig, seed_offset: int, side,
                    extra: str | None = None) -> CheckReport:
     """The sampler shared by the condition checks: a draw phase, then one evaluation.
 
-    Draw phase: at every sampled time, in stream order, m states x, m
-    arguments (y, z, u) and the check's extra draws: a second (y, z, u) for
-    extra="args", a nonnegative jump increment for extra="bump". Corner rows
-    are then set on every time at once. Evaluation: side(ctx, t, y, z, u,
-    *extras) sees all points in one call, t per point, and returns (lhs, rhs,
-    point): point k violates the condition when lhs[k] > rhs[k] + CHECK_SLACK,
-    and point(k) is its witness. The first three violations per time are kept.
+    Draw phase: _draw_points, then corner rows set on every time at once.
+    Evaluation: side(ctx, t, y, z, u, *extras) sees all points in one call,
+    t per point, and returns (lhs, rhs, point): point k violates the
+    condition when lhs[k] > rhs[k] + CHECK_SLACK, and point(k) is its
+    witness. The first three violations per time are kept.
     """
     start = time.perf_counter()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
     j = model.n_marks
-    m = max(8, j + 2)
-    times = _sample_times(cfg, rng)
-    n_args = 2 if extra == "args" else 1
-    x = np.empty((times.size, m))
-    y, z = np.empty((n_args, times.size, m)), np.empty((n_args, times.size, m))
-    u = np.empty((n_args, times.size, m, j))
-    bump = np.empty((times.size, m, j)) if extra == "bump" else None
-    for i in range(times.size):
-        x[i] = rng.uniform(-cfg.x_bound, cfg.x_bound, size=m)
-        for a in range(n_args):
-            y[a, i] = rng.uniform(-cfg.y_bound, cfg.y_bound, size=m)
-            z[a, i] = rng.uniform(-cfg.z_bound, cfg.z_bound, size=m)
-            u[a, i] = rng.standard_normal(size=(m, j))
-        if bump is not None:
-            bump[i] = rng.standard_normal(size=(m, j))
+    times, x, y, z, u, bump = _draw_points(cfg, seed_offset, j, extra)
+    n_args, m = y.shape[0], x.shape[1]
     x[:, 0] = 0.0
     y[..., :4] = (0.0, 1.0, -1.0, cfg.y_bound)
     z[..., :4] = (0.0, 1.0, -1.0, -cfg.z_bound)

@@ -110,6 +110,30 @@ def _build_lattice(model: LevyModel, grid: TimeGrid, nb: int) -> CountLattice:
     return CountLattice(model, tuple(x), tuple(w), tuple(counts), tuple(mass), tuple(path_prob), tuple(kids))
 
 
+class ProductIndex(Sequence):
+    """The lattice point of every product node, one int32 array per level,
+    enumerated on first access to a level together with the levels before it.
+
+    A child's point is its parent's point plus the branch bits: kids[:, 0]
+    re-numbers the parent's point on the next level, and kids[0] holds the
+    branch offsets.
+    """
+
+    def __init__(self, kids: tuple):
+        self.kids = kids
+        self._levels = [np.zeros(1, dtype=np.int32)]
+
+    def __len__(self) -> int:
+        return len(self.kids) + 1
+
+    def __getitem__(self, key: int) -> np.ndarray:
+        i = range(len(self))[key]
+        while len(self._levels) <= i:
+            kids = self.kids[len(self._levels) - 1]
+            self._levels.append(np.add.outer(kids[:, 0][self._levels[-1]], kids[0]).ravel())
+        return self._levels[i]
+
+
 class LevelArrays(Sequence):
     """Per-level arrays over the product tree's nodes, gathered on first access
     from per-point values on the count lattice.
@@ -119,7 +143,7 @@ class LevelArrays(Sequence):
     other sequences give tuples.
     """
 
-    def __init__(self, index: tuple, lattice):
+    def __init__(self, index: ProductIndex, lattice):
         self.index = index
         self.lattice = tuple(lattice)
         self._gathered = {}
@@ -154,7 +178,8 @@ class ScenarioTree:
     bit j and the Brownian sign (when sigma > 0) is the top bit, so a level
     reshapes to one binary axis per step and bit; project_coarse relies on it.
     index[i] holds each level-i node's lattice point, through which the
-    per-node arrays are gathered from the lattice on first access.
+    per-node arrays are gathered from the lattice on first access; it is
+    enumerated only when a level is first gathered.
     """
 
     model: LevyModel
@@ -164,7 +189,7 @@ class ScenarioTree:
     dn_branch: np.ndarray
     branch_prob: np.ndarray
     lattice: CountLattice
-    index: tuple
+    index: ProductIndex
     states: LevelArrays
     wpaths: LevelArrays
     counts: LevelArrays
@@ -210,7 +235,10 @@ class ScenarioTree:
 
 
 def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
-    """Enumerate the product tree; rejects lambda*dt >= 1 and trees above DEFAULT_NODE_CAP nodes."""
+    """The product tree over its count lattice; rejects lambda*dt >= 1 and trees above DEFAULT_NODE_CAP nodes.
+
+    The product index is enumerated level by level when a per-node array is first read.
+    """
     grid.validate_for_tree(model)
     j = model.n_marks
     has_w = model.sigma > 0.0
@@ -239,13 +267,7 @@ def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
         prob = prob * np.where(bit == 1.0, p_jump[k], 1.0 - p_jump[k])
 
     lattice = _build_lattice(model, grid, int(has_w) + j)
-    # A child's point is its parent's point plus the branch bits: kids[:, 0] re-numbers
-    # the parent's point on the next level, and kids[0] holds the branch offsets.
-    index = [np.zeros(1, dtype=np.int32)]
-    for kids in lattice.kids:
-        index.append(np.add.outer(kids[:, 0][index[-1]], kids[0]).ravel())
-
-    index = tuple(index)
+    index = ProductIndex(lattice.kids)
     return ScenarioTree(
         model=model,
         grid=grid,
@@ -435,23 +457,37 @@ def project_coarse(tree: ScenarioTree, values, n: int, level: int | None = None)
     """Exact conditional expectation given the Brownian signs and the jumps
     of marks with |x| >= 1/n, applied to per-node values at one level.
 
-    The level's values form a tensor of branch bits (see ScenarioTree); each
-    row over the removed-mark bits of every step is averaged under their
-    product law by _centered_average, so measurable values pass through
-    bitwise and the projection is idempotent.
+    The level's values form a tensor of branch bits (see ScenarioTree). Each
+    removed-mark bit axis is averaged out in turn, outermost first, as
+    v0 + (v1 - v0) * lambda dt on a view that halves it; the means are then
+    repeated back over the same axes, innermost first. Every average is
+    centred at bit 0, so measurable values pass through bitwise and the
+    projection is idempotent. A level that does not match the values'
+    length raises ModelError.
     """
     v = np.asarray(values, dtype=float)
     lvl = tree.infer_level(v) if level is None else int(level)
+    if not 0 <= lvl <= tree.n_steps or v.size != tree.level_size(lvl):
+        raise ModelError(f"level {lvl} does not fit {v.size} values: a tree of {tree.n_steps} steps "
+                         f"has {tree.branching}**level nodes at levels 0..{tree.n_steps}")
     removed = ~kept_marks_mask(tree.model, n)
     if not removed.any() or lvl == 0:
         return v.copy()
 
     nb = tree.branching.bit_length() - 1
-    # Step s holds axes s*nb .. s*nb + nb - 1, most significant bit first: bit k is axis s*nb + nb - 1 - k.
-    gone = [s * nb + nb - 1 - k for s in range(lvl) for k in np.flatnonzero(removed)]
-    laws = [[1.0 - p, p] for p in tree.model.intensities[removed] * tree.grid.dt]
-    w = reduce(np.multiply.outer, laws * lvl, 1.0).ravel()  # ordered as gone
-    return _centered_average(v, (2,) * (nb * lvl), gone, w)
+    p_jump = tree.model.intensities * tree.grid.dt
+    # Mark k's bit at step s has nb*(lvl-1-s) + k axes after it (see ScenarioTree). Halving the axes
+    # outermost first leaves those axes whole, so the trailing size of each is 2**after.
+    after = [nb * (lvl - 1 - s) + k for s in range(lvl) for k in np.flatnonzero(removed)[::-1]]
+    t = v
+    for a in after:
+        pair = t.reshape(-1, 2, 1 << a)
+        t = np.subtract(pair[:, 1], pair[:, 0])
+        t *= p_jump[a % nb]
+        t += pair[:, 0]
+    for a in reversed(after):
+        t = np.repeat(t.reshape(-1, 1, 1 << a), 2, axis=1)
+    return t.reshape(-1)
 
 
 def _removed_count_average(tree: ScenarioTree, removed: np.ndarray, level: int):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from jumpbsde.bounds import get_rho, rho_catalog
-from jumpbsde.config import ConfigError, generator_from_config, model_from_config, resolve_model_grid
+from jumpbsde.config import ConfigError, generator_from_config, grid_from_config, model_from_config, resolve_model_grid
 from jumpbsde.generators import GENERATOR_FACTORIES, GeneratorSpec, RhoFunction
 from jumpbsde.terminals import TERMINAL_CATALOG, make_terminal
 
@@ -87,3 +87,14 @@ def test_flat_layout_passes_only_model_keys():
                                       "T": 2.0, "steps": 4, "generator": "zero", "terminal": "x"})
     assert (model.drift, model.sigma, model.marks) == (0.1, 1.0, ((0.5, 0.8),))
     assert (grid.horizon, grid.steps) == (2.0, 4)
+
+
+def test_nested_grid_block_rejects_unknown_keys():
+    message = "unknown grid keys ['step']; valid: ['T', 'steps']"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        grid_from_config({"T": 1.0, "step": 4})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_model_grid({"model": {"sigma": 1.0}, "grid": {"T": 1.0, "steps": 4, "step": 4}})
+    # the flat layout keeps the runner's own keys beside the grid's
+    _, grid = resolve_model_grid({"sigma": 1.0, "T": 1.0, "steps": 4, "step": 2, "generator": "zero"})
+    assert (grid.horizon, grid.steps) == (1.0, 4)

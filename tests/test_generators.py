@@ -1,3 +1,6 @@
+import pickle
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +30,8 @@ from jumpbsde import (
     zero_generator,
 )
 from jumpbsde.bounds import rho_catalog
-from jumpbsde.generators import CHECK_SLACK, CheckReport, Violation
+from jumpbsde import generators
+from jumpbsde.generators import CHECK_SLACK, CheckReport, Violation, _draw_points, _sample_times
 
 MODEL = LevyModel(0.1, 1.0, ((0.5, 0.8), (-0.3, 0.4)))
 FAST = SamplerConfig(count=60, seed=3)
@@ -375,3 +379,66 @@ def test_batched_sampler_matches_per_time_reference(name, problem):
     for got, want in pairs:
         assert_reports_match(got, want, reads_t)
     assert not pairs[4][0].passed  # the reversed pair fails at every sampled point
+
+
+# ---------------------------------------------------------------------------
+# The block draws against one RNG call per array and time
+# ---------------------------------------------------------------------------
+
+
+def loop_draw_points(cfg, seed_offset, j, extra):
+    """Reference draw phase: at every sampled time, one RNG call per array, in stream order."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
+    m = max(8, j + 2)
+    times = _sample_times(cfg, rng)
+    n_args = 2 if extra == "args" else 1
+    x = np.empty((times.size, m))
+    y, z = np.empty((n_args, times.size, m)), np.empty((n_args, times.size, m))
+    u = np.empty((n_args, times.size, m, j))
+    bump = np.empty((times.size, m, j)) if extra == "bump" else None
+    for i in range(times.size):
+        x[i] = rng.uniform(-cfg.x_bound, cfg.x_bound, size=m)
+        for a in range(n_args):
+            y[a, i] = rng.uniform(-cfg.y_bound, cfg.y_bound, size=m)
+            z[a, i] = rng.uniform(-cfg.z_bound, cfg.z_bound, size=m)
+            u[a, i] = rng.standard_normal(size=(m, j))
+        if bump is not None:
+            bump[i] = rng.standard_normal(size=(m, j))
+    return times, x, y, z, u, bump
+
+
+@st.composite
+def draw_problems(draw):
+    bound = st.floats(0.1, 10.0)
+    cfg = SamplerConfig(count=draw(st.integers(1, 50)), y_bound=draw(bound), z_bound=draw(bound),
+                        u_scale=draw(bound), x_bound=draw(bound), horizon=draw(st.floats(0.1, 5.0)),
+                        seed=draw(st.integers(0, 2**32)))
+    n_marks = draw(st.integers(0, 3))
+    marks = tuple((x, draw(st.floats(0.1, 1.0))) for x in (0.5, -0.3, 1.5)[:n_marks])
+    return cfg, LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks)
+
+
+def all_checks(model, cfg):
+    gens = builtin_generators()
+    reports = []
+    for g in (gens["linear_driver"], gens["tanh_jump_integral"], gens["jump_ordering_violator"]):
+        reports += [check_growth(g, model, cfg), check_monotonicity(g, model, cfg),
+                    check_jump_ordering(g, model, cfg), check_ordering(g, shift_generator(g, -0.1), model, cfg)]
+    return [r.to_dict() for r in reports]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(draw_problems())
+def test_block_draws_match_the_per_time_draw_loop(problem):
+    cfg, model = problem
+    for offset, extra in enumerate((None, "args", "bump", None)):
+        got = _draw_points(cfg, offset, model.n_marks, extra)
+        want = loop_draw_points(cfg, offset, model.n_marks, extra)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    fast = all_checks(model, cfg)
+    with patch.object(generators, "_draw_points", loop_draw_points):
+        slow = all_checks(model, cfg)
+    assert pickle.dumps(fast) == pickle.dumps(slow)

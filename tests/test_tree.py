@@ -29,7 +29,13 @@ from jumpbsde import (
 from jumpbsde.experiments import max_ordering_violation
 from jumpbsde.levy import kept_marks_mask
 from jumpbsde.terminals import make_terminal
-from jumpbsde.tree import DEFAULT_FP_MAX_ITER, DEFAULT_FP_TOL, _representation_weights, implicit_step
+from jumpbsde.tree import (
+    DEFAULT_FP_MAX_ITER,
+    DEFAULT_FP_TOL,
+    _removed_count_average,
+    _representation_weights,
+    implicit_step,
+)
 
 XI_X = make_terminal("x")
 XI_TANH = make_terminal("tanh_x")
@@ -291,6 +297,44 @@ def test_project_coarse_matches_per_axis_reference(problem):
     expected = per_axis_projection(tree, vals, n, level)
     got = project_coarse(tree, vals, n, level=level)
     assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * (1 + np.max(np.abs(vals)))
+
+
+def test_project_coarse_rejects_a_level_that_does_not_fit():
+    tree = build_tree(TWO_MARK_MODEL, TimeGrid(1.0, 3))  # 8**3 = 512 nodes at level 3
+    for level in (2, 1, 4, -1):
+        with pytest.raises(ModelError, match=f"^level {level} does not fit 512 values"):
+            project_coarse(tree, np.zeros(512), 4, level=level)
+    one_node = build_tree(LevyModel(0.0, 0.0), TimeGrid(1.0, 3))  # every level has one node
+    with pytest.raises(ModelError, match="^level 4 does not fit 1 values"):
+        project_coarse(one_node, np.ones(1), 1, level=4)
+
+
+@st.composite
+def lattice_measurable_levels(draw):
+    """A solution level on a small tree with marks kept or removed at level n."""
+    n = draw(st.integers(1, 5))
+    sigma = draw(st.sampled_from([0.0, 1.0]))
+    kept = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    steps = draw(st.integers(1, 3))
+    marks = tuple((draw(st.sampled_from([1.0, -1.0])) * ((1.0 + i) / n if keep else (0.2 + 0.2 * i) / n),
+                   draw(st.floats(0.05, 0.95)) * steps) for i, keep in enumerate(kept))
+    tree = build_tree(LevyModel(draw(st.floats(-0.5, 0.5)), sigma, marks), TimeGrid(1.0, steps))
+    terminals = SWEEP_TERMINALS + [{"name": "jump_indicator", "mark": k} for k in range(len(kept))]
+    sol = solve_backward(tree, draw(st.sampled_from(SWEEP_DRIVERS)), make_terminal(draw(st.sampled_from(terminals))))
+    return tree, sol, draw(st.integers(0, steps)), n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lattice_measurable_levels())
+def test_project_coarse_matches_the_removed_count_average(problem):
+    """On values gathered from the lattice the product-tree projection equals the
+    average over the removed marks' counts that the coarse sweep uses."""
+    tree, sol, level, n = problem
+    removed = ~kept_marks_mask(tree.model, n)
+    got = project_coarse(tree, sol.Y[level], n, level=level)
+    lattice = sol.Y.lattice[level]
+    want = (_removed_count_average(tree, removed, level)(lattice) if removed.any() else lattice)[tree.index[level]]
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), float(np.max(np.abs(got - want)))
 
 
 def test_solve_truncated_reduces_to_full_solver_when_nothing_removed():
@@ -560,3 +604,36 @@ def test_solve_keeps_no_per_node_float_arrays():
         tracemalloc.stop()
     assert np.isfinite(y0)
     assert peak < 16 * nodes, f"peak {peak / nodes:.1f} bytes per node"
+
+
+def test_lattice_only_solves_enumerate_no_product_index():
+    """About 1.1M nodes: building, solving twice, y0 and the ordering violation stay below
+    1 byte per node, because the product index is built only when a level is gathered."""
+    model = LevyModel(0.1, 1.0, ((0.05, 2.0), (0.5, 0.8), (-0.2, 1.0)))
+    nodes = sum(16**i for i in range(6))
+    tracemalloc.start()
+    try:
+        tree = build_tree(model, TimeGrid(1.0, 5))
+        sol = solve_backward(tree, linear_y(0.5), XI_X)
+        sol_up = solve_backward(tree, linear_y(0.5), make_terminal({"name": "x", "shift": 0.5}))
+        y0, violation = sol.y0, max_ordering_violation(sol, sol_up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(y0) and violation < 0.0
+    assert peak < nodes, f"peak {peak / nodes:.2f} bytes per node"
+
+
+def test_gathered_levels_match_the_eagerly_enumerated_index():
+    tree = build_tree(TWO_MARK_MODEL, TimeGrid(1.0, 3))
+    sol = solve_backward(tree, linear_driver(0.3, 0.2, -0.5), XI_TANH)
+    lat = tree.lattice
+    index = [np.zeros(1, dtype=np.int32)]
+    for kids in lat.kids:
+        index.append(np.add.outer(kids[:, 0][index[-1]], kids[0]).ravel())
+    for lvl in (3, 0, 2, 1):  # out of order: a later level builds the ones before it
+        assert tree.index[lvl].dtype == np.int32 and np.array_equal(tree.index[lvl], index[lvl])
+        for got, values in ((tree.states, lat.x), (tree.wpaths, lat.w), (tree.counts, lat.counts),
+                            (tree.node_prob, lat.path_prob), (sol.Y, sol.Y.lattice)):
+            assert np.array_equal(got[lvl], values[lvl][index[lvl]])
+    assert sol.y0 == sol.Y.lattice[0][0]
