@@ -124,7 +124,9 @@ def _solve_mc(cfg):
                                        "y0_se_bootstrap": est.se if est else None})
     header = ["step", "Y_mean", "Y_se", "Z_mean"] + [f"U_{k + 1}_mean" for k in range(j)]
     summary = f"Y0 = {sol.y0:.6g}" + (f" (bootstrap se {est.se:.3g})" if est else "")
-    return Report("solve-mc", cfg, [case]), header, rows, summary
+    meta = {"fp_iterations": {"base": list(sol.fp_iterations),
+                              "bootstrap_max": list(est.fp_iterations) if est else None}}
+    return Report("solve-mc", cfg, [case], meta=meta), header, rows, summary
 
 
 def _per_case(report: Report, key: str, fields: list, verdict: str):

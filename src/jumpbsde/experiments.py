@@ -583,9 +583,12 @@ def default_convergence_config() -> dict:
 def default_mc_suite() -> list:
     """Tree-feasible instances for oracle equivalence of the regression solver.
 
-    The regression solver takes the tree's implicit step, so its gap to the
-    tree is regression and sampling error only; the terminal is affine, for
-    which the polynomial basis spans the conditional expectations exactly.
+    The regression solver takes the tree's implicit step, but not the tree's
+    law: paths carry Gaussian increments and Poisson counts, the tree +-sqrt(dt)
+    signs and at most one jump per mark per step, so in general the two
+    solve different discrete problems. This suite agrees because its terminal
+    is affine, which the polynomial basis spans exactly, and the increments
+    of both laws have the same means.
     """
     bm = {"drift": 0.05, "sigma": 1.0, "marks": []}
     j1 = {"drift": 0.0, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.2}]}

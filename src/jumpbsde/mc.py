@@ -49,6 +49,7 @@ class McSolution:
     Z: np.ndarray  # (paths, steps)
     U: np.ndarray  # (paths, steps, marks)
     degrees_used: tuple
+    fp_iterations: tuple = ()  # fixed-point iterations per step
 
     @property
     def y0(self) -> float:
@@ -125,8 +126,8 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     the Gram matrix and right-hand sides are weighted sums over it, and the
     degree drops where that row's Gram matrix is rank deficient.
 
-    Returns the Y0 of every row, the degree every row used at every step and,
-    when `keep`, the (Y, Z, U) path arrays of row 0.
+    Returns the Y0 of every row, the degree and the fixed-point iterations of
+    every row at every step and, when `keep`, the (Y, Z, U) path arrays of row 0.
     """
     model, grid = bundle.model, bundle.grid
     n, j, dt = grid.steps, model.n_marks, grid.dt
@@ -145,6 +146,7 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     y = np.empty((rows, m))
     y[:] = xi(context(n))
     degrees = np.zeros((rows, n), dtype=int)
+    iterations = np.zeros((rows, n), dtype=int)
     if keep:
         y_keep = np.empty((m, n + 1))
         z_keep = np.zeros((m, n))
@@ -167,12 +169,12 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
             ey = fitted[:, 0]
             z = fitted[:, 1] / dt if model.sigma > 0 else np.zeros(m)
             u = fitted[:, 2:] / lam_dt
-            y[b], _ = implicit_step(g, ctx, t, dt, ey, z, u, i)
+            y[b], iterations[b, i] = implicit_step(g, ctx, t, dt, ey, z, u, i)
             if keep and b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
 
     y0 = (weights * y).sum(axis=1) / m
-    return y0, degrees, ((y_keep, z_keep, u_keep) if keep else None)
+    return y0, degrees, iterations, ((y_keep, z_keep, u_keep) if keep else None)
 
 
 def _check_paths(paths: int, basis: RegressionBasis) -> None:
@@ -192,9 +194,10 @@ def solve_mc(
     """Simulate paths and run the regression backward recursion."""
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
-    _, degrees, (y, z, u) = _backward_pass(bundle, g, xi, basis, np.ones((1, paths)), keep=True)
+    _, degrees, iterations, (y, z, u) = _backward_pass(bundle, g, xi, basis, np.ones((1, paths)), keep=True)
     return McSolution(model=model, grid=grid, basis=basis, Y=y, Z=z, U=u,
-                      degrees_used=tuple(int(d) for d in degrees[0]))
+                      degrees_used=tuple(int(d) for d in degrees[0]),
+                      fp_iterations=tuple(int(k) for k in iterations[0]))
 
 
 @dataclass(frozen=True)
@@ -202,6 +205,7 @@ class BootstrapEstimate:
     y0: float
     se: float
     samples: np.ndarray
+    fp_iterations: tuple = ()  # per step, the most fixed-point iterations of any resample
 
 
 def bootstrap_y0(
@@ -226,9 +230,10 @@ def bootstrap_y0(
     weights[0] = 1.0
     for b in range(1, n_boot + 1):
         weights[b] = np.bincount(rng.integers(0, paths, size=paths), minlength=paths)
-    y0, _, _ = _backward_pass(bundle, g, xi, basis, weights)
+    y0, _, iterations, _ = _backward_pass(bundle, g, xi, basis, weights)
     samples = y0[1:]
-    return BootstrapEstimate(y0=float(y0[0]), se=float(samples.std(ddof=1)), samples=samples)
+    return BootstrapEstimate(y0=float(y0[0]), se=float(samples.std(ddof=1)), samples=samples,
+                             fp_iterations=tuple(int(k) for k in iterations[1:].max(axis=0, initial=0)))
 
 
 # ---------------------------------------------------------------------------

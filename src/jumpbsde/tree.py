@@ -358,15 +358,27 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
                   project=None, tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_FP_MAX_ITER):
     """Solve y = ey + dt f(t, y, z, u) at one step by fixed-point iteration from y = ey.
 
-    `project`, when given, maps every driver evaluation before it enters the
-    update. Returns (y, iterations); a diverging or slow iteration raises
-    FixedPointError with the step, the last delta and the contraction dt * max K1.
+    The driver is bound to (ctx, t, z, u) once (GeneratorSpec.bind) and each
+    iteration evaluates it in y alone, accumulating ey + dt f into the fresh
+    array it returns. `project`, when given, maps every driver evaluation to
+    a fresh array before it enters the update. Returns (y, iterations). A tol
+    that is not positive or a max_iter below 1 raises ValueError; a diverging
+    or slow iteration raises FixedPointError with the step, the last delta and
+    the contraction dt * max K1.
     """
+    if not tol > 0:
+        raise ValueError(f"fixed-point tolerance must be positive, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"fixed-point iteration limit must be at least 1, got {max_iter!r}")
+    fy = g.bind(ctx, t, z, u)
+    ey = np.ascontiguousarray(ey, dtype=float)
+    gap = np.empty(ey.shape)
     y = ey
     for it in range(1, max_iter + 1):
-        f_val = np.asarray(g.eval(ctx, t, y, z, u), dtype=float)
-        y_new = ey + dt * (f_val if project is None else project(f_val))
-        delta = float(np.max(np.abs(y_new - y))) if y.size else 0.0
+        y_new = fy(y) if project is None else project(fy(y))
+        y_new *= dt
+        y_new += ey
+        delta = float(np.abs(np.subtract(y_new, y, out=gap), out=gap).max()) if gap.size else 0.0
         y = y_new
         if delta <= tol:
             return y, it
@@ -383,8 +395,6 @@ def _sweep(tree: ScenarioTree, g: GeneratorSpec, xi, n: int | None, tol: float, 
     With n, the terminal values and every driver evaluation are averaged over
     the removed marks' counts and U is zeroed on the removed marks.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     lat = tree.lattice
     steps, dt = tree.n_steps, tree.grid.dt
     j = tree.model.n_marks
@@ -444,13 +454,14 @@ def _centered_average(values, shape: tuple, gone: list, w: np.ndarray) -> np.nda
     (their joint law, C order over gone), and broadcast the mean back.
 
     The average is centred at index 0 of every gone axis, so values constant
-    along those axes pass through bitwise and the average is idempotent.
+    along those axes pass through bitwise and the average is idempotent. The
+    result is a fresh array.
     """
     perm = [a for a in range(len(shape)) if a not in gone] + list(gone)
     t = np.asarray(values, dtype=float).reshape(shape).transpose(perm)
     rows = t.reshape(-1, w.size)
     mean = rows[:, 0] + (rows - rows[:, :1]) @ w
-    return np.broadcast_to(mean[:, None], rows.shape).reshape(t.shape).transpose(np.argsort(perm)).reshape(-1)
+    return np.repeat(mean[:, None], w.size, axis=1).reshape(t.shape).transpose(np.argsort(perm)).reshape(-1)
 
 
 def project_coarse(tree: ScenarioTree, values, n: int, level: int | None = None) -> np.ndarray:

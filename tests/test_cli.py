@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -99,6 +100,27 @@ def test_solve_mc_summary(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "Y_mean", "Y_se", "Z_mean", "U_1_mean"]
     assert len(rows) == 1 + 4
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_solve_mc_writes_fixed_point_iterations_in_meta(tmp_path, bootstrap):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"drift": 0.0, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.2}]},
+        "grid": {"T": 1.0, "steps": 3},
+        "generator": {"name": "linear_driver", "a": 0.4, "b": 0.2, "c": -0.5},
+        "terminal": "x",
+        "paths": 500,
+        "n_boot": 4,
+        "bootstrap": bootstrap,
+    }))
+    assert run_cli(["solve-mc", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    fp = read_report(tmp_path / "out")["meta"]["fp_iterations"]
+    assert len(fp["base"]) == 3 and all(k >= 2 for k in fp["base"])  # y-dependent: one update, one confirming
+    if bootstrap:
+        assert len(fp["bootstrap_max"]) == 3 and all(k >= 2 for k in fp["bootstrap_max"])
+    else:
+        assert fp["bootstrap_max"] is None
 
 
 def test_failed_verdict_outranks_unmet_preconditions():
@@ -257,10 +279,23 @@ def test_bihari_scalar_rate_on_zero_length_window(tmp_path):
     assert data["bound"] == 1.5 and data["integral_K"] == 0.0
 
 
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """command -> the directory of its default run, made once per module on first use."""
+    runs = {}
+
+    def get(command):
+        if command not in runs:
+            runs[command] = tmp_path_factory.mktemp(command)
+            assert run_cli([command, "--out", runs[command]]) == 0
+        return runs[command]
+
+    return get
+
+
 @pytest.mark.parametrize("command", list(_COMMANDS))
-def test_reports_byte_identical_modulo_meta(tmp_path, command):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli([command, "--out", out1]) == 0
+def test_reports_byte_identical_modulo_meta(tmp_path, default_run, command):
+    out1, out2 = default_run(command), tmp_path / "b"
     assert run_cli([command, "--out", out2]) == 0
     r1, r2 = read_report(out1), read_report(out2)
     assert r1.pop("meta")["runtime_seconds"] > 0
@@ -270,6 +305,28 @@ def test_reports_byte_identical_modulo_meta(tmp_path, command):
     assert tables and tables == sorted(f.name for f in out2.glob("*.csv"))
     for name in tables:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+DIGESTS = Path(__file__).with_name("default_digests.json")
+
+
+def default_output_digests(out_dir) -> dict:
+    """sha256 of report.json without meta, as Report.to_json writes it, and of every CSV in out_dir."""
+    report = read_report(out_dir)
+    report.pop("meta")
+    files = {"report.json": (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()}
+    files.update({f.name: f.read_bytes() for f in sorted(out_dir.glob("*.csv"))})
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_default_outputs_match_committed_digests(default_run, command):
+    # default_digests.json pins every default output; rewrite it only with a change meant to alter results
+    want = json.loads(DIGESTS.read_text())[command]
+    got = default_output_digests(default_run(command))
+    assert sorted(got) == sorted(want), f"{command}: output files {sorted(got)}, digests for {sorted(want)}"
+    for name, digest in want.items():
+        assert got[name] == digest, f"{command}: {name} differs from its digest in {DIGESTS.name}"
 
 
 def test_usage_error_exits_3_with_argparse_message(capsys):

@@ -156,7 +156,7 @@ def test_weighted_bootstrap_matches_resampled_passes(inst):
     np.testing.assert_allclose(est.samples, ref_y0[1:], rtol=0.0, atol=1e-10)
 
     weights = np.array([np.bincount(idx, minlength=paths) for idx in resamples], dtype=float)
-    _, degrees, _ = _backward_pass(bundle, g, XI_X, RegressionBasis(), weights)
+    _, degrees, _, _ = _backward_pass(bundle, g, XI_X, RegressionBasis(), weights)
     np.testing.assert_array_equal(degrees, ref_degrees)
     if inst["name"] == "two_jumps":
         # pure-jump resamples lose rare lattice values, so some fits drop degree

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -181,6 +182,32 @@ def test_fixed_point_divergence_raises():
     tree = build_tree(LevyModel(0.0, 0.0), TimeGrid(1.0, 1))
     with pytest.raises(FixedPointError, match=r"step 0 .*last delta 8\.88e\+34, estimated contraction dt\*K1 = 5$"):
         solve_backward(tree, linear_y(5.0), make_terminal({"name": "const", "value": 1.0}), max_iter=50)
+
+
+@pytest.mark.parametrize("kwargs, message", [({"tol": float("nan")}, "tolerance must be positive, got nan"),
+                                             ({"tol": 0.0}, "tolerance must be positive, got 0.0"),
+                                             ({"max_iter": 0}, "limit must be at least 1, got 0")])
+def test_fixed_point_rejects_bad_inputs(kwargs, message):
+    # a NaN tolerance used to run every iteration and report "last delta 0"; max_iter=0 hit an unbound name
+    tree = build_tree(LevyModel(0.0, 1.0), TimeGrid(1.0, 2))
+    with pytest.raises(ValueError, match=message):
+        solve_backward(tree, linear_y(0.5), XI_X, **kwargs)
+    ctx = tree.lattice.context(0)
+    with pytest.raises(ValueError, match=message):
+        implicit_step(linear_y(0.5), ctx, 0.0, 0.5, np.ones(1), np.zeros(1), np.zeros((1, 0)), 0, **kwargs)
+
+
+def test_solvers_use_a_replaced_eval_not_the_curried_form_it_replaced():
+    tree = build_tree(LevyModel(0.1, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 3))
+    g = linear_driver(0.3, 0.4, -0.5)
+    doubled = replace(g, eval=lambda ctx, t, y, z, u: 2.0 * g.eval(ctx, t, y, z, u))
+    plain = GeneratorSpec(name="doubled", eval=doubled.eval)  # eval only, never curried
+    for spec, ref, old in [(doubled, plain, g),
+                           (shift_generator(doubled, 0.3), shift_generator(plain, 0.3), shift_generator(g, 0.3))]:
+        got, want = solve_backward(tree, spec, XI_TANH), solve_backward(tree, ref, XI_TANH)
+        assert got.y0 != solve_backward(tree, old, XI_TANH).y0, spec.name
+        for a, b in zip(got.Y.lattice + got.Z.lattice + got.U.lattice, want.Y.lattice + want.Z.lattice + want.U.lattice):
+            assert a.tobytes() == b.tobytes(), spec.name
 
 
 TWO_MARK_MODEL = LevyModel(0.1, 1.0, ((0.05, 2.0), (0.5, 0.8)))
