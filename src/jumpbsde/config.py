@@ -21,14 +21,22 @@ class ConfigError(ValueError):
     pass
 
 
+class _ConfigObject(dict):
+    """A JSON object read from a config file: looking up a key it lacks raises ConfigError naming the key."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing required config key {key!r}")
+
+
 def load_config(path) -> dict:
     """Read a config file; it must hold a non-empty JSON object.
 
     A file that cannot be read or is not valid JSON raises ConfigError naming the path.
+    Every object in it raises ConfigError, not KeyError, on a missing key that a runner requires.
     """
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_hook=_ConfigObject)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read the config: {exc.strerror}") from None
     except json.JSONDecodeError as exc:

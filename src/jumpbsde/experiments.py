@@ -139,35 +139,47 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
-def _pathwise_time_sum(tree: ScenarioTree, coeff_at_level) -> np.ndarray:
-    """Per-leaf left-endpoint sums sum_i dt * c(ctx_i, t_i) along each path."""
-    dt = tree.grid.dt
-    times = tree.grid.times
-    run = np.zeros(1)
+def _lattice_coeff(tree: ScenarioTree, coeff, i: int) -> np.ndarray:
+    """dt * c(ctx_i, t_i) at every level-i point of the count lattice."""
+    c = np.asarray(coeff(tree.lattice.context(i), float(tree.grid.times[i])), dtype=float)
+    return tree.grid.dt * np.broadcast_to(c, tree.lattice.x[i].shape)
+
+
+def _to_kids(tree: ScenarioTree, i: int, ufunc, fill: float, values) -> np.ndarray:
+    """Reduce per-branch values (a row per level-i lattice point) onto the points they lead to."""
+    out = np.full(tree.lattice.x[i + 1].size, fill)
+    ufunc.at(out, tree.lattice.kids[i][: len(values)], values)
+    return out
+
+
+def _sup_time_sum(tree: ScenarioTree, coeff) -> float:
+    """Pathwise sup of sum_i dt * c(ctx_i, t_i) by the max-plus recursion V' = max over parents of
+    V + dt c on the lattice; rounded addition is monotone, so it is the max of the path sums bitwise."""
+    v = np.zeros(1)
     for i in range(tree.n_steps):
-        c = np.broadcast_to(np.asarray(coeff_at_level(i, float(times[i])), dtype=float), (tree.level_size(i),))
-        run = np.repeat(run + dt * c, tree.branching)
-    return run
+        v = _to_kids(tree, i, np.maximum, -np.inf, (v + _lattice_coeff(tree, coeff, i))[:, None])
+    return float(v.max())
 
 
 def measure_ck(tree: ScenarioTree, g) -> float:
     """Pathwise sup of int (K1 + K2^2) dt on the grid."""
-    sums = _pathwise_time_sum(
-        tree, lambda i, t: g.K1(tree.context(i), t) + np.asarray(g.K2(tree.context(i), t)) ** 2
-    )
-    return float(sums.max())
+    return _sup_time_sum(tree, lambda ctx, t: g.K1(ctx, t) + np.asarray(g.K2(ctx, t)) ** 2)
 
 
 def measure_e_if2(tree: ScenarioTree, g) -> float:
-    """E[(int F dt)^2] on the grid."""
-    i_f = _pathwise_time_sum(tree, lambda i, t: g.F(tree.context(i), t))
-    return float((i_f * i_f) @ tree.node_prob[tree.n_steps])
+    """E[(int F dt)^2] on the grid, from each lattice point's mass-weighted moments m1, m2 of the
+    running sum S: a step adds a = dt F to S, and the moments flow to the kids by branch probability."""
+    lat, p, m1, m2 = tree.lattice, tree.branch_prob, np.zeros(1), np.zeros(1)
+    for i in range(tree.n_steps):
+        a = _lattice_coeff(tree, g.F, i)
+        s1, s2 = m1 + a * lat.mass[i], m2 + a * (2.0 * m1 + a * lat.mass[i])
+        m1, m2 = (_to_kids(tree, i, np.add, 0.0, s[:, None] * p) for s in (s1, s2))
+    return float(m2.sum())
 
 
 def measure_beta2_budget(tree: ScenarioTree, g) -> float:
     """Pathwise sup of int beta^2 dt on the grid."""
-    sums = _pathwise_time_sum(tree, lambda i, t: np.asarray(g.beta(tree.context(i), t)) ** 2)
-    return float(sums.max())
+    return _sup_time_sum(tree, lambda ctx, t: np.asarray(g.beta(ctx, t)) ** 2)
 
 
 def _terminal_gap(tree: ScenarioTree, xi, xi_prime) -> float:
@@ -185,24 +197,20 @@ def max_ordering_violation(sol: TreeSolution, sol_prime: TreeSolution) -> float:
 
 
 def stability_inputs(tree: ScenarioTree, sol, sol_prime, g, g_prime) -> dict:
-    """Measured ingredients of the two-solution stability bound.
+    """Measured ingredients of the two-solution stability bound, from lattice values.
 
     delta = E|terminal gap|^2 + 2 E int |dY| |driver gap at the first
     solution's arguments| dt; a integrates the second driver's alpha;
     b is the pathwise budget of its beta^2.
     """
-    dt = tree.grid.dt
-    times = tree.grid.times
-    e_dxi2 = tree.expectation((sol.Y[-1] - sol_prime.Y[-1]) ** 2, tree.n_steps)
+    lat, y, y_p = tree.lattice, sol.Y.lattice, sol_prime.Y.lattice
+    e_dxi2 = lat.expectation((y[-1] - y_p[-1]) ** 2, tree.n_steps)
     cross = 0.0
-    for i in range(tree.n_steps):
-        ctx = tree.context(i)
-        t = float(times[i])
-        df = np.abs(
-            np.asarray(g.eval(ctx, t, sol.Y[i], sol.Z[i], sol.U[i]), dtype=float)
-            - np.asarray(g_prime.eval(ctx, t, sol.Y[i], sol.Z[i], sol.U[i]), dtype=float)
-        )
-        cross += tree.expectation(np.abs(sol.Y[i] - sol_prime.Y[i]) * df, i) * dt
+    for i, (z, u) in enumerate(zip(sol.Z.lattice, sol.U.lattice)):
+        ctx, t = lat.context(i), float(tree.grid.times[i])
+        df = np.abs(np.asarray(g.eval(ctx, t, y[i], z, u), dtype=float)
+                    - np.asarray(g_prime.eval(ctx, t, y[i], z, u), dtype=float))
+        cross += lat.expectation(np.abs(y[i] - y_p[i]) * df, i) * tree.grid.dt
     a_val, _ = quad(lambda s: float(g_prime.alpha(s)), 0.0, tree.grid.horizon, limit=200)
     return {
         "delta": float(e_dxi2 + 2.0 * cross),
@@ -459,6 +467,8 @@ def run_truncation_study(cfg: dict | None = None) -> Report:
     tol = float(cfg.get("tolerance", 1e-8))
     model, grid = resolve_model_grid(cfg)
     levels = sorted(int(n) for n in cfg["levels"])
+    if not levels:
+        raise ConfigError("truncate-study needs at least one truncation level in 'levels'")
     case = Case(name="truncation_levels")
 
     kept_coarse = kept_marks_mask(model, levels[0])

@@ -216,22 +216,9 @@ class ScenarioTree:
         """Compensated per-branch jump increments, shape (B, J)."""
         return self.dn_branch - self.model.intensities * self.grid.dt
 
-    def infer_level(self, values) -> int:
-        size = int(np.asarray(values).shape[0])
-        if self.branching == 1:
-            if size != 1:
-                raise ModelError("values do not match any tree level")
-            return 0
-        level = int(round(np.log(size) / np.log(self.branching)))
-        if self.branching**level != size or level > self.n_steps:
-            raise ModelError(f"array of length {size} does not match any tree level")
-        return level
-
-    def expectation(self, values, level: int | None = None) -> float:
+    def expectation(self, values, level: int) -> float:
         """Unconditional expectation of per-node values at one level."""
-        v = np.asarray(values, dtype=float)
-        lvl = self.infer_level(v) if level is None else level
-        return float(v @ self.node_prob[lvl])
+        return float(np.asarray(values, dtype=float) @ self.node_prob[level])
 
 
 def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
@@ -285,13 +272,12 @@ def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
 
 
 def conditional_expectation(tree: ScenarioTree, values) -> np.ndarray:
-    """Exact one-level conditional expectation: values at level i+1 -> level i."""
+    """Exact one-level conditional expectation: values at level i+1 -> level i, for i in 0..N-1."""
     v = np.asarray(values, dtype=float)
     if tree.branching == 1:
         return v.copy()
-    level = tree.infer_level(v)
-    if level == 0:
-        raise ModelError("values sit at the root; there is no coarser level")
+    if v.shape[0] not in map(tree.level_size, range(1, tree.n_steps + 1)):
+        raise ModelError(f"{v.shape[0]} values fit no tree level 1..{tree.n_steps}, so no level below the root")
     return v.reshape(-1, tree.branching) @ tree.branch_prob
 
 
@@ -464,7 +450,7 @@ def _centered_average(values, shape: tuple, gone: list, w: np.ndarray) -> np.nda
     return np.repeat(mean[:, None], w.size, axis=1).reshape(t.shape).transpose(np.argsort(perm)).reshape(-1)
 
 
-def project_coarse(tree: ScenarioTree, values, n: int, level: int | None = None) -> np.ndarray:
+def project_coarse(tree: ScenarioTree, values, n: int, level: int) -> np.ndarray:
     """Exact conditional expectation given the Brownian signs and the jumps
     of marks with |x| >= 1/n, applied to per-node values at one level.
 
@@ -477,7 +463,7 @@ def project_coarse(tree: ScenarioTree, values, n: int, level: int | None = None)
     length raises ModelError.
     """
     v = np.asarray(values, dtype=float)
-    lvl = tree.infer_level(v) if level is None else int(level)
+    lvl = int(level)
     if not 0 <= lvl <= tree.n_steps or v.size != tree.level_size(lvl):
         raise ModelError(f"level {lvl} does not fit {v.size} values: a tree of {tree.n_steps} steps "
                          f"has {tree.branching}**level nodes at levels 0..{tree.n_steps}")

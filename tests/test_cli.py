@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import jumpbsde
-from jumpbsde.cli import _COMMANDS, _exit_code, main, run
+from jumpbsde import experiments
+from jumpbsde.cli import _COMMANDS, _demo_model_config, _exit_code, main, run
 from jumpbsde.config import ConfigError, load_config
 from jumpbsde.experiments import Case, Report
 
@@ -355,6 +356,30 @@ def test_unreadable_config_is_one_line_and_exit_3(tmp_path, capsys, kind):
         "invalid_json": "invalid JSON at line 4 column 1: Expecting value",
     }[kind]
     assert line == f"jumpbsde bihari: error: {path}: {expected}"
+
+
+BIHARI_CONFIG = {"c": 1.0, "K": 2.0, "rho": "identity", "t": 0.0, "T": 1.0}
+REQUIRED_KEY_CASES = [
+    pytest.param("compare", experiments.default_comparison_config(), "pairs", None, id="compare"),
+    pytest.param("apriori", experiments.default_apriori_config(), "instances", None, id="apriori"),
+    pytest.param("convergence", experiments.default_convergence_config(), "steps_list", None, id="convergence"),
+    pytest.param("solve-mc", {**_demo_model_config(), "paths": 1000}, "paths", None, id="solve-mc"),
+    pytest.param("solve-lattice", _demo_model_config(), "generator", None, id="solve-lattice"),
+    pytest.param("truncate-study", experiments.default_truncation_config(), "levels", None, id="truncate-study"),
+    pytest.param("truncate-study", experiments.default_truncation_config(), "levels", [], id="truncate-study-empty"),
+    pytest.param("bihari", BIHARI_CONFIG, "K", None, id="bihari"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, key, value", REQUIRED_KEY_CASES)
+def test_missing_required_key_is_one_line_and_exit_3(tmp_path, capsys, command, cfg, key, value):
+    # value None drops the key; any other value replaces it with one the runner cannot use
+    cfg = {k: v for k, v in cfg.items() if k != key} | ({} if value is None else {key: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"jumpbsde {command}: error: ") and f"'{key}'" in line
 
 
 def test_check_counts_in_meta_only(tmp_path):

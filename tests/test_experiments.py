@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpbsde import (
     GeneratorSpec,
@@ -9,11 +11,15 @@ from jumpbsde import (
     TimeGrid,
     build_tree,
     constant_coeff,
+    jump_ordering_violator,
     l2_distance,
     linear_driver,
+    linear_y,
     shift_generator,
     solve_backward,
     stability_bound,
+    tanh_jump_integral,
+    zero_generator,
 )
 from jumpbsde.config import ConfigError
 from jumpbsde.experiments import (
@@ -21,6 +27,9 @@ from jumpbsde.experiments import (
     default_counterexample_config,
     default_truncation_config,
     gap_orders,
+    measure_beta2_budget,
+    measure_ck,
+    measure_e_if2,
     run_apriori_check,
     run_comparison,
     run_convergence,
@@ -242,3 +251,84 @@ def test_stability_bound_dominates_measured_gaps():
     )
     assert sup_gap + d.dZ + d.dU <= bound
     assert d.total() <= bound  # horizon is 1 here, so the integral version holds too
+
+
+# ---------------------------------------------------------------------------
+# Markov measurements on the count lattice against product-tree path sums
+# ---------------------------------------------------------------------------
+
+
+def pathwise_time_sum(tree, coeff):
+    """Reference: per-leaf left-endpoint sums sum_i dt * c(ctx_i, t_i) along every product-tree path."""
+    run = np.zeros(1)
+    for i in range(tree.n_steps):
+        c = np.asarray(coeff(tree.context(i), float(tree.grid.times[i])), dtype=float)
+        run = np.repeat(run + tree.grid.dt * np.broadcast_to(c, (tree.level_size(i),)), tree.branching)
+    return run
+
+
+def product_stability_delta(tree, sol, sol_prime, g, g_prime):
+    """Reference: (delta, E|terminal gap|^2) of stability_inputs from per-node values."""
+    e_dxi2 = tree.expectation((sol.Y[-1] - sol_prime.Y[-1]) ** 2, tree.n_steps)
+    cross = 0.0
+    for i in range(tree.n_steps):
+        ctx, t, args = tree.context(i), float(tree.grid.times[i]), (sol.Y[i], sol.Z[i], sol.U[i])
+        df = np.abs(np.asarray(g.eval(ctx, t, *args), dtype=float) - np.asarray(g_prime.eval(ctx, t, *args), dtype=float))
+        cross += tree.expectation(np.abs(sol.Y[i] - sol_prime.Y[i]) * df, i) * tree.grid.dt
+    return e_dxi2 + 2.0 * cross, e_dxi2
+
+
+# F, K1, K2 and beta vary with the state, the Brownian value, the jump counts and time
+STATE_COEFFS = GeneratorSpec(
+    name="state_coefficients",
+    eval=lambda ctx, t, y, z, u: 0.2 * np.sin(ctx.x + t) + 0.1 * np.cos(ctx.w) - 0.3 * np.asarray(y, dtype=float),
+    F=lambda ctx, t: 0.2 + 0.1 * np.abs(np.cos(ctx.w)) + np.abs(np.sin(ctx.x + t)),
+    K1=lambda ctx, t: 0.3 + 0.1 * np.tanh(ctx.x) ** 2 + 0.05 * t,
+    K2=lambda ctx, t: 0.1 * np.abs(ctx.w) + ctx.counts.sum(axis=1) + t,
+    beta=lambda ctx, t: np.sin(ctx.x) * ctx.w - t,
+)
+MEASURE_DRIVERS = [zero_generator(), linear_y(0.8), linear_driver(0.3, 0.2, -0.5), tanh_jump_integral(),
+                   jump_ordering_violator(), shift_generator(linear_driver(0.3, 0.2, -0.5), 0.4), STATE_COEFFS,
+                   shift_generator(STATE_COEFFS, -0.7)]
+MEASURE_TERMINALS = ["x", "tanh_x", {"name": "tanh_x", "shift": 0.3}, {"name": "clip_x", "lo": -0.3, "hi": 0.4}]
+
+
+@st.composite
+def measured_trees(draw):
+    """sigma in {0, 1}, 0-2 marks with lambda dt < 1, 1-6 steps, two drivers and two terminals."""
+    steps = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.sampled_from([0.5, -0.3, 1.5]), max_size=2, unique=True))
+    marks = tuple((x, draw(st.floats(0.05, 0.95)) * steps) for x in sizes)
+    tree = build_tree(LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks),
+                      TimeGrid(1.0, steps))
+    drivers = [draw(st.sampled_from(MEASURE_DRIVERS)) for _ in range(2)]
+    return tree, drivers, [make_terminal(draw(st.sampled_from(MEASURE_TERMINALS))) for _ in range(2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(measured_trees())
+def test_lattice_measures_match_product_path_sums(problem):
+    tree, (g, g_prime), (xi, xi_prime) = problem
+    for h in (g, g_prime):
+        ck = pathwise_time_sum(tree, lambda ctx, t: h.K1(ctx, t) + np.asarray(h.K2(ctx, t)) ** 2).max()
+        assert measure_ck(tree, h) == ck
+        assert measure_beta2_budget(tree, h) == pathwise_time_sum(tree, lambda ctx, t: np.asarray(h.beta(ctx, t)) ** 2).max()
+        i_f = pathwise_time_sum(tree, h.F)
+        assert measure_e_if2(tree, h) == pytest.approx((i_f * i_f) @ tree.node_prob[tree.n_steps], rel=1e-12, abs=0.0)
+    sol, sol_prime = solve_backward(tree, g, xi), solve_backward(tree, g_prime, xi_prime)
+    inputs = stability_inputs(tree, sol, sol_prime, g, g_prime)
+    delta, e_dxi2 = product_stability_delta(tree, sol, sol_prime, g, g_prime)
+    assert inputs["delta"] == pytest.approx(delta, rel=1e-12, abs=0.0)
+    assert inputs["e_dxi2"] == pytest.approx(e_dxi2, rel=1e-12, abs=0.0)
+    assert inputs["b"] == measure_beta2_budget(tree, g_prime)
+
+
+def test_markov_measurements_leave_the_product_index_unenumerated():
+    tree = build_tree(LevyModel(0.1, 1.0, ((0.5, 0.5), (-0.3, 0.4))), TimeGrid(1.0, 4))
+    g, g_prime = STATE_COEFFS, shift_generator(linear_driver(0.3, 0.2, -0.5), 0.4)
+    sol, sol_prime = solve_backward(tree, g, make_terminal("x")), solve_backward(tree, g_prime, make_terminal("tanh_x"))
+    measure_ck(tree, g), measure_beta2_budget(tree, g), measure_e_if2(tree, g)
+    stability_inputs(tree, sol, sol_prime, g, g_prime)
+    assert len(tree.index._levels) == 1  # the root alone: no product level was enumerated
+    tree.states[2]
+    assert len(tree.index._levels) == 3  # a per-node read enumerates the levels up to its own
