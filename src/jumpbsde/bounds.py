@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +47,47 @@ def get_rho(spec) -> RhoFunction:
     return rho
 
 
-def _integral_inv_rho(a: float, b: float, rho: RhoFunction) -> float:
-    """Signed adaptive quadrature of 1/rho from a to b."""
-    global _quadratures_run
-    _quadratures_run += 1
+class _Modulus:
+    """A modulus as the quadrature and Newton loops call it: rho and 1/rho on
+    one float each, and the kinks a quadrature is split at. Built once per
+    public call; user moduli without a scalar form go through the array form."""
 
-    def integrand(r):
-        return 1.0 / float(rho(r))
+    __slots__ = ("at", "inv", "kinks")
 
+    def __init__(self, rho: RhoFunction):
+        if rho.scalar is not None:
+            at = rho.scalar
+        else:
+            def at(x):
+                with np.errstate(over="ignore"):  # rho may overflow near the cap: an infinite step is out of domain
+                    return float(rho(x))
+        self.at = at
+        self.inv = lambda r: 1.0 / at(r)
+        self.kinks = tuple(sorted(rho.kinks))
+
+
+@contextmanager
+def _quiet_quadrature():
+    # a step toward an unreachable target may span an astronomically wide
+    # range; the bracket cap, not this accuracy warning, decides that case
     with warnings.catch_warnings():
-        # a step toward an unreachable target may span an astronomically wide
-        # range; the bracket cap, not this accuracy warning, decides that case
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
-    return float(val)
+        yield
 
 
-def bihari_transform(x: float, rho: RhoFunction) -> float:
-    """G(x): signed integral of 1/rho from 1 to x; needs x > 0.
+def _integral_inv_rho(a: float, b: float, mod: _Modulus) -> float:
+    """Signed adaptive quadrature of 1/rho from a to b, one piece between
+    each pair of kinks strictly inside the interval: a single quadrature
+    across a kink of xlogx missed the integral by 8e-8."""
+    global _quadratures_run
+    inside = [k for k in mod.kinks if min(a, b) < k < max(a, b)]
+    edges = [a, *(inside if a < b else inside[::-1]), b]
+    _quadratures_run += len(edges) - 1
+    return sum(quad(mod.inv, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)[0]
+               for lo, hi in zip(edges, edges[1:]))
 
-    One adaptive quadrature per factor TRANSFORM_PIECE_RATIO away from 1, as a
-    single quadrature over many decades misplaces its samples (G(1e12) for
-    sqrt came out 2000000.000000015, not 1999998).
-    """
+
+def _transform(x: float, mod: _Modulus) -> float:
     if x <= 0:
         raise BoundInputError("the transform is defined for positive arguments")
     if x == 1.0:
@@ -78,30 +97,40 @@ def bihari_transform(x: float, rho: RhoFunction) -> float:
     while max(x / edges[-1], edges[-1] / x) > TRANSFORM_PIECE_RATIO:
         edges.append(edges[-1] * step)
     edges.append(x)
-    return sum(_integral_inv_rho(a, b, rho) for a, b in zip(edges, edges[1:]))
+    return sum(_integral_inv_rho(a, b, mod) for a, b in zip(edges, edges[1:]))
 
 
-def _invert_transform(rise: float, rho: RhoFunction, x_start: float) -> float | None:
+def bihari_transform(x: float, rho: RhoFunction) -> float:
+    """G(x): signed integral of 1/rho from 1 to x; needs x > 0.
+
+    One adaptive quadrature per factor TRANSFORM_PIECE_RATIO away from 1, as a
+    single quadrature over many decades misplaces its samples (G(1e12) for
+    sqrt came out 2000000.000000015, not 1999998).
+    """
+    with _quiet_quadrature():
+        return _transform(x, _Modulus(rho))
+
+
+def _invert_transform(rise: float, mod: _Modulus, x_start: float) -> tuple[float | None, int]:
     """Solve G(x) - G(x_start) = rise >= 0 by Newton steps from x_start.
 
     The rise is carried along the iterates as a sum of short quadratures
     between them, never re-integrated over the whole range. Steps are
     signed, so an iterate above the root (possible only if rho decreases
-    somewhere) steps back down. Returns None when an iterate leaves
-    (0, BRACKET_CAP] or the steps do not settle, i.e. the target lies above
-    what G reaches.
+    somewhere) steps back down. Returns the root, or None when an iterate
+    leaves (0, BRACKET_CAP] or the steps do not settle, i.e. the target lies
+    above what G reaches; and the number of steps taken, the last included.
     """
     x, gained = x_start, 0.0
-    for _ in range(NEWTON_MAX_ITER):
-        with np.errstate(over="ignore"):  # rho may overflow near the cap: an infinite step is out of domain
-            step = (rise - gained) * float(rho(x))
+    for steps in range(1, NEWTON_MAX_ITER + 1):
+        step = (rise - gained) * mod.at(x)
         if abs(step) <= 1e-14 * x:
-            return x + step
+            return x + step, steps
         x_next = x + step
         if not 0.0 < x_next <= BRACKET_CAP:
-            return None
-        x, gained = x_next, gained + _integral_inv_rho(x, x_next, rho)
-    return None
+            return None, steps
+        x, gained = x_next, gained + _integral_inv_rho(x, x_next, mod)
+    return None, NEWTON_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -110,7 +139,8 @@ class BihariResult:
     bound: float | None
     G_of_c: float
     integral_K: float
-    quadratures: int = 0  # 1/rho integrals the bound ran, G(c) included
+    quadratures: int = 0  # 1/rho quadrature pieces the bound ran, G(c) included
+    newton_steps: int = 0  # Newton steps of the inversion, the last (below tolerance) included
 
 
 def _integrate_rate(K, t: float, T: float) -> float:
@@ -139,12 +169,14 @@ def bihari_bound(c: float, K, rho, t: float, T: float) -> BihariResult:
     integral_k = _integrate_rate(K, t, T)
     if integral_k < 0:
         raise BoundInputError("the rate integral must be nonnegative")
+    mod = _Modulus(rho)
     before = _quadratures_run
-    g_of_c = bihari_transform(c, rho)
-    root = _invert_transform(integral_k, rho, float(c))
+    with _quiet_quadrature():
+        g_of_c = _transform(c, mod)
+        root, steps = _invert_transform(integral_k, mod, float(c))
     status = "ok" if root is not None else "out-of-domain"
     return BihariResult(status=status, bound=root, G_of_c=g_of_c, integral_K=integral_k,
-                        quadratures=_quadratures_run - before)
+                        quadratures=_quadratures_run - before, newton_steps=steps)
 
 
 class PiecewiseConstantRate:
@@ -221,10 +253,11 @@ def stability_bound(a: float, b: float, delta: float, rho) -> float:
         raise BoundInputError("all stability inputs must be nonnegative")
     if delta == 0.0:
         return 0.0
-    rho = get_rho(rho)
+    mod = _Modulus(get_rho(rho))
     e4b = math.exp(4.0 * b)
-    h = _invert_transform(2.0 * e4b * a, rho, e4b * delta)
+    with _quiet_quadrature():
+        h, _ = _invert_transform(2.0 * e4b * a, mod, e4b * delta)
     if h is None:
         return math.inf
-    return 2.0 * e4b * delta + (2.0 * e4b * a + 1.0) * (h + float(rho(h)))
+    return 2.0 * e4b * delta + (2.0 * e4b * a + 1.0) * (h + mod.at(h))
 

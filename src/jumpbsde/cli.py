@@ -23,7 +23,8 @@ import numpy as np
 
 from . import experiments
 from .bounds import BoundInputError, PiecewiseConstantRate, bihari_bound
-from .config import ConfigError, basis_from_config, generator_from_config, load_config, resolve_model_grid
+from .config import (ConfigError, basis_from_config, config_value, generator_from_config, load_config,
+                     resolve_model_grid)
 from .experiments import Case, Report
 from .levy import ModelError, simulate_paths
 from .mc import bootstrap_y0, solve_mc
@@ -56,7 +57,7 @@ def _demo_model_config() -> dict:
 def _simulate(cfg):
     cfg = cfg or {**_demo_model_config(), "count": 1000}
     model, grid = resolve_model_grid(cfg)
-    bundle = simulate_paths(model, grid, int(cfg.get("count", 1000)), int(cfg.get("seed", 0)))
+    bundle = simulate_paths(model, grid, config_value(cfg, "count", int, 1000), config_value(cfg, "seed", int, 0))
     x = bundle.states()
     case = Case(name="simulate", data={
         "paths": bundle.n_paths,
@@ -90,10 +91,10 @@ def _solve_lattice(cfg):
     model, grid = resolve_model_grid(cfg)
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
-    tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
+    tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     tree = build_tree(model, grid)
-    level = cfg.get("truncation_level")
-    sol = solve_truncated(tree, g, xi, int(level), tol=tol) if level is not None else solve_backward(tree, g, xi, tol=tol)
+    level = config_value(cfg, "truncation_level", int, None)
+    sol = solve_truncated(tree, g, xi, level, tol=tol) if level is not None else solve_backward(tree, g, xi, tol=tol)
     case = Case(name="solve-lattice", data={"y0": sol.y0, "levels": tree.n_steps + 1,
                                             "max_fixed_point_iterations": max(sol.fp_iterations, default=0)})
     header = ["level", "node", "Y", "Z"] + [f"U_{k + 1}" for k in range(model.n_marks)]
@@ -108,7 +109,8 @@ def _solve_mc(cfg):
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     basis = basis_from_config(cfg)
-    sol = solve_mc(model, grid, g, xi, paths=int(cfg["paths"]), basis=basis, seed=int(cfg.get("seed", 0)))
+    paths, seed = config_value(cfg, "paths", int), config_value(cfg, "seed", int, 0)
+    sol = solve_mc(model, grid, g, xi, paths=paths, basis=basis, seed=seed)
     m = sol.Y.shape[0]
     j = model.n_marks
     rows = []
@@ -118,8 +120,8 @@ def _solve_mc(cfg):
         rows.append(row)
     est = None
     if cfg.get("bootstrap", True):
-        est = bootstrap_y0(model, grid, g, xi, paths=int(cfg["paths"]), basis=basis,
-                           seed=int(cfg.get("seed", 0)), n_boot=int(cfg.get("n_boot", 24)))
+        est = bootstrap_y0(model, grid, g, xi, paths=paths, basis=basis, seed=seed,
+                           n_boot=config_value(cfg, "n_boot", int, 24))
     case = Case(name="solve-mc", data={"y0": sol.y0, "paths": m, "degrees_used": list(sol.degrees_used),
                                        "y0_se_bootstrap": est.se if est else None})
     header = ["step", "Y_mean", "Y_se", "Z_mean"] + [f"U_{k + 1}_mean" for k in range(j)]
@@ -182,21 +184,21 @@ def _bihari(cfg):
     unknown = sorted(set(cfg) - set(_BIHARI_KEYS))
     if unknown:
         raise ConfigError(f"unknown bihari config keys {unknown}; valid: {list(_BIHARI_KEYS)}")
+    c, t, T = (config_value(cfg, key) for key in ("c", "t", "T"))
     k_spec = cfg["K"]
     if isinstance(k_spec, dict):
-        rate = PiecewiseConstantRate(k_spec["times"], k_spec["values"])
+        rate = PiecewiseConstantRate(config_value(k_spec, "times", [float]), config_value(k_spec, "values", [float]))
     else:  # a constant rate; a zero-length window has no table span, and its integral is 0
-        const = float(k_spec)
-        t, T = float(cfg["t"]), float(cfg["T"])
+        const = config_value(cfg, "K")
         rate = PiecewiseConstantRate([t, T], [const]) if T > t else (lambda s: const)
     rho = cfg.get("rho", "identity")
-    res = bihari_bound(float(cfg["c"]), rate, rho, float(cfg["t"]), float(cfg["T"]))
+    res = bihari_bound(c, rate, rho, t, T)
     case = Case(name="bihari", data={"status": res.status, "bound": res.bound,
                                      "G_of_c": res.G_of_c, "integral_K": res.integral_K})
     header = ["c", "rho", "t", "T", "integral_K", "G_of_c", "status", "bound"]
     rho_name = rho["name"] if isinstance(rho, dict) else rho
     row = [cfg["c"], rho_name, cfg["t"], cfg["T"], res.integral_K, res.G_of_c, res.status, res.bound]
-    report = Report("bihari", cfg, [case], meta={"quadratures": res.quadratures})
+    report = Report("bihari", cfg, [case], meta={"quadratures": res.quadratures, "newton_steps": res.newton_steps})
     return report, header, [row], str(res.bound if res.status == "ok" else res.status)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from numbers import Real
+from numbers import Integral, Real
 
 from .generators import GENERATOR_FACTORIES, GeneratorSpec, shift_generator
 from .levy import LevyModel, TimeGrid
@@ -19,6 +19,42 @@ from .mc import RegressionBasis
 
 class ConfigError(ValueError):
     pass
+
+
+_REQUIRED = object()
+
+
+def _number(value, kind: type):
+    """value as kind (float or int), or None when it is not a number kind can take."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return None
+    if kind is float:
+        return float(value)
+    return int(value) if isinstance(value, Integral) or float(value).is_integer() else None
+
+
+def config_value(cfg: dict, key: str, kind=float, default=_REQUIRED):
+    """cfg[key] as a number: kind float or int, or [float] or [int] for a list of them.
+
+    An absent key, or one set to null, gives `default`; without a default it
+    raises ConfigError. A value of the wrong type (a string, a bool, a number
+    that is not whole where an int is wanted) raises ConfigError naming the
+    key, never the bare ValueError or TypeError of float() and int().
+    """
+    if default is not _REQUIRED and cfg.get(key) is None:
+        return default
+    if key not in cfg:
+        raise ConfigError(f"missing required config key {key!r}")
+    value = cfg[key]
+    if isinstance(kind, list):
+        got = [_number(v, kind[0]) for v in value] if isinstance(value, (list, tuple)) else [None]
+        want = f"a list of {'integers' if kind[0] is int else 'numbers'}"
+    else:
+        got = [_number(value, kind)]
+        want = "an integer" if kind is int else "a number"
+    if None in got:
+        raise ConfigError(f"config key {key!r} must be {want}, got {value!r:.60}")
+    return got if isinstance(kind, list) else got[0]
 
 
 class _ConfigObject(dict):
@@ -62,20 +98,15 @@ def model_from_config(cfg: dict) -> LevyModel:
     _reject_unknown("model", cfg, _MODEL_KEYS)
     for m in cfg.get("marks", ()):
         _reject_unknown("model mark", m, _MARK_KEYS)
-    try:
-        marks = tuple((m["x"], m["lambda"]) for m in cfg.get("marks", ()))
-        return LevyModel(drift=float(cfg.get("drift", 0.0)), sigma=float(cfg.get("sigma", 0.0)), marks=marks)
-    except KeyError as exc:
-        raise ConfigError(f"model mark entries need 'x' and 'lambda': missing {exc}") from None
+    marks = tuple((config_value(m, "x"), config_value(m, "lambda")) for m in cfg.get("marks", ()))
+    return LevyModel(drift=config_value(cfg, "drift", float, 0.0), sigma=config_value(cfg, "sigma", float, 0.0),
+                     marks=marks)
 
 
 def grid_from_config(cfg: dict) -> TimeGrid:
     """A grid block {"T", "steps"}; unknown keys raise ConfigError."""
     _reject_unknown("grid", cfg, _GRID_KEYS)
-    try:
-        return TimeGrid(horizon=float(cfg["T"]), steps=int(cfg["steps"]))
-    except KeyError as exc:
-        raise ConfigError(f"grid config needs {exc}") from None
+    return TimeGrid(horizon=config_value(cfg, "T"), steps=config_value(cfg, "steps", int))
 
 
 def resolve_model_grid(cfg: dict) -> tuple[LevyModel, TimeGrid]:
@@ -123,4 +154,4 @@ def generator_from_config(spec) -> GeneratorSpec:
 
 
 def basis_from_config(cfg: dict) -> RegressionBasis:
-    return RegressionBasis(degree=int(cfg.get("basis_degree", 3)))
+    return RegressionBasis(degree=config_value(cfg, "basis_degree", int, 3))

@@ -16,10 +16,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bounds import apriori_bound
-from .config import ConfigError, generator_from_config, model_from_config, resolve_model_grid
+from .config import (ConfigError, basis_from_config, config_value, generator_from_config, model_from_config,
+                     resolve_model_grid)
 from .generators import SamplerConfig, check_jump_ordering, check_growth, check_monotonicity, check_ordering
 from .levy import TimeGrid, kept_marks_mask
-from .mc import RegressionBasis, bootstrap_y0, l2_distance
+from .mc import bootstrap_y0, l2_distance
 from .terminals import make_terminal
 from .tree import DEFAULT_FP_TOL, ScenarioTree, TreeSolution, build_tree, solve_backward, solve_truncated
 
@@ -300,9 +301,9 @@ def run_comparison(cfg: dict | None = None) -> Report:
     verdict asserted.
     """
     cfg = cfg or default_comparison_config()
-    fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
-    comp_tol = float(cfg.get("comparison_tol", 10.0 * fp_tol))
-    horizon = float(cfg.get("horizon", 1.0))
+    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
+    comp_tol = config_value(cfg, "comparison_tol", float, 10.0 * fp_tol)
+    horizon = config_value(cfg, "horizon", float, 1.0)
     cases, checks = [], []
     for pair in cfg["pairs"]:
         case = Case(name=pair["name"])
@@ -311,7 +312,7 @@ def run_comparison(cfg: dict | None = None) -> Report:
         gp = generator_from_config(pair["generator_prime"])
         xi = make_terminal(pair["terminal"])
         xip = make_terminal(pair["terminal_prime"])
-        grid = TimeGrid(horizon=float(pair.get("T", horizon)), steps=int(pair["steps"]))
+        grid = TimeGrid(horizon=config_value(pair, "T", float, horizon), steps=config_value(pair, "steps", int))
         tree = build_tree(model, grid)
 
         order = check_ordering(g, gp, model, SamplerConfig(horizon=grid.horizon))
@@ -379,8 +380,8 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     """Exhibit ordered data whose solutions are not ordered once the
     ordered-jump condition is dropped, and re-run with the boundary driver."""
     cfg = cfg or default_counterexample_config()
-    fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
-    threshold = float(cfg.get("margin_factor", 100.0)) * fp_tol
+    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
+    threshold = config_value(cfg, "margin_factor", float, 100.0) * fp_tol
     model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
     g = generator_from_config(cfg["generator"])
@@ -463,10 +464,10 @@ def run_truncation_study(cfg: dict | None = None) -> Report:
     per truncation level; distances must be non-increasing and vanish once
     every mark is retained."""
     cfg = cfg or default_truncation_config()
-    fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
-    tol = float(cfg.get("tolerance", 1e-8))
+    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
+    tol = config_value(cfg, "tolerance", float, 1e-8)
     model, grid = resolve_model_grid(cfg)
-    levels = sorted(int(n) for n in cfg["levels"])
+    levels = sorted(config_value(cfg, "levels", [int]))
     if not levels:
         raise ConfigError("truncate-study needs at least one truncation level in 'levels'")
     case = Case(name="truncation_levels")
@@ -527,7 +528,7 @@ def default_apriori_config() -> dict:
 def run_apriori_check(cfg: dict | None = None) -> Report:
     """Tree-measured solution norms against the explicit a-priori constants."""
     cfg = cfg or default_apriori_config()
-    fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
+    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
     sampler = SamplerConfig(horizon=grid.horizon)
@@ -638,12 +639,12 @@ def gap_orders(gaps) -> list:
 def run_convergence(cfg: dict | None = None) -> Report:
     """dt-refinement of the lattice value plus Monte-Carlo versus lattice gaps."""
     cfg = cfg or default_convergence_config()
-    fp_tol = float(cfg.get("fixed_point_tol", DEFAULT_FP_TOL))
+    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     model = model_from_config(cfg["model"])
-    horizon = float(cfg.get("T", 1.0))
+    horizon = config_value(cfg, "T", float, 1.0)
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
-    steps_list = [int(n) for n in cfg["steps_list"]]
+    steps_list = config_value(cfg, "steps_list", [int])
     if any(a >= b for a, b in zip(steps_list[:-1], steps_list[1:])):
         raise ConfigError(f"steps_list must be strictly increasing, got {steps_list}")
 
@@ -654,13 +655,13 @@ def run_convergence(cfg: dict | None = None) -> Report:
         y0s.append(solve_backward(tree, g, xi, tol=fp_tol).y0)
     gaps = [abs(a - b) for a, b in zip(y0s[:-1], y0s[1:])]
     case.data.update({"steps": steps_list, "y0": y0s, "gaps": gaps})
-    reference = cfg.get("reference")
+    reference = config_value(cfg, "reference", float, None)
     if reference is not None:
-        errs = [abs(y - float(reference)) for y in y0s]
+        errs = [abs(y - reference) for y in y0s]
         order = fit_order(steps_list, errs)
-        case.data.update({"reference": float(reference), "errors": errs, "fitted_order": order})
-        target = float(cfg.get("order_target", 1.0))
-        tol = float(cfg.get("order_tol", 0.3))
+        case.data.update({"reference": reference, "errors": errs, "fitted_order": order})
+        target = config_value(cfg, "order_target", float, 1.0)
+        tol = config_value(cfg, "order_tol", float, 0.3)
         case.assert_leq("order_within_band", abs(order - target), tol)
     else:
         case.data["fitted_order_from_gaps"] = gap_orders(gaps)
@@ -670,17 +671,18 @@ def run_convergence(cfg: dict | None = None) -> Report:
     if mc_cfg:
         mc_case = Case(name="mc_vs_lattice")
         mc_model = model_from_config(mc_cfg["model"])
-        mc_grid = TimeGrid(horizon=float(mc_cfg.get("T", horizon)), steps=int(mc_cfg["steps"]))
+        mc_grid = TimeGrid(horizon=config_value(mc_cfg, "T", float, horizon),
+                           steps=config_value(mc_cfg, "steps", int))
         mc_g = generator_from_config(mc_cfg["generator"])
         mc_xi = make_terminal(mc_cfg["terminal"])
         tree = build_tree(mc_model, mc_grid)
         y0_tree = solve_backward(tree, mc_g, mc_xi, tol=fp_tol).y0
         est = bootstrap_y0(
             mc_model, mc_grid, mc_g, mc_xi,
-            paths=int(mc_cfg["paths"]),
-            basis=RegressionBasis(degree=int(mc_cfg.get("basis_degree", 3))),
-            seed=int(mc_cfg.get("seed", 0)),
-            n_boot=int(mc_cfg.get("n_boot", 24)),
+            paths=config_value(mc_cfg, "paths", int),
+            basis=basis_from_config(mc_cfg),
+            seed=config_value(mc_cfg, "seed", int, 0),
+            n_boot=config_value(mc_cfg, "n_boot", int, 24),
         )
         mc_case.data.update({"y0_tree": y0_tree, "y0_mc": est.y0, "se": est.se})
         mc_case.assert_leq("mc_gap_within_3se", abs(est.y0 - y0_tree), 3.0 * est.se)

@@ -14,6 +14,7 @@ iterates in y alone.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -43,34 +44,63 @@ class StepContext:
 
 @dataclass(frozen=True)
 class RhoFunction:
-    """Modulus for the monotonicity condition: nondecreasing, concave, zero at zero."""
+    """Modulus for the monotonicity condition: nondecreasing, concave, zero at zero.
+
+    value is the array form, vectorized like a driver. scalar, when given, is
+    the same function on one Python float, equal to float(value(x)) bit for
+    bit (nan where value gives nan); the bound evaluators call it in their
+    quadrature and Newton loops, where a numpy call per point costs far more
+    than the arithmetic. kinks lists the points where the modulus is not
+    smooth; a quadrature of 1/rho is split there.
+    """
 
     value: Callable
     description: str = ""
+    scalar: Callable[[float], float] | None = None
+    kinks: tuple[float, ...] = ()
 
     def __call__(self, x):
         return self.value(x)
 
 
+_INV_E = 1.0 / math.e
+
+
 def _xlogx(x):
     x = np.asarray(x, dtype=float)
-    m = np.minimum(x, 1.0 / np.e)
+    m = np.minimum(x, _INV_E)
     with np.errstate(invalid="ignore"):
         out = 1.0 - m**m
     return np.where(m == 0.0, 0.0, out)  # 0^0 = 1 at the origin
 
 
+def _xlogx_scalar(x: float) -> float:
+    m = min(x, _INV_E)
+    if m == 0.0:
+        return 0.0
+    p = m**m  # complex for a negative non-integer m, where numpy gives nan
+    return math.nan if isinstance(p, complex) else 1.0 - p
+
+
+def _sqrt_scalar(x: float) -> float:
+    return math.sqrt(x) if x >= 0.0 else math.nan  # nan stays nan; -0.0 gives -0.0 as in numpy
+
+
 # The modulus catalog. 'sqrt' fails both the divergent-integral requirement
 # and the small-x rate condition; it is shipped for bound experiments only.
 RHO_CATALOG = {
-    "identity": RhoFunction(lambda x: np.asarray(x, dtype=float) + 0.0, "identity modulus"),
+    "identity": RhoFunction(lambda x: np.asarray(x, dtype=float) + 0.0, "identity modulus",
+                            scalar=lambda x: x + 0.0),
     "sqrt": RhoFunction(
         lambda x: np.sqrt(np.asarray(x, dtype=float)),
         "square root; for bound experiments only (integrable near zero, small-x rate 1)",
+        scalar=_sqrt_scalar,
     ),
     "xlogx": RhoFunction(
         _xlogx,
         "behaves like -x log x near zero, constant above 1/e; concave with divergent integral",
+        scalar=_xlogx_scalar,
+        kinks=(_INV_E,),
     ),
 }
 

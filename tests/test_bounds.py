@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,3 +248,43 @@ def test_overshoot_of_decreasing_rho_steps_back():
     res = bihari_bound(1.0, PiecewiseConstantRate([0.0, 1.0], [1.5]), falling, 0.0, 1.0)
     assert res.status == "ok"
     assert res.bound == pytest.approx(2.0, rel=1e-12)
+
+
+def test_xlogx_transform_identity_across_the_kink():
+    # the quadrature of G(bound) over [bound, 1] crosses the kink of xlogx at
+    # 1/e; as one piece it missed G(bound) - G(c) = int K by 8.2e-8
+    c = 0.11059704856352746
+    rate = PiecewiseConstantRate([0.0, 0.38101744075754795, 0.9340751637507851, 2.0],
+                                 [3.169323951154135, 1.0267349458276696, 1.9854046380964037])
+    res = bihari_bound(c, rate, "xlogx", 1.810656019681632, 1.9653221507910728)
+    assert res.status == "ok" and res.integral_K == 0.3070748540611103
+    assert res.bound == pytest.approx(0.1855415577742168, rel=1e-12)
+    rho = rho_catalog()["xlogx"]
+    lhs = bihari_transform(res.bound, rho) - bihari_transform(c, rho)
+    assert abs(lhs - res.integral_K) <= 1e-12
+
+
+def test_catalog_moduli_stay_on_their_scalar_form(monkeypatch):
+    """The bounds evaluate the catalog moduli on floats; an array call inside
+    their loops would mean a silent fall back to the slow path."""
+    from jumpbsde import generators
+
+    calls = []
+
+    def counting(value):
+        def wrapped(x):
+            calls.append(x)
+            return value(x)
+        return wrapped
+
+    for name, rho in rho_catalog().items():
+        monkeypatch.setitem(generators.RHO_CATALOG, name, replace(rho, value=counting(rho.value)))
+    for name, rho in rho_catalog().items():
+        assert rho.scalar is not None
+        res = bihari_bound(0.1, PiecewiseConstantRate([0.0, 1.0], [1.5]), name, 0.0, 1.0)
+        assert res.status == "ok" and res.newton_steps >= 1
+        assert bihari_transform(res.bound, rho) != 0.0
+        assert stability_bound(0.5, 0.3, 1e-3, name) > 0.0
+    assert calls == []
+    rho_catalog()["sqrt"](4.0)
+    assert calls == [4.0]  # the wrapper counts array calls

@@ -242,7 +242,9 @@ def test_bihari_reports_quadratures_in_meta_only(tmp_path):
     assert run_cli(["bihari", "--out", tmp_path / "bh"]) == 0
     report = read_report(tmp_path / "bh")
     assert 1 <= report["meta"]["quadratures"] <= 12
-    assert "quadratures" not in json.dumps({k: v for k, v in report.items() if k != "meta"})
+    assert 1 <= report["meta"]["newton_steps"] <= report["meta"]["quadratures"] + 1
+    body = json.dumps({k: v for k, v in report.items() if k != "meta"})
+    assert "quadratures" not in body and "newton_steps" not in body
 
 
 def test_bihari_rejects_unknown_keys(tmp_path):
@@ -380,6 +382,33 @@ def test_missing_required_key_is_one_line_and_exit_3(tmp_path, capsys, command, 
     assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"jumpbsde {command}: error: ") and f"'{key}'" in line
+
+
+MC_CONFIG = {**_demo_model_config(), "paths": 1000}
+WRONG_TYPE_CASES = [
+    pytest.param("bihari", {**BIHARI_CONFIG, "t": "zero"}, "t", "zero", "a number", id="t"),
+    pytest.param("bihari", {**BIHARI_CONFIG, "c": [1.0]}, "c", [1.0], "a number", id="c"),
+    pytest.param("truncate-study", {**experiments.default_truncation_config(), "levels": ["a"]}, "levels", ["a"],
+                 "a list of integers", id="levels"),
+    pytest.param("solve-lattice", {**_demo_model_config(), "grid": {"T": 1.0, "steps": 2.5}}, "steps", 2.5,
+                 "an integer", id="steps"),
+    pytest.param("solve-mc", {**MC_CONFIG, "paths": "many"}, "paths", "many", "an integer", id="paths"),
+    pytest.param("solve-mc", {**MC_CONFIG, "seed": True}, "seed", True, "an integer", id="seed"),
+    pytest.param("solve-mc", {**MC_CONFIG, "n_boot": 2.5}, "n_boot", 2.5, "an integer", id="n_boot"),
+    pytest.param("solve-lattice", {**_demo_model_config(), "fixed_point_tol": "tight"}, "fixed_point_tol", "tight",
+                 "a number", id="fixed_point_tol"),
+    pytest.param("compare", {**experiments.default_comparison_config(), "horizon": "1"}, "horizon", "1",
+                 "a number", id="horizon"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, key, value, want", WRONG_TYPE_CASES)
+def test_config_value_of_wrong_type_is_one_line_and_exit_3(tmp_path, capsys, command, cfg, key, value, want):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"jumpbsde {command}: error: config key '{key}' must be {want}, got {value!r}"
 
 
 def test_check_counts_in_meta_only(tmp_path):

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from jumpbsde.bounds import get_rho, rho_catalog
-from jumpbsde.config import ConfigError, generator_from_config, grid_from_config, model_from_config, resolve_model_grid
+from jumpbsde.config import (ConfigError, config_value, generator_from_config, grid_from_config, model_from_config,
+                             resolve_model_grid)
 from jumpbsde.generators import GENERATOR_FACTORIES, GeneratorSpec, RhoFunction
 from jumpbsde.terminals import TERMINAL_CATALOG, make_terminal
 
@@ -98,3 +99,18 @@ def test_nested_grid_block_rejects_unknown_keys():
     # the flat layout keeps the runner's own keys beside the grid's
     _, grid = resolve_model_grid({"sigma": 1.0, "T": 1.0, "steps": 4, "step": 2, "generator": "zero"})
     assert (grid.horizon, grid.steps) == (1.0, 4)
+
+
+def test_config_value_reads_numbers_only():
+    cfg = {"steps": 8.0, "tol": 1, "levels": [1, 4.0], "reference": None}
+    assert config_value(cfg, "steps", int) == 8 and type(config_value(cfg, "steps", int)) is int
+    assert config_value(cfg, "tol") == 1.0 and type(config_value(cfg, "tol")) is float
+    assert config_value(cfg, "levels", [int]) == [1, 4]
+    assert config_value(cfg, "reference", float, None) is None  # null reads as absent where a default exists
+    assert config_value(cfg, "seed", int, 0) == 0
+    for value, kind, want in [("8", float, "a number"), (True, float, "a number"), (0.5, int, "an integer"),
+                              ([1], int, "an integer"), (8, [int], "a list of integers")]:
+        with pytest.raises(ConfigError, match=re.escape(f"config key 'k' must be {want}, got {value!r}")):
+            config_value({"k": value}, "k", kind)
+    with pytest.raises(ConfigError, match="missing required config key 'paths'"):
+        config_value(cfg, "paths", int)

@@ -1,4 +1,6 @@
+import math
 import pickle
+import struct
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -242,6 +244,34 @@ def test_rho_reports():
         assert "below the grid" in report.note
     convex = rho_report(lambda x: np.asarray(x, dtype=float) ** 2, "square")
     assert not convex.passed  # convex: the midpoint check must flag it
+
+
+_INV_E = 1.0 / math.e
+RHO_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, _INV_E, math.nextafter(_INV_E, 0.0),
+             math.nextafter(_INV_E, 1.0), 0.5, 1.0, 1e300, math.inf, -math.inf, math.nan, -0.5, -1.0, -2.0, -1e300]
+
+
+def _rho_edge_examples(test):
+    for name in sorted(rho_catalog()):
+        for x in RHO_EDGES:
+            test = example(name=name, x=x)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(rho_catalog())), x=st.floats())
+@_rho_edge_examples
+def test_scalar_form_matches_array_form_bitwise(name, x):
+    """Every catalog modulus's float form equals float(rho(array)) bit for bit; nan matches nan."""
+    rho = rho_catalog()[name]
+    with np.errstate(all="ignore"):
+        want = float(rho(np.asarray(x)))
+    got = rho.scalar(x)
+    assert type(got) is float, (name, x, got)
+    if math.isnan(want):
+        assert math.isnan(got), (name, x, got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want), (name, x, got, want)
 
 
 # ---------------------------------------------------------------------------
