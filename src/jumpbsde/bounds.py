@@ -8,6 +8,12 @@ is concave for a nondecreasing rho, so steps started below the target stay
 below it and converge quadratically. The rise of G is carried along the
 iterates as a sum of short quadratures between them, so non-smooth moduli
 (piecewise-linear rho) and unbounded transforms are fine.
+
+scipy.integrate is reached only through this module's `quad`, which imports
+it on the first quadrature (`_quiet_quadrature` takes its warning class from
+the same import). Importing it takes about 0.6 s and 45 MB, which runs that
+never integrate (the trees, LSMC and the comparison suite) do not pay. No
+other module of the package imports scipy.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .config import resolve_spec
 from .generators import RHO_CATALOG, RhoFunction
@@ -66,12 +72,35 @@ class _Modulus:
         self.kinks = tuple(sorted(rho.kinks))
 
 
+@cache
+def _scipy_integrate():
+    """scipy.integrate, imported on the first call; cached, so the per-call
+    lookups of the bounds cost no import statement."""
+    import scipy.integrate
+
+    return scipy.integrate
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported by the first call, which rebinds this
+    name to it so that the quadrature and Newton loops pay no import. Callers
+    outside this module use `bounds.quad` too."""
+    global quad
+    scipy_quad = _scipy_integrate().quad
+    if quad is _deferred_quad:  # a substitute set in its place stays
+        quad = scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
+_deferred_quad = quad
+
+
 @contextmanager
 def _quiet_quadrature():
     # a step toward an unreachable target may span an astronomically wide
     # range; the bracket cap, not this accuracy warning, decides that case
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
+        warnings.simplefilter("ignore", _scipy_integrate().IntegrationWarning)
         yield
 
 

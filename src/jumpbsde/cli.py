@@ -4,9 +4,10 @@ the nonlinear Gronwall bound evaluator.
 Every subcommand takes --config <file.json> and --out <dir>; without
 --config a small built-in demo configuration is used. Each subcommand writes
 one CSV table plus report.json, whose meta.runtime_seconds is the time the
-subcommand took to compute its results. Exit status: 0 when every asserted
-verdict passed, 2 when hypothesis checks were unmet, 1 otherwise, and 3 with
-one line on stderr when the config or an input is invalid, or with argparse's
+subcommand took to compute its results and meta.peak_rss_mb the process's
+peak resident memory in MB. Exit status: 0 when every asserted verdict
+passed, 2 when hypothesis checks were unmet, 1 otherwise, and 3 with one
+line on stderr when the config or an input is invalid, or with argparse's
 usage message on a usage error (console script).
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -127,7 +129,9 @@ def _solve_mc(cfg):
     header = ["step", "Y_mean", "Y_se", "Z_mean"] + [f"U_{k + 1}_mean" for k in range(j)]
     summary = f"Y0 = {sol.y0:.6g}" + (f" (bootstrap se {est.se:.3g})" if est else "")
     meta = {"fp_iterations": {"base": list(sol.fp_iterations),
-                              "bootstrap_max": list(est.fp_iterations) if est else None}}
+                              "bootstrap_max": list(est.fp_iterations) if est else None},
+            "bootstrap": {"replicates": est.samples.size, "min": float(est.samples.min()),
+                          "max": float(est.samples.max())} if est else None}
     return Report("solve-mc", cfg, [case], meta=meta), header, rows, summary
 
 
@@ -235,6 +239,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     report, header, rows, summary = command(cfg)
     report.runtime_seconds = time.perf_counter() - start
+    report.meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KB
     with open(out_dir / csv_name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
+from . import bounds
 from .bounds import apriori_bound
 from .config import (ConfigError, basis_from_config, config_value, generator_from_config, model_from_config,
                      resolve_model_grid)
@@ -212,7 +212,7 @@ def stability_inputs(tree: ScenarioTree, sol, sol_prime, g, g_prime) -> dict:
         df = np.abs(np.asarray(g.eval(ctx, t, y[i], z, u), dtype=float)
                     - np.asarray(g_prime.eval(ctx, t, y[i], z, u), dtype=float))
         cross += lat.expectation(np.abs(y[i] - y_p[i]) * df, i) * tree.grid.dt
-    a_val, _ = quad(lambda s: float(g_prime.alpha(s)), 0.0, tree.grid.horizon, limit=200)
+    a_val, _ = bounds.quad(lambda s: float(g_prime.alpha(s)), 0.0, tree.grid.horizon, limit=200)
     return {
         "delta": float(e_dxi2 + 2.0 * cross),
         "a": float(a_val),

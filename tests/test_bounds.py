@@ -1,5 +1,10 @@
+import contextlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,3 +293,31 @@ def test_catalog_moduli_stay_on_their_scalar_form(monkeypatch):
     assert calls == []
     rho_catalog()["sqrt"](4.0)
     assert calls == [4.0]  # the wrapper counts array calls
+
+
+
+# rho(r) = r^2 bounds G above by 1 from c = 1, so the target int K = 50 is out
+# of reach: the Newton steps toward it span wide ranges of a fast-decaying
+# 1/rho, and scipy reports "probably divergent" on one of those quadratures
+SQUARE_SETUP = """
+import numpy as np
+from jumpbsde import PiecewiseConstantRate, RhoFunction, bihari_bound
+square = RhoFunction(lambda x: np.asarray(x, dtype=float) ** 2, "square")
+"""
+SQUARE_OUT_OF_REACH = "res = bihari_bound(1.0, PiecewiseConstantRate([0.0, 1.0], [50.0]), square, 0.0, 1.0)\n"
+
+
+def test_integration_warning_stays_filtered_after_deferred_import(monkeypatch):
+    from scipy.integrate import IntegrationWarning
+
+    monkeypatch.setattr(bounds, "_quiet_quadrature", contextlib.nullcontext)
+    with pytest.warns(IntegrationWarning):
+        exec(SQUARE_SETUP + SQUARE_OUT_OF_REACH, {})
+    # a fresh interpreter loads scipy.integrate inside the bound, with every warning an error
+    script = ("import sys\n" + SQUARE_SETUP + "assert 'scipy.integrate' not in sys.modules\n" + SQUARE_OUT_OF_REACH
+              + "assert 'scipy.integrate' in sys.modules\nprint(res.status)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(bounds.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "out-of-domain\n"

@@ -118,10 +118,13 @@ def test_solve_mc_writes_fixed_point_iterations_in_meta(tmp_path, bootstrap):
     assert run_cli(["solve-mc", "--config", cfg, "--out", tmp_path / "out"]) == 0
     fp = read_report(tmp_path / "out")["meta"]["fp_iterations"]
     assert len(fp["base"]) == 3 and all(k >= 2 for k in fp["base"])  # y-dependent: one update, one confirming
+    spread = read_report(tmp_path / "out")["meta"]["bootstrap"]
     if bootstrap:
         assert len(fp["bootstrap_max"]) == 3 and all(k >= 2 for k in fp["bootstrap_max"])
+        assert sorted(spread) == ["max", "min", "replicates"]
+        assert spread["replicates"] == 4 and spread["min"] <= spread["max"]
     else:
-        assert fp["bootstrap_max"] is None
+        assert fp["bootstrap_max"] is None and spread is None
 
 
 def test_failed_verdict_outranks_unmet_preconditions():
@@ -282,6 +285,38 @@ def test_bihari_scalar_rate_on_zero_length_window(tmp_path):
     assert data["bound"] == 1.5 and data["integral_K"] == 0.0
 
 
+COLD_START = """
+import sys
+import jumpbsde, jumpbsde.cli
+from jumpbsde import PiecewiseConstantRate, bihari_bound, bootstrap_y0, build_tree, make_terminal, solve_backward, solve_mc
+from jumpbsde.cli import _demo_model_config
+from jumpbsde.config import generator_from_config, resolve_model_grid
+from jumpbsde.experiments import default_comparison_config, run_comparison
+
+cfg = _demo_model_config()
+model, grid = resolve_model_grid(cfg)
+g, xi = generator_from_config(cfg["generator"]), make_terminal(cfg["terminal"])
+solve_backward(build_tree(model, grid), g, xi)
+solve_mc(model, grid, g, xi, paths=500)
+bootstrap_y0(model, grid, g, xi, paths=500, n_boot=4)
+comparison = default_comparison_config()
+assert run_comparison({**comparison, "pairs": comparison["pairs"][:1]}).passed
+assert "scipy.integrate" not in sys.modules, "loaded before any quadrature"
+print(repr(bihari_bound(0.3, PiecewiseConstantRate([0.0, 1.0], [1.5]), "xlogx", 0.0, 1.0).bound))
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_cold_start_loads_scipy_integrate_only_for_a_quadrature():
+    """Trees, LSMC and the comparison suite run without importing scipy.integrate;
+    the first Bihari bound imports it and gives the same value as this process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(jumpbsde.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = jumpbsde.bihari_bound(0.3, jumpbsde.PiecewiseConstantRate([0.0, 1.0], [1.5]), "xlogx", 0.0, 1.0).bound
+    assert proc.stdout == f"{want!r}\n"
+
+
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
     """command -> the directory of its default run, made once per module on first use."""
@@ -301,7 +336,8 @@ def test_reports_byte_identical_modulo_meta(tmp_path, default_run, command):
     out1, out2 = default_run(command), tmp_path / "b"
     assert run_cli([command, "--out", out2]) == 0
     r1, r2 = read_report(out1), read_report(out2)
-    assert r1.pop("meta")["runtime_seconds"] > 0
+    meta = r1.pop("meta")
+    assert meta["runtime_seconds"] > 0 and meta["peak_rss_mb"] > 0
     r2.pop("meta")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
     tables = sorted(f.name for f in out1.glob("*.csv"))
