@@ -34,9 +34,6 @@ TRANSFORM_PIECE_RATIO = 1e3
 NEWTON_MAX_ITER = 200
 BRACKET_CAP = 1e300
 
-_quadratures_run = 0  # 1/rho quadratures run in this process; bihari_bound reports the difference
-
-
 class BoundInputError(ValueError):
     pass
 
@@ -55,10 +52,11 @@ def get_rho(spec) -> RhoFunction:
 
 class _Modulus:
     """A modulus as the quadrature and Newton loops call it: rho and 1/rho on
-    one float each, and the kinks a quadrature is split at. Built once per
-    public call; user moduli without a scalar form go through the array form."""
+    one float each, the kinks a quadrature is split at, and the count of 1/rho
+    quadratures run with it. Built once per public call; user moduli without a
+    scalar form go through the array form."""
 
-    __slots__ = ("at", "inv", "kinks")
+    __slots__ = ("at", "inv", "kinks", "quadratures")
 
     def __init__(self, rho: RhoFunction):
         if rho.scalar is not None:
@@ -70,6 +68,7 @@ class _Modulus:
         self.at = at
         self.inv = lambda r: 1.0 / at(r)
         self.kinks = tuple(sorted(rho.kinks))
+        self.quadratures = 0
 
 
 @cache
@@ -108,10 +107,9 @@ def _integral_inv_rho(a: float, b: float, mod: _Modulus) -> float:
     """Signed adaptive quadrature of 1/rho from a to b, one piece between
     each pair of kinks strictly inside the interval: a single quadrature
     across a kink of xlogx missed the integral by 8e-8."""
-    global _quadratures_run
     inside = [k for k in mod.kinks if min(a, b) < k < max(a, b)]
     edges = [a, *(inside if a < b else inside[::-1]), b]
-    _quadratures_run += len(edges) - 1
+    mod.quadratures += len(edges) - 1
     return sum(quad(mod.inv, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)[0]
                for lo, hi in zip(edges, edges[1:]))
 
@@ -199,13 +197,12 @@ def bihari_bound(c: float, K, rho, t: float, T: float) -> BihariResult:
     if integral_k < 0:
         raise BoundInputError("the rate integral must be nonnegative")
     mod = _Modulus(rho)
-    before = _quadratures_run
     with _quiet_quadrature():
         g_of_c = _transform(c, mod)
         root, steps = _invert_transform(integral_k, mod, float(c))
     status = "ok" if root is not None else "out-of-domain"
     return BihariResult(status=status, bound=root, G_of_c=g_of_c, integral_K=integral_k,
-                        quadratures=_quadratures_run - before, newton_steps=steps)
+                        quadratures=mod.quadratures, newton_steps=steps)
 
 
 class PiecewiseConstantRate:

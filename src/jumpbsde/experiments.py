@@ -146,19 +146,12 @@ def _lattice_coeff(tree: ScenarioTree, coeff, i: int) -> np.ndarray:
     return tree.grid.dt * np.broadcast_to(c, tree.lattice.x[i].shape)
 
 
-def _to_kids(tree: ScenarioTree, i: int, ufunc, fill: float, values) -> np.ndarray:
-    """Reduce per-branch values (a row per level-i lattice point) onto the points they lead to."""
-    out = np.full(tree.lattice.x[i + 1].size, fill)
-    ufunc.at(out, tree.lattice.kids[i][: len(values)], values)
-    return out
-
-
 def _sup_time_sum(tree: ScenarioTree, coeff) -> float:
     """Pathwise sup of sum_i dt * c(ctx_i, t_i) by the max-plus recursion V' = max over parents of
     V + dt c on the lattice; rounded addition is monotone, so it is the max of the path sums bitwise."""
     v = np.zeros(1)
     for i in range(tree.n_steps):
-        v = _to_kids(tree, i, np.maximum, -np.inf, (v + _lattice_coeff(tree, coeff, i))[:, None])
+        v = tree.lattice.to_kids(i, np.maximum, -np.inf, (v + _lattice_coeff(tree, coeff, i))[:, None])
     return float(v.max())
 
 
@@ -174,7 +167,7 @@ def measure_e_if2(tree: ScenarioTree, g) -> float:
     for i in range(tree.n_steps):
         a = _lattice_coeff(tree, g.F, i)
         s1, s2 = m1 + a * lat.mass[i], m2 + a * (2.0 * m1 + a * lat.mass[i])
-        m1, m2 = (_to_kids(tree, i, np.add, 0.0, s[:, None] * p) for s in (s1, s2))
+        m1, m2 = (lat.to_kids(i, np.add, 0.0, s[:, None] * p) for s in (s1, s2))
     return float(m2.sum())
 
 

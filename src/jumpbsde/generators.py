@@ -202,14 +202,10 @@ def truncate_generator(g: GeneratorSpec, n: int) -> GeneratorSpec:
         raise ValueError("truncation level must be at least 1")
     nf = float(n)
 
-    def f_cap(ctx, t):
-        return np.minimum(g.F(ctx, t), nf)
+    def capped(coeff):
+        return lambda ctx, t: np.minimum(coeff(ctx, t), nf)
 
-    def k1_cap(ctx, t):
-        return np.minimum(g.K1(ctx, t), nf)
-
-    def k2_cap(ctx, t):
-        return np.minimum(g.K2(ctx, t), nf)
+    f_cap, k1_cap, k2_cap = capped(g.F), capped(g.K1), capped(g.K2)
 
     def bind_n(ctx, t, z, u):
         cz = clamp(z, n)

@@ -222,7 +222,10 @@ def bootstrap_y0(
 
     Each resample becomes a row of multinomial path weights, and all rows
     run through one weighted backward pass beside the unweighted base row.
+    The standard error needs n_boot >= 2 resamples.
     """
+    if n_boot < 2:
+        raise RegressionError(f"n_boot must be at least 2 for a bootstrap standard error, got {n_boot}")
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(987,))))
@@ -256,26 +259,12 @@ class L2Distance:
 def l2_distance(sol_a, sol_b) -> L2Distance:
     """Distance between two solutions on the same tree or the same path bundle.
 
-    Tree solutions are compared on their count lattice, whose points carry
-    the probability of all the nodes that share their values. The Y integral
-    runs over the N left endpoints, so a constant offset c contributes
-    exactly c^2 * T.
+    Tree solutions are compared on their count lattice (TreeSolution.square_integrals).
+    The Y integral runs over the N left endpoints, so a constant offset c
+    contributes exactly c^2 * T.
     """
     if isinstance(sol_a, TreeSolution) and isinstance(sol_b, TreeSolution):
-        ta, tb = sol_a.tree, sol_b.tree
-        if ta.branching != tb.branching or ta.n_steps != tb.n_steps:
-            raise ModelError("tree solutions live on different trees")
-        dt = ta.grid.dt
-        lam = ta.model.intensities
-        mean = ta.lattice.expectation
-        dy = sum(
-            mean((ya - yb) ** 2, i) for i, (ya, yb) in enumerate(zip(sol_a.Y.lattice[:-1], sol_b.Y.lattice[:-1]))
-        ) * dt
-        dz = sum(mean((za - zb) ** 2, i) for i, (za, zb) in enumerate(zip(sol_a.Z.lattice, sol_b.Z.lattice))) * dt
-        du = sum(
-            mean(((ua - ub) ** 2) @ lam, i) for i, (ua, ub) in enumerate(zip(sol_a.U.lattice, sol_b.U.lattice))
-        ) * dt
-        return L2Distance(float(dy), float(dz), float(du))
+        return L2Distance(*sol_a.square_integrals(sol_b))
     if isinstance(sol_a, McSolution) and isinstance(sol_b, McSolution):
         if sol_a.Y.shape != sol_b.Y.shape:
             raise ModelError("path solutions have mismatched shapes")

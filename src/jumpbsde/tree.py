@@ -54,6 +54,8 @@ class CountLattice:
     path_prob the probability of each single path that reaches it.
     kids[i][p, b] is the level-(i+1) point that branch b leads to from p:
     the point plus the branch's bits; rows past the level's points pad it.
+    Branch b leads from the root to level-1 point b, so level 1 holds the
+    one-step alphabet.
     """
 
     model: LevyModel
@@ -71,6 +73,13 @@ class CountLattice:
         """Unconditional expectation of per-point values at one level."""
         return float(self.mass[level] @ values)
 
+    def to_kids(self, level: int, ufunc, fill: float, values) -> np.ndarray:
+        """Reduce per-branch values (a row per level point) by ufunc onto the next level's points they lead to;
+        points no row reaches keep `fill`."""
+        out = np.full(self.x[level + 1].size, fill)
+        ufunc.at(out, self.kids[level][: len(values)], values)
+        return out
+
 
 def _count_law(level: int, q: float):
     """For k = 0..level successes in `level` Bernoulli(q) trials: the probability
@@ -84,14 +93,15 @@ def _build_lattice(model: LevyModel, grid: TimeGrid, nb: int) -> CountLattice:
     j = model.n_marks
     has_w = nb > j
     times, sqrt_dt = grid.times, np.sqrt(grid.dt)
-    q = ([0.5] if has_w else []) + list(model.intensities[::-1] * grid.dt)  # per bit, most significant first
-    bits = (np.arange(2**nb)[:, None] >> np.arange(nb - 1, -1, -1)) & 1
+    # (axis, law) per bit in the order the laws multiply: the Brownian sign, then marks 0, 1, ...
+    laws = ([(0, 0.5)] if has_w else []) + [(nb - 1 - k, q) for k, q in enumerate(model.intensities * grid.dt)]
+    bits = np.indices((2,) * nb).reshape(nb, 2**nb).T  # branch b's bits, the level-1 point it leads to
     x, w, counts, mass, path_prob, kids = [], [], [], [], [], []
     for i in range(grid.steps + 1):
         size = (i + 1) ** nb
         coords = np.indices((i + 1,) * nb).reshape(nb, size).T
         path, point = np.ones(size), np.ones(size)
-        for a, qa in enumerate(q):
+        for a, qa in laws:
             path_a, point_a = _count_law(i, qa)
             path, point = path * path_a[coords[:, a]], point * point_a[coords[:, a]]
         counts.append(coords[:, ::-1][:, :j].astype(float))
@@ -169,10 +179,11 @@ class LevelArrays(Sequence):
 
 @dataclass(frozen=True)
 class ScenarioTree:
-    """Enumerated product tree over the count lattice.
+    """Enumerated product tree over the count lattice, a view of it.
 
-    dw_branch, dn_branch and branch_prob describe one step's alphabet;
-    states/wpaths/counts/node_prob hold per-node values for levels 0..N.
+    dw_branch, dn_branch and branch_prob describe one step's alphabet, read
+    off the level-1 lattice points; states/wpaths/counts/node_prob hold
+    per-node values for levels 0..N.
     The children of node k are k*B + b, so a level-i node index has i
     base-B digits, the first step most significant. In branch b, mark j is
     bit j and the Brownian sign (when sigma > 0) is the top bit, so a level
@@ -235,33 +246,16 @@ def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
         raise TreeSizeError(
             f"tree needs {total} nodes (branching {branching}, {grid.steps} steps), cap is {DEFAULT_NODE_CAP}"
         )
-
-    dt = grid.dt
-    p_jump = model.intensities * dt
-
-    b_idx = np.arange(branching)
-    # Bit layout: mark j occupies bit j; the Brownian sign, if present, is the top bit.
-    dn_branch = ((b_idx[:, None] >> np.arange(j)[None, :]) & 1).astype(float) if j else np.zeros((branching, 0))
-    if has_w:
-        sign_bit = (b_idx >> j) & 1
-        dw_branch = np.where(sign_bit == 0, np.sqrt(dt), -np.sqrt(dt))
-        prob = np.full(branching, 0.5)
-    else:
-        dw_branch = np.zeros(branching)
-        prob = np.ones(branching)
-    for k in range(j):
-        bit = dn_branch[:, k]
-        prob = prob * np.where(bit == 1.0, p_jump[k], 1.0 - p_jump[k])
-
     lattice = _build_lattice(model, grid, int(has_w) + j)
+    first = lattice.kids[0][0]  # the level-1 point of each branch
     index = ProductIndex(lattice.kids)
     return ScenarioTree(
         model=model,
         grid=grid,
         branching=branching,
-        dw_branch=dw_branch,
-        dn_branch=dn_branch,
-        branch_prob=prob,
+        dw_branch=lattice.w[1][first],
+        dn_branch=lattice.counts[1][first],
+        branch_prob=lattice.path_prob[1][first],
         lattice=lattice,
         index=index,
         states=LevelArrays(index, lattice.x),
@@ -311,14 +305,26 @@ class TreeSolution:
         mean = self.tree.lattice.expectation
         return max(mean(y * y, lvl) for lvl, y in enumerate(self.Y.lattice))
 
+    def square_integrals(self, other: TreeSolution | None = None) -> tuple[float, float, float]:
+        """(E int |Y|^2 ds, E int |Z|^2 ds, E int ||U||^2 ds) on the grid, of this solution or of its gap
+        to `other` on a tree of the same shape, summed on the count lattice. The Y integral runs over the
+        N left endpoints, so a constant offset c contributes exactly c^2 * T."""
+        shape = (self.tree.branching, self.tree.n_steps)
+        if other is not None and (other.tree.branching, other.tree.n_steps) != shape:
+            raise ModelError("tree solutions live on different trees")
+
+        def levels(name):
+            mine = getattr(self, name).lattice
+            return mine if other is None else [a - b for a, b in zip(mine, getattr(other, name).lattice)]
+
+        dt, lam, mean = self.tree.grid.dt, self.tree.model.intensities, self.tree.lattice.expectation
+        return (float(sum(mean(y * y, i) for i, y in enumerate(levels("Y")[:-1])) * dt),
+                float(sum(mean(z * z, i) for i, z in enumerate(levels("Z"))) * dt),
+                float(sum(mean((u * u) @ lam, i) for i, u in enumerate(levels("U"))) * dt))
+
     def zu_integrals(self) -> tuple[float, float]:
         """Time-integrated second moments: (E int |Z|^2 ds, E int ||U||^2 ds)."""
-        dt = self.tree.grid.dt
-        lam = self.tree.model.intensities
-        mean = self.tree.lattice.expectation
-        z_tot = sum(mean(z * z, i) for i, z in enumerate(self.Z.lattice)) * dt
-        u_tot = sum(mean((u * u) @ lam, i) for i, u in enumerate(self.U.lattice)) * dt
-        return float(z_tot), float(u_tot)
+        return self.square_integrals()[1:]
 
 
 def _representation_weights(tree: ScenarioTree):

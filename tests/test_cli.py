@@ -456,3 +456,19 @@ def test_check_counts_in_meta_only(tmp_path):
     assert '"checks"' not in json.dumps({k: v for k, v in report.items() if k != "meta"})
     assert run_cli(["counterexample", "--out", tmp_path / "ce"]) == 0
     assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 2  # the two jump-ordering checks
+
+
+@pytest.mark.parametrize("n_boot", [0, 1])
+@pytest.mark.parametrize("command", ["solve-mc", "convergence"])
+def test_bootstrap_of_fewer_than_two_resamples_is_one_line_and_exit_3(tmp_path, capsys, command, n_boot):
+    if command == "solve-mc":
+        cfg = {**MC_CONFIG, "n_boot": n_boot}
+    else:
+        default = experiments.default_convergence_config()
+        cfg = {**default, "steps_list": [4, 8], "mc": {**default["mc"], "paths": 1000, "n_boot": n_boot}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"jumpbsde {command}: error: n_boot must be at least 2 for a bootstrap standard error, got {n_boot}"
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -185,3 +185,10 @@ def test_l2_distance_rejects_mixed_kinds():
     tree_sol = solve_backward(build_tree(model, grid), zero_generator(), XI_X)
     with pytest.raises(Exception):
         l2_distance(mc, tree_sol)
+
+
+@pytest.mark.parametrize("n_boot", [0, 1])
+def test_bootstrap_needs_two_resamples(n_boot):
+    # the standard error of fewer than two replicates is undefined (n_boot = 1 gave NaN)
+    with pytest.raises(RegressionError, match=f"^n_boot must be at least 2 .*, got {n_boot}$"):
+        bootstrap_y0(LevyModel(0.0, 1.0), TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200, n_boot=n_boot)

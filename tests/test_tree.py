@@ -1,12 +1,15 @@
+import ast
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jumpbsde
 from jumpbsde import (
     FixedPointError,
     GeneratorSpec,
@@ -453,6 +456,9 @@ def test_l2_distance_constant_offset():
     d = l2_distance(sol, shifted)
     assert d.dY == pytest.approx(0.25 * 1.0)  # c^2 * T over the left endpoints
     assert d.dZ == pytest.approx(0.0, abs=1e-28)
+    finer = solve_backward(build_tree(LevyModel(0.0, 1.0), TimeGrid(1.0, 5)), ZERO, XI_X)
+    with pytest.raises(ModelError, match="different trees"):
+        l2_distance(sol, finer)
 
 
 def one_step_weight_margin(tree, b, c) -> float:
@@ -664,3 +670,45 @@ def test_gathered_levels_match_the_eagerly_enumerated_index():
                             (tree.node_prob, lat.path_prob), (sol.Y, sol.Y.lattice)):
             assert np.array_equal(got[lvl], values[lvl][index[lvl]])
     assert sol.y0 == sol.Y.lattice[0][0]
+
+
+def bit_shift_alphabet(model, grid):
+    """The one-step alphabet built bit by bit: mark k is bit k of the branch and the Brownian sign,
+    when sigma > 0, the top bit; a branch's law multiplies the sign's 1/2, then marks 0, 1, ..."""
+    j, dt = model.n_marks, grid.dt
+    has_w = model.sigma > 0.0
+    b = np.arange((2 if has_w else 1) * 2**j)
+    dn = ((b[:, None] >> np.arange(j)[None, :]) & 1).astype(float) if j else np.zeros((b.size, 0))
+    if has_w:
+        dw = np.where((b >> j) & 1 == 0, np.sqrt(dt), -np.sqrt(dt))
+        prob = np.full(b.size, 0.5)
+    else:
+        dw, prob = np.zeros(b.size), np.ones(b.size)
+    for k, q in enumerate(model.intensities * dt):
+        prob = prob * np.where(dn[:, k] == 1.0, q, 1.0 - q)
+    return dw, dn, prob
+
+
+@st.composite
+def alphabet_models(draw):
+    """0-4 marks, sigma in {0, 1}, 1-3 steps, lambda * dt in (0, 1)."""
+    steps = draw(st.integers(1, 3))
+    marks = tuple((0.25 * (k + 1), draw(st.floats(0.01, 0.99)) * steps) for k in range(draw(st.integers(0, 4))))
+    return LevyModel(0.1, draw(st.sampled_from([0.0, 1.0])), marks), TimeGrid(1.0, steps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(alphabet_models())
+def test_alphabet_read_off_the_lattice_matches_the_bit_construction(problem):
+    model, grid = problem
+    tree = build_tree(model, grid)
+    for got, want in zip((tree.dw_branch, tree.dn_branch, tree.branch_prob), bit_shift_alphabet(model, grid)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_only_tree_reads_the_lattice_layout():
+    """The kids rows and their padding belong to tree.py; other modules go through CountLattice's methods."""
+    readers = [f"{path.name}:{node.lineno}" for path in sorted(Path(jumpbsde.__file__).parent.glob("*.py"))
+               if path.name != "tree.py" for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "kids"]
+    assert readers == []
