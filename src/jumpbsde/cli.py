@@ -25,8 +25,8 @@ import numpy as np
 
 from . import experiments
 from .bounds import BoundInputError, PiecewiseConstantRate, bihari_bound
-from .config import (ConfigError, basis_from_config, config_value, generator_from_config, load_config,
-                     resolve_model_grid)
+from .config import (ConfigError, _reject_unknown, basis_from_config, config_value, generator_from_config,
+                     load_config, resolve_model_grid)
 from .experiments import Case, Report
 from .levy import ModelError, simulate_paths
 from .mc import bootstrap_y0, solve_mc
@@ -185,9 +185,7 @@ _BIHARI_KEYS = ("c", "K", "rho", "t", "T")
 
 def _bihari(cfg):
     cfg = cfg or {"c": 1.0, "K": {"times": [0.0, 1.0], "values": [2.0]}, "rho": "identity", "t": 0.0, "T": 1.0}
-    unknown = sorted(set(cfg) - set(_BIHARI_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown bihari config keys {unknown}; valid: {list(_BIHARI_KEYS)}")
+    _reject_unknown("bihari config", cfg, _BIHARI_KEYS)
     c, t, T = (config_value(cfg, key) for key in ("c", "t", "T"))
     k_spec = cfg["K"]
     if isinstance(k_spec, dict):

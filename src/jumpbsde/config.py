@@ -1,15 +1,17 @@
 """JSON config parsing: models, grids, drivers, bases.
 
-The model/grid block is {"drift": a, "sigma": s, "marks": [{"x":, "lambda":}],
-"T":, "steps":}. Drivers, terminals and moduli are picked from their catalogs
-with one spec grammar (see resolve_spec). User-defined drivers enter only
-through the library interface, not through configs.
+A runner that takes a model and a grid reads them from two blocks, {"model":
+{"drift": a, "sigma": s, "marks": [{"x":, "lambda":}]}, "grid": {"T":, "steps":}}.
+Configs take finite numbers only. Drivers, terminals and moduli are picked
+from their catalogs with one spec grammar (see resolve_spec). User-defined
+drivers enter only through the library interface, not through configs.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
 from numbers import Integral, Real
 
 from .generators import GENERATOR_FACTORIES, GeneratorSpec, shift_generator
@@ -67,12 +69,21 @@ class _ConfigObject(dict):
 def load_config(path) -> dict:
     """Read a config file; it must hold a non-empty JSON object.
 
-    A file that cannot be read or is not valid JSON raises ConfigError naming the path.
-    Every object in it raises ConfigError, not KeyError, on a missing key that a runner requires.
+    A file that cannot be read, is not valid JSON or holds a number that is not
+    finite (NaN, Infinity, or a literal beyond the float range) raises
+    ConfigError naming the path. Every object in it raises ConfigError, not
+    KeyError, on a missing key that a runner requires.
     """
+
+    def finite(text: str) -> str:
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"{path}: {text:.40} is not a finite number; configs take finite numbers only")
+        return text
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh, object_hook=_ConfigObject)
+            cfg = json.load(fh, object_hook=_ConfigObject, parse_float=lambda t: float(finite(t)),
+                            parse_int=lambda t: int(finite(t)), parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read the config: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
@@ -110,11 +121,16 @@ def grid_from_config(cfg: dict) -> TimeGrid:
 
 
 def resolve_model_grid(cfg: dict) -> tuple[LevyModel, TimeGrid]:
-    """Accept either nested {"model": {...}, "grid": {...}} blocks, whose keys are
-    strict, or the flat layout {drift, sigma, marks, T, steps}, beside the runner's own keys."""
-    model = model_from_config(cfg["model"] if "model" in cfg else {k: cfg[k] for k in _MODEL_KEYS if k in cfg})
-    grid = grid_from_config(cfg["grid"] if "grid" in cfg else {k: cfg[k] for k in _GRID_KEYS if k in cfg})
-    return model, grid
+    """The {"model": {...}, "grid": {...}} blocks beside the runner's own keys; a missing
+    block, or a model or grid key at the top level, raises ConfigError naming the block."""
+    stray = [k for k in cfg if k in _MODEL_KEYS + _GRID_KEYS]
+    if stray:
+        raise ConfigError(f"top-level keys {stray} belong in the 'model' block {list(_MODEL_KEYS)} "
+                          f"or the 'grid' block {list(_GRID_KEYS)}")
+    for block in ("model", "grid"):
+        if block not in cfg:
+            raise ConfigError(f"missing required config key {block!r}")
+    return model_from_config(cfg["model"]), grid_from_config(cfg["grid"])
 
 
 def resolve_spec(kind: str, catalog: dict, spec, modifiers: tuple = (), context_args: int = 0):

@@ -138,15 +138,14 @@ class Curried:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A driver together with its declared condition coefficients and flag.
+    """A driver together with its declared condition coefficients.
 
     eval(ctx, t, y, z, u) must be pure and vectorized over nodes/paths; a
     Curried eval also gives the solvers its y-curried form (see bind).
     F, K1, K2 bound the growth |f| <= F + K1|y| + K2(|z| + ||u||); alpha,
     beta, rho enter the one-sided monotonicity condition. eval and the
     coefficients F, K1, K2, beta, alpha take t as a scalar (solvers) or as
-    an array with one time per point (condition checks). The jump-ordering
-    flag records what the author of the driver claims; checks verify it by sampling.
+    an array with one time per point (condition checks).
     """
 
     name: str
@@ -157,7 +156,6 @@ class GeneratorSpec:
     beta: Callable = _zero_coeff
     alpha: Callable = lambda t: 0.0
     rho: RhoFunction = RHO_CATALOG["identity"]
-    satisfies_jump_ordering: bool = True
 
     def bind(self, ctx, t, z, u) -> Callable:
         """y -> f(ctx, t, y, z, u) with z and u held fixed, returning a fresh float array.
@@ -485,12 +483,11 @@ def linear_y(k: float = 1.0) -> GeneratorSpec:
 def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
     """f = a*y + b*z + sum_j c_j lambda_j u_j.
 
-    The ordered-jump condition holds exactly when every c_j >= -1; the flag
-    records that. c may be a scalar (broadcast over marks) or a per-mark tuple.
+    The ordered-jump condition holds exactly when every c_j >= -1. c may be a
+    scalar (broadcast over marks) or a per-mark tuple.
     """
     af, bf = float(a), float(b)
     c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-    ordering_ok = bool((c_arr >= -1.0).all())
 
     def c_for(model: LevyModel) -> np.ndarray:
         if c_arr.size == 1:
@@ -519,7 +516,6 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
         K2=k2,
         beta=k2,
         alpha=lambda t: max(af, 0.0),
-        satisfies_jump_ordering=ordering_ok,
     )
 
 
@@ -556,7 +552,7 @@ def tanh_jump_integral() -> GeneratorSpec:
 def jump_ordering_violator() -> GeneratorSpec:
     """f = -2 * sum_j lambda_j u_j: linear growth holds but the ordered-jump condition fails."""
     g = linear_driver(0.0, 0.0, -2.0)
-    return replace(g, name="jump_ordering_violator", satisfies_jump_ordering=False)
+    return replace(g, name="jump_ordering_violator")
 
 
 # The driver catalog: configs name a factory here and pass its parameters.

@@ -126,10 +126,8 @@ def levy_norm(u, model: LevyModel):
 
 def truncate_model(model: LevyModel, n: int) -> LevyModel:
     """Drop marks of size below 1/n; the boundary size |x| = 1/n is kept."""
-    if n < 1:
-        raise ModelError("truncation level must be at least 1")
-    kept = tuple((x, lam) for x, lam in model.marks if abs(x) >= 1.0 / n)
-    return LevyModel(model.drift, model.sigma, kept)
+    kept = kept_marks_mask(model, n)
+    return LevyModel(model.drift, model.sigma, tuple(m for m, k in zip(model.marks, kept) if k))
 
 
 def kept_marks_mask(model: LevyModel, n: int) -> np.ndarray:

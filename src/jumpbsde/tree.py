@@ -347,26 +347,24 @@ def _representation_weights(tree: ScenarioTree):
 
 
 def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int,
-                  project=None, tol: float = DEFAULT_FP_TOL, max_iter: int = DEFAULT_FP_MAX_ITER):
+                  project=None, tol: float = DEFAULT_FP_TOL):
     """Solve y = ey + dt f(t, y, z, u) at one step by fixed-point iteration from y = ey.
 
     The driver is bound to (ctx, t, z, u) once (GeneratorSpec.bind) and each
     iteration evaluates it in y alone, accumulating ey + dt f into the fresh
     array it returns. `project`, when given, maps every driver evaluation to
     a fresh array before it enters the update. Returns (y, iterations). A tol
-    that is not positive or a max_iter below 1 raises ValueError; a diverging
-    or slow iteration raises FixedPointError with the step, the last delta and
-    the contraction dt * max K1.
+    that is not positive raises ValueError; an iteration that has not converged
+    after DEFAULT_FP_MAX_ITER updates raises FixedPointError with the step, the
+    last delta and the contraction dt * max K1.
     """
     if not tol > 0:
         raise ValueError(f"fixed-point tolerance must be positive, got {tol!r}")
-    if not max_iter >= 1:
-        raise ValueError(f"fixed-point iteration limit must be at least 1, got {max_iter!r}")
     fy = g.bind(ctx, t, z, u)
     ey = np.ascontiguousarray(ey, dtype=float)
     gap = np.empty(ey.shape)
     y = ey
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_FP_MAX_ITER + 1):
         y_new = fy(y) if project is None else project(fy(y))
         y_new *= dt
         y_new += ey
@@ -376,12 +374,12 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
             return y, it
     contraction = dt * float(np.max(g.K1(ctx, t), initial=0.0))
     raise FixedPointError(
-        f"implicit step did not converge at step {step} within {max_iter} iterations: "
+        f"implicit step did not converge at step {step} within {DEFAULT_FP_MAX_ITER} iterations: "
         f"last delta {delta:.3g}, estimated contraction dt*K1 = {contraction:.3g}"
     )
 
 
-def _sweep(tree: ScenarioTree, g: GeneratorSpec, xi, n: int | None, tol: float, max_iter: int) -> TreeSolution:
+def _sweep(tree: ScenarioTree, g: GeneratorSpec, xi, n: int | None, tol: float) -> TreeSolution:
     """Implicit backward sweep on the count lattice; with a truncation level n, the level-n coarse problem.
 
     With n, the terminal values and every driver evaluation are averaged over
@@ -413,27 +411,21 @@ def _sweep(tree: ScenarioTree, g: GeneratorSpec, xi, n: int | None, tol: float, 
         if coarse:
             u[:, removed] = 0.0
             project = _removed_count_average(tree, removed, i)
-        y, iters[i] = implicit_step(g, lat.context(i), float(times[i]), dt, ey, z, u, i, project, tol, max_iter)
+        y, iters[i] = implicit_step(g, lat.context(i), float(times[i]), dt, ey, z, u, i, project, tol)
         y_levels[i], z_levels[i], u_levels[i] = y, z, u
 
     return TreeSolution(tree=tree, Y=LevelArrays(tree.index, y_levels), Z=LevelArrays(tree.index, z_levels),
                         U=LevelArrays(tree.index, u_levels), fp_iterations=tuple(iters))
 
 
-def solve_backward(
-    tree: ScenarioTree,
-    g: GeneratorSpec,
-    xi,
-    tol: float = DEFAULT_FP_TOL,
-    max_iter: int = DEFAULT_FP_MAX_ITER,
-) -> TreeSolution:
+def solve_backward(tree: ScenarioTree, g: GeneratorSpec, xi, tol: float = DEFAULT_FP_TOL) -> TreeSolution:
     """Implicit backward sweep: at each node solve Y = E[Y_next] + dt f(t, Y, Z, U).
 
     Z and U come from exact correlations with the step increments; the
     implicit y-equation is solved by fixed-point iteration to `tol`.
     The driver is evaluated at the left endpoint with the pre-jump state.
     """
-    return _sweep(tree, g, xi, None, tol, max_iter)
+    return _sweep(tree, g, xi, None, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +495,7 @@ def _removed_count_average(tree: ScenarioTree, removed: np.ndarray, level: int):
     return lambda values: _centered_average(values, (level + 1,) * nb, gone, w)
 
 
-def solve_truncated(
-    tree: ScenarioTree,
-    g: GeneratorSpec,
-    xi,
-    n: int,
-    tol: float = DEFAULT_FP_TOL,
-    max_iter: int = DEFAULT_FP_MAX_ITER,
-) -> TreeSolution:
+def solve_truncated(tree: ScenarioTree, g: GeneratorSpec, xi, n: int, tol: float = DEFAULT_FP_TOL) -> TreeSolution:
     """Backward solve for the level-n coarse problem on the full tree.
 
     Terminal values and every driver evaluation are projected onto the
@@ -519,4 +504,4 @@ def solve_truncated(
     constant across removed-mark coordinates. With no removed marks this
     reproduces solve_backward bit for bit.
     """
-    return _sweep(tree, g, xi, n, tol, max_iter)
+    return _sweep(tree, g, xi, n, tol)

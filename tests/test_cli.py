@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -403,6 +404,8 @@ REQUIRED_KEY_CASES = [
     pytest.param("convergence", experiments.default_convergence_config(), "steps_list", None, id="convergence"),
     pytest.param("solve-mc", {**_demo_model_config(), "paths": 1000}, "paths", None, id="solve-mc"),
     pytest.param("solve-lattice", _demo_model_config(), "generator", None, id="solve-lattice"),
+    pytest.param("solve-lattice", _demo_model_config(), "model", None, id="solve-lattice-model"),
+    pytest.param("solve-lattice", _demo_model_config(), "grid", None, id="solve-lattice-grid"),
     pytest.param("truncate-study", experiments.default_truncation_config(), "levels", None, id="truncate-study"),
     pytest.param("truncate-study", experiments.default_truncation_config(), "levels", [], id="truncate-study-empty"),
     pytest.param("bihari", BIHARI_CONFIG, "K", None, id="bihari"),
@@ -418,6 +421,48 @@ def test_missing_required_key_is_one_line_and_exit_3(tmp_path, capsys, command, 
     assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"jumpbsde {command}: error: ") and f"'{key}'" in line
+
+
+@pytest.mark.parametrize("cfg, keys", [
+    pytest.param({"sigam": 1.0, "drift": 0.1, "T": 1, "steps": 4, "generator": "zero", "terminal": "x"},
+                 ["drift", "T", "steps"], id="flat-typo"),
+    pytest.param({**_demo_model_config(), "T": 2.0}, ["T"], id="stray-T"),
+])
+def test_top_level_model_or_grid_key_is_one_line_and_exit_3(tmp_path, capsys, cfg, keys):
+    # the flat layout used to run {"sigam": 1.0, ...} with sigma = 0 and exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["solve-lattice", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"jumpbsde solve-lattice: error: top-level keys {keys} belong in the 'model' block "
+        "['drift', 'sigma', 'marks'] or the 'grid' block ['T', 'steps']"
+    ]
+
+
+DEMO = _demo_model_config()
+NON_FINITE_CASES = [
+    pytest.param("simulate", json.dumps({**DEMO, "model": {**DEMO["model"], "sigma": math.nan}}), "NaN",
+                 id="simulate-sigma"),
+    pytest.param("solve-lattice", json.dumps({**DEMO, "grid": {"T": math.nan, "steps": 4}}), "NaN",
+                 id="solve-lattice-T"),
+    pytest.param("bihari", json.dumps({**BIHARI_CONFIG, "K": math.inf}), "Infinity", id="bihari-K"),
+    pytest.param("bihari", json.dumps(BIHARI_CONFIG).replace('"c": 1.0', '"c": 1e400'), "1e400",
+                 id="float-overflow"),
+    pytest.param("solve-lattice", json.dumps(DEMO).replace('"T": 1.0', '"T": 1' + "0" * 400), "1" + "0" * 39,
+                 id="int-overflow"),
+]
+
+
+@pytest.mark.parametrize("command, text, constant", NON_FINITE_CASES)
+def test_non_finite_number_is_one_line_and_exit_3(tmp_path, capsys, command, text, constant):
+    # these used to write NaN or Infinity into report.json, which is not JSON, or die in the fixed point
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"jumpbsde {command}: error: {path}: {constant} is not a finite number; configs take finite numbers only"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 MC_CONFIG = {**_demo_model_config(), "paths": 1000}

@@ -83,11 +83,21 @@ def test_model_blocks_reject_unknown_keys(block, message):
         resolve_model_grid({"model": block, "grid": {"T": 1.0, "steps": 2}})
 
 
-def test_flat_layout_passes_only_model_keys():
-    model, grid = resolve_model_grid({"drift": 0.1, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.8}],
-                                      "T": 2.0, "steps": 4, "generator": "zero", "terminal": "x"})
-    assert (model.drift, model.sigma, model.marks) == (0.1, 1.0, ((0.5, 0.8),))
-    assert (grid.horizon, grid.steps) == (2.0, 4)
+def test_flat_layout_is_rejected():
+    # the flat layout used to read a mistyped {"sigam": 1.0} as sigma = 0
+    flat = {"drift": 0.1, "sigam": 1.0, "T": 2.0, "steps": 4, "generator": "zero", "terminal": "x"}
+    message = ("top-level keys ['drift', 'T', 'steps'] belong in the 'model' block ['drift', 'sigma', 'marks'] "
+               "or the 'grid' block ['T', 'steps']")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_model_grid(flat)
+    nested = {"model": {"sigma": 1.0}, "grid": {"T": 2.0, "steps": 4}}
+    with pytest.raises(ConfigError, match=re.escape("top-level keys ['T'] belong in the 'model' block")):
+        resolve_model_grid({**nested, "T": 1.0})
+    for block in nested:
+        with pytest.raises(ConfigError, match=f"missing required config key '{block}'"):
+            resolve_model_grid({k: v for k, v in nested.items() if k != block})
+    model, grid = resolve_model_grid({**nested, "generator": "zero", "terminal": "x"})
+    assert (model.sigma, grid.horizon, grid.steps) == (1.0, 2.0, 4)
 
 
 def test_nested_grid_block_rejects_unknown_keys():
@@ -96,9 +106,6 @@ def test_nested_grid_block_rejects_unknown_keys():
         grid_from_config({"T": 1.0, "step": 4})
     with pytest.raises(ConfigError, match=re.escape(message)):
         resolve_model_grid({"model": {"sigma": 1.0}, "grid": {"T": 1.0, "steps": 4, "step": 4}})
-    # the flat layout keeps the runner's own keys beside the grid's
-    _, grid = resolve_model_grid({"sigma": 1.0, "T": 1.0, "steps": 4, "step": 2, "generator": "zero"})
-    assert (grid.horizon, grid.steps) == (1.0, 4)
 
 
 def test_config_value_reads_numbers_only():

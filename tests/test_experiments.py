@@ -23,7 +23,10 @@ from jumpbsde import (
 )
 from jumpbsde.config import ConfigError
 from jumpbsde.experiments import (
+    default_apriori_config,
+    default_comparison_config,
     default_comparison_pairs,
+    default_convergence_config,
     default_counterexample_config,
     default_truncation_config,
     gap_orders,
@@ -219,7 +222,6 @@ def test_gap_orders_skip_zero_gaps():
 def test_reports_are_reproducible_modulo_meta():
     r1 = run_counterexample()
     r2 = run_counterexample()
-    assert r1.to_json(include_meta=False) == r2.to_json(include_meta=False)
     d1, d2 = r1.to_dict(), r2.to_dict()
     assert "timestamp" in d1["meta"] and "runtime_seconds" in d1["meta"]
     d1.pop("meta"), d2.pop("meta")
@@ -332,3 +334,55 @@ def test_markov_measurements_leave_the_product_index_unenumerated():
     assert len(tree.index._levels) == 1  # the root alone: no product level was enumerated
     tree.states[2]
     assert len(tree.index._levels) == 3  # a per-node read enumerates the levels up to its own
+
+
+# Catalog specs are copied whole by config.resolve_spec, which rejects unknown parameters itself.
+SPEC_KEYS = {"generator", "generator_prime", "boundary_generator", "terminal", "terminal_prime"}
+
+
+class ReadRecorder(dict):
+    """A config object that records each key looked up in it by [], get or in, with every
+    nested object but the catalog specs wrapped the same; log maps its path to (held, read)."""
+
+    def __init__(self, data: dict, path: str, log: dict):
+        super().__init__({k: v if k in SPEC_KEYS else record_reads(v, f"{path}.{k}", log) for k, v in data.items()})
+        self.read = set()
+        log[path] = (set(data), self.read)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def record_reads(value, path: str, log: dict):
+    if isinstance(value, dict):
+        return ReadRecorder(value, path, log)
+    if isinstance(value, list):
+        return [record_reads(v, f"{path}[{i}]", log) for i, v in enumerate(value)]
+    return value
+
+
+@pytest.mark.parametrize("runner, default", [
+    (run_comparison, default_comparison_config),
+    (run_counterexample, default_counterexample_config),
+    (run_truncation_study, default_truncation_config),
+    (run_apriori_check, default_apriori_config),
+    (run_convergence, default_convergence_config),
+], ids=["comparison", "counterexample", "truncation", "apriori", "convergence"])
+def test_runner_reads_exactly_the_keys_its_default_holds(runner, default):
+    """Every key a default config holds is read, and no key it lacks is looked up: a setting
+    that no default sets has no place in the runner, and a key no runner reads none in the default."""
+    log = {}
+    runner(record_reads(default(), "cfg", log))
+    assert len(log) > 2
+    unmatched = {path: {"unread": sorted(held - read), "absent": sorted(read - held)}
+                 for path, (held, read) in log.items() if held != read}
+    assert unmatched == {}

@@ -189,9 +189,7 @@ def test_check_jump_ordering_cases():
 
 def test_linear_driver_gamma_threshold():
     assert check_jump_ordering(linear_driver(0.0, 0.0, (-1.0, 0.5)), MODEL, FAST).passed
-    below = linear_driver(0.0, 0.0, (-1.2, 0.5))
-    assert not below.satisfies_jump_ordering
-    assert not check_jump_ordering(below, MODEL, FAST).passed
+    assert not check_jump_ordering(linear_driver(0.0, 0.0, (-1.2, 0.5)), MODEL, FAST).passed
 
 
 def test_catalog_contents_and_zero_eval():

@@ -18,6 +18,7 @@ from jumpbsde import (
     TimeGrid,
     TreeSizeError,
     build_tree,
+    check_jump_ordering,
     conditional_expectation,
     jump_ordering_violator,
     l2_distance,
@@ -182,16 +183,17 @@ def test_one_step_identity_holds_at_solver_tolerance():
 
 def test_fixed_point_divergence_raises():
     # y_k = 1 + 5 y_(k-1) from y_0 = 1: the k-th update moves y by 5^k, and dt * K1 = 5
+    assert DEFAULT_FP_MAX_ITER == 200
     tree = build_tree(LevyModel(0.0, 0.0), TimeGrid(1.0, 1))
-    with pytest.raises(FixedPointError, match=r"step 0 .*last delta 8\.88e\+34, estimated contraction dt\*K1 = 5$"):
-        solve_backward(tree, linear_y(5.0), make_terminal({"name": "const", "value": 1.0}), max_iter=50)
+    with pytest.raises(FixedPointError, match=r"step 0 within 200 iterations: last delta 6\.22e\+139, "
+                                              r"estimated contraction dt\*K1 = 5$"):
+        solve_backward(tree, linear_y(5.0), make_terminal({"name": "const", "value": 1.0}))
 
 
 @pytest.mark.parametrize("kwargs, message", [({"tol": float("nan")}, "tolerance must be positive, got nan"),
-                                             ({"tol": 0.0}, "tolerance must be positive, got 0.0"),
-                                             ({"max_iter": 0}, "limit must be at least 1, got 0")])
+                                             ({"tol": 0.0}, "tolerance must be positive, got 0.0")])
 def test_fixed_point_rejects_bad_inputs(kwargs, message):
-    # a NaN tolerance used to run every iteration and report "last delta 0"; max_iter=0 hit an unbound name
+    # a NaN tolerance used to run every iteration and report "last delta 0"
     tree = build_tree(LevyModel(0.0, 1.0), TimeGrid(1.0, 2))
     with pytest.raises(ValueError, match=message):
         solve_backward(tree, linear_y(0.5), XI_X, **kwargs)
@@ -507,7 +509,7 @@ def test_comparison_theorem_holds_node_wise(pair):
     """Ordered data f <= f + delta, x <= x + s 1{jump} and a driver inside the discrete margin
     (1 + c_j >= |b| sqrt(dt) for one mark: every one-step weight nonnegative) order Y at every node."""
     tree, g, margin, delta, xi_up = pair
-    assert g.satisfies_jump_ordering and margin >= -1e-12
+    assert check_jump_ordering(g, tree.model).passed and margin >= -1e-12
     sol = solve_backward(tree, g, XI_X)
     sol_up = solve_backward(tree, shift_generator(g, delta), xi_up)
     for lvl, (y, y_up) in enumerate(zip(sol.Y, sol_up.Y)):
@@ -521,7 +523,7 @@ def test_comparison_fails_outside_the_discrete_margin():
     nonnegative terminal gap 1{a jump} max(-W, 0) above 0 leaves Y above Y' by 0.05."""
     tree = build_tree(LevyModel(0.0, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 4))
     g = linear_driver(0.0, 0.5, -1.0)
-    assert g.satisfies_jump_ordering
+    assert check_jump_ordering(g, tree.model).passed
     assert one_step_weight_margin(tree, 0.5, [-1.0]) == -0.25
     zero = make_terminal({"name": "const", "value": 0.0})
     gap = lambda ctx: (ctx.counts[:, 0] >= 1) * np.maximum(-ctx.w, 0.0)  # noqa: E731
@@ -553,8 +555,7 @@ def product_sweep(tree, g, xi, n=None):
         if n is not None:
             u[:, removed] = 0.0
             project = partial(project_coarse, tree, n=n, level=i)
-        ys[i], _ = implicit_step(g, tree.context(i), float(tree.grid.times[i]), dt, ey, z, u, i, project,
-                                 DEFAULT_FP_TOL, DEFAULT_FP_MAX_ITER)
+        ys[i], _ = implicit_step(g, tree.context(i), float(tree.grid.times[i]), dt, ey, z, u, i, project)
         zs[i], us[i] = z, u
     return ys, zs, us
 
