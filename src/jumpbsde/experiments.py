@@ -16,8 +16,8 @@ import numpy as np
 
 from . import bounds
 from .bounds import apriori_bound
-from .config import (ConfigError, basis_from_config, config_value, generator_from_config, model_from_config,
-                     resolve_model_grid)
+from .config import (ConfigError, _reject_unknown, basis_from_config, config_value, generator_from_config,
+                     model_from_config, resolve_model_grid)
 from .generators import SamplerConfig, check_jump_ordering, check_growth, check_monotonicity, check_ordering
 from .levy import TimeGrid, kept_marks_mask
 from .mc import bootstrap_y0, l2_distance
@@ -212,6 +212,22 @@ def stability_inputs(tree: ScenarioTree, sol, sol_prime, g, g_prime) -> dict:
     }
 
 
+def _check_keys(kind: str, cfg: dict, default: dict, block: str | None = None) -> None:
+    """Raise ConfigError on a key that the runner's default config lacks: at the top level and,
+    for block, in that object or in each object of that list, which must have that shape."""
+    _reject_unknown(f"{kind} config", cfg, tuple(default))
+    if block is None or not cfg.get(block):
+        return
+    many = isinstance(default[block], list)
+    items = cfg[block] if many else [cfg[block]]
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ConfigError(f"config key {block!r} must be {'a list of objects' if many else 'an object'}, "
+                          f"got {cfg[block]!r:.60}")
+    template = default[block][0] if many else default[block]
+    for item in items:
+        _reject_unknown(f"{kind} {block!r}", item, tuple(template))
+
+
 # ---------------------------------------------------------------------------
 # Comparison suite
 # ---------------------------------------------------------------------------
@@ -292,6 +308,7 @@ def run_comparison(cfg: dict | None = None) -> Report:
     verdict asserted.
     """
     cfg = cfg or default_comparison_config()
+    _check_keys("comparison", cfg, default_comparison_config(), "pairs")
     fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     horizon = config_value(cfg, "horizon", float, 1.0)
     cases, checks = [], []
@@ -370,6 +387,7 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     """Exhibit ordered data whose solutions are not ordered once the
     ordered-jump condition is dropped, and re-run with the boundary driver."""
     cfg = cfg or default_counterexample_config()
+    _check_keys("counterexample", cfg, default_counterexample_config())
     fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     threshold = config_value(cfg, "margin_factor", float, 100.0) * fp_tol
     model, grid = resolve_model_grid(cfg)
@@ -451,6 +469,7 @@ def run_truncation_study(cfg: dict | None = None) -> Report:
     per truncation level; distances must be non-increasing and vanish once
     every mark is retained."""
     cfg = cfg or default_truncation_config()
+    _check_keys("truncate-study", cfg, default_truncation_config())
     fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     tol = config_value(cfg, "tolerance", float, 1e-8)
     model, grid = resolve_model_grid(cfg)
@@ -515,6 +534,7 @@ def default_apriori_config() -> dict:
 def run_apriori_check(cfg: dict | None = None) -> Report:
     """Tree-measured solution norms against the explicit a-priori constants."""
     cfg = cfg or default_apriori_config()
+    _check_keys("apriori", cfg, default_apriori_config(), "instances")
     fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
@@ -626,6 +646,7 @@ def gap_orders(gaps) -> list:
 def run_convergence(cfg: dict | None = None) -> Report:
     """dt-refinement of the lattice value plus Monte-Carlo versus lattice gaps."""
     cfg = cfg or default_convergence_config()
+    _check_keys("convergence", cfg, default_convergence_config(), "mc")
     fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     model = model_from_config(cfg["model"])
     horizon = config_value(cfg, "T", float, 1.0)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .levy import LevyModel, levy_norm
+from .levy import LevyModel, ModelError, levy_norm
 
 # Numerical slack for all inequality checks (floating-point associativity).
 CHECK_SLACK = 1e-12
@@ -305,71 +305,46 @@ def _sample_times(cfg: SamplerConfig, rng) -> np.ndarray:
     return np.concatenate([corners, np.minimum(drawn, T)])
 
 
-def _draw_points(cfg: SamplerConfig, seed_offset: int, j: int, extra: str | None):
-    """The condition checks' random points, in stream order.
+def _sampled_check(check: str, label: str, model: LevyModel, cfg: SamplerConfig, seed_offset: int, side,
+                   extra: str | None = None) -> CheckReport:
+    """The sampler shared by the condition checks: one draw per array, then one evaluation.
 
-    After the times, every sampled time draws m states x, m arguments
-    (y, z, u) and the check's extra draws: a second (y, z, u) for
-    extra="args", a jump increment for extra="bump". Uniforms and normals
-    that sit together in the stream are drawn by one call, and the uniforms
-    are scaled afterwards as Generator.uniform scales them. Returns times
-    (T,), x (T, m), y and z (A, T, m), u (A, T, m, j) and bump (T, m, j) or
-    None, with A = 2 argument sets for extra="args" and 1 otherwise.
+    After the times, x (T, m), y and z (A, T, m), u (A, T, m, J) and, for
+    extra="bump", a jump increment (T, m, J) are each drawn by one RNG call,
+    with A = 2 argument sets for extra="args" (monotonicity) and 1 otherwise;
+    the corner rows are then set on every time at once. side(ctx, t, y, z,
+    u, *extras) sees all points in one call, t per point, and returns (lhs,
+    rhs, fields): point k violates the condition when lhs[k] > rhs[k] +
+    CHECK_SLACK, and its witness is t[k] and each named field's entry k. The
+    first three violations per time are kept.
     """
+    start = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
+    j = model.n_marks
     m = max(8, j + 2)
     times = _sample_times(cfg, rng)
     n_args = 2 if extra == "args" else 1
-    runs = 1 if extra is None else 2  # normal runs per time: u, then u2 or bump
-    high = np.repeat(np.array([cfg.x_bound] + [cfg.y_bound, cfg.z_bound] * n_args, dtype=float), m)
-    unif = np.empty((times.size, high.size))  # per time: x, y, z (, y2, z2)
-    nrm = np.empty((times.size, runs * m * j))
-    for i in range(times.size):
-        if extra == "args":
-            rng.random(out=unif[i, :3 * m])
-            rng.standard_normal(out=nrm[i, :m * j])
-            rng.random(out=unif[i, 3 * m:])
-            rng.standard_normal(out=nrm[i, m * j:])
-        else:
-            rng.random(out=unif[i])
-            rng.standard_normal(out=nrm[i])
-    low = -high
-    unif = (low + (high - low) * unif).reshape(times.size, 1 + 2 * n_args, m)
-    nrm = nrm.reshape(times.size, runs, m, j)
-    x, y, z = unif[:, 0], unif[:, 1::2].swapaxes(0, 1), unif[:, 2::2].swapaxes(0, 1)
-    return times, x, y, z, nrm[:, :n_args].swapaxes(0, 1), nrm[:, 1] if extra == "bump" else None
-
-
-def _sampled_check(check: str, label: str, model: LevyModel, cfg: SamplerConfig, seed_offset: int, side,
-                   extra: str | None = None) -> CheckReport:
-    """The sampler shared by the condition checks: a draw phase, then one evaluation.
-
-    Draw phase: _draw_points, then corner rows set on every time at once.
-    Evaluation: side(ctx, t, y, z, u, *extras) sees all points in one call,
-    t per point, and returns (lhs, rhs, point): point k violates the
-    condition when lhs[k] > rhs[k] + CHECK_SLACK, and point(k) is its
-    witness. The first three violations per time are kept.
-    """
-    start = time.perf_counter()
-    j = model.n_marks
-    times, x, y, z, u, bump = _draw_points(cfg, seed_offset, j, extra)
-    n_args, m = y.shape[0], x.shape[1]
+    x = rng.uniform(-cfg.x_bound, cfg.x_bound, size=(times.size, m))
+    y = rng.uniform(-cfg.y_bound, cfg.y_bound, size=(n_args, times.size, m))
+    z = rng.uniform(-cfg.z_bound, cfg.z_bound, size=(n_args, times.size, m))
+    u = cfg.u_scale * rng.standard_normal(size=(n_args, times.size, m, j))
     x[:, 0] = 0.0
     y[..., :4] = (0.0, 1.0, -1.0, cfg.y_bound)
     z[..., :4] = (0.0, 1.0, -1.0, -cfg.z_bound)
-    u *= cfg.u_scale
     u[..., 0, :] = 0.0
     u[..., 1:1 + j, :] = np.where(np.eye(j, dtype=bool), cfg.u_scale, 0.0)  # single-coordinate spikes
     n = times.size * m
     args = [arr for a in range(n_args) for arr in (y[a].reshape(n), z[a].reshape(n), u[a].reshape(n, j))]
-    if bump is not None:
-        bump = np.abs(bump)
+    if extra == "bump":
+        bump = np.abs(rng.standard_normal(size=(times.size, m, j)))
         bump[:, 0] = 1.0  # strict increase in every coordinate
         args.append(bump.reshape(n, j))
-    lhs, rhs, point = side(StepContext(model=model, x=x.reshape(n)), np.repeat(times, m), *args)
+    t = np.repeat(times, m)
+    lhs, rhs, fields = side(StepContext(model=model, x=x.reshape(n)), t, *args)
     violated = (lhs > rhs + CHECK_SLACK).reshape(times.size, m)
     first = violated & (np.cumsum(violated, axis=1) <= 3)
-    violations = [Violation(point=point(k), lhs=float(lhs[k]), rhs=float(rhs[k])) for k in np.flatnonzero(first)]
+    violations = [Violation(point={"t": float(t[k]), **{name: a[k].tolist() for name, a in fields.items()}},
+                            lhs=float(lhs[k]), rhs=float(rhs[k])) for k in np.flatnonzero(first)]
     return CheckReport(check, label, not violations, n, violations, seconds=time.perf_counter() - start)
 
 
@@ -379,8 +354,7 @@ def check_growth(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = Sample
     def side(ctx, t, y, z, u):
         val = np.abs(np.asarray(g.eval(ctx, t, y, z, u), dtype=float))
         bound = np.asarray(g.growth_bound(ctx, t, y, z, u), dtype=float)
-        return val, bound, lambda k: {"t": float(t[k]), "x": float(ctx.x[k]), "y": float(y[k]), "z": float(z[k]),
-                                      "u": u[k].tolist()}
+        return val, bound, {"x": ctx.x, "y": y, "z": z, "u": u}
 
     return _sampled_check("growth", g.name, model, cfg, 0, side)
 
@@ -394,8 +368,7 @@ def check_monotonicity(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig = 
         rhs = np.asarray(g.alpha(t)) * np.asarray(g.rho(dy * dy)) + np.asarray(g.beta(ctx, t)) * np.abs(dy) * (
             np.abs(z - z2) + levy_norm(u - u2, model)
         )
-        return lhs, rhs, lambda k: {"t": float(t[k]), "y": float(y[k]), "y2": float(y2[k]), "z": float(z[k]),
-                                    "z2": float(z2[k])}
+        return lhs, rhs, {"y": y, "y2": y2, "z": z, "z2": z2}
 
     return _sampled_check("monotonicity", g.name, model, cfg, 1, side, extra="args")
 
@@ -407,8 +380,7 @@ def check_jump_ordering(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig =
         u_hi = u + bump
         lhs = np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y, z, u_hi))
         rhs = (u_hi - u) @ model.intensities
-        return lhs, rhs, lambda k: {"t": float(t[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist(),
-                                    "u_hi": u_hi[k].tolist()}
+        return lhs, rhs, {"y": y, "z": z, "u": u, "u_hi": u_hi}
 
     return _sampled_check("jump_ordering", g.name, model, cfg, 2, side, extra="bump")
 
@@ -421,7 +393,7 @@ def check_ordering(
     def side(ctx, t, y, z, u):
         lo = np.asarray(g_low.eval(ctx, t, y, z, u), dtype=float)
         hi = np.asarray(g_high.eval(ctx, t, y, z, u), dtype=float)
-        return lo, hi, lambda k: {"t": float(t[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
+        return lo, hi, {"y": y, "z": z, "u": u}
 
     return _sampled_check("ordering", f"{g_low.name} <= {g_high.name}", model, cfg, 3, side)
 
@@ -493,7 +465,7 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
         if c_arr.size == 1:
             return np.full(model.n_marks, c_arr[0])
         if c_arr.size != model.n_marks:
-            raise ValueError(f"driver has {c_arr.size} jump coefficients, model has {model.n_marks} marks")
+            raise ModelError(f"driver has {c_arr.size} jump coefficients, model has {model.n_marks} marks")
         return c_arr
 
     def bind_lin(ctx, t, z, u):

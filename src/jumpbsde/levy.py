@@ -19,7 +19,7 @@ PATH_BLOCK = 1024
 
 
 class ModelError(ValueError):
-    """Invalid model, grid, or simulation request."""
+    """Invalid model, grid, driver or terminal parameter, or solve or simulation request."""
 
 
 @dataclass(frozen=True)

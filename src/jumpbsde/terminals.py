@@ -12,6 +12,7 @@ import numpy as np
 
 from .config import resolve_spec
 from .generators import StepContext
+from .levy import ModelError
 
 
 def _x(ctx: StepContext):
@@ -35,10 +36,13 @@ def _clip_x(ctx: StepContext, lo: float = -1.0, hi: float = 1.0):
 def _jump_indicator(ctx: StepContext, mark: int = 0, min_count: int = 1):
     if ctx.counts is None:
         raise ValueError("terminal 'jump_indicator' needs jump counts in the context")
+    for name, value in (("mark", mark), ("min_count", min_count)):
+        if not float(value).is_integer():
+            raise ModelError(f"terminal 'jump_indicator' parameter '{name}' must be a whole number, got {value!r}")
     counts = np.asarray(ctx.counts)
-    if not (0 <= int(mark) < counts.shape[-1]):
-        raise ValueError(f"mark index {mark} out of range for {counts.shape[-1]} marks")
-    return (counts[..., int(mark)] >= int(min_count)).astype(float)
+    if not (0 <= mark < counts.shape[-1]):
+        raise ModelError(f"mark index {mark} out of range for {counts.shape[-1]} marks")
+    return (counts[..., int(mark)] >= min_count).astype(float)
 
 
 def _const(ctx: StepContext, value: float = 0.0):

@@ -354,12 +354,12 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
     iteration evaluates it in y alone, accumulating ey + dt f into the fresh
     array it returns. `project`, when given, maps every driver evaluation to
     a fresh array before it enters the update. Returns (y, iterations). A tol
-    that is not positive raises ValueError; an iteration that has not converged
+    that is not positive raises ModelError; an iteration that has not converged
     after DEFAULT_FP_MAX_ITER updates raises FixedPointError with the step, the
     last delta and the contraction dt * max K1.
     """
     if not tol > 0:
-        raise ValueError(f"fixed-point tolerance must be positive, got {tol!r}")
+        raise ModelError(f"fixed-point tolerance must be positive, got {tol!r}")
     fy = g.bind(ctx, t, z, u)
     ey = np.ascontiguousarray(ey, dtype=float)
     gap = np.empty(ey.shape)

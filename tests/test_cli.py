@@ -480,6 +480,12 @@ WRONG_TYPE_CASES = [
                  "a number", id="fixed_point_tol"),
     pytest.param("compare", {**experiments.default_comparison_config(), "horizon": "1"}, "horizon", "1",
                  "a number", id="horizon"),
+    pytest.param("compare", {**experiments.default_comparison_config(), "pairs": ["zero_shift"]}, "pairs",
+                 ["zero_shift"], "a list of objects", id="pairs"),
+    pytest.param("apriori", {**experiments.default_apriori_config(), "instances": [3]}, "instances", [3],
+                 "a list of objects", id="instances"),
+    pytest.param("convergence", {**experiments.default_convergence_config(), "mc": [1]}, "mc", [1], "an object",
+                 id="mc"),
 ]
 
 
@@ -516,4 +522,68 @@ def test_bootstrap_of_fewer_than_two_resamples_is_one_line_and_exit_3(tmp_path, 
     assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"jumpbsde {command}: error: n_boot must be at least 2 for a bootstrap standard error, got {n_boot}"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+INPUT_ERROR_CASES = [
+    pytest.param({**DEMO, "fixed_point_tol": 0}, "fixed-point tolerance must be positive, got 0.0", id="tol-zero"),
+    pytest.param({**DEMO, "generator": {"name": "linear_driver", "c": [1, 2]}},
+                 "driver has 2 jump coefficients, model has 1 marks", id="c-per-mark"),
+    pytest.param({**DEMO, "terminal": {"name": "jump_indicator", "mark": 3}}, "mark index 3 out of range for 1 marks",
+                 id="mark-range"),
+    pytest.param({**DEMO, "terminal": {"name": "jump_indicator", "mark": 0.7}},
+                 "terminal 'jump_indicator' parameter 'mark' must be a whole number, got 0.7", id="mark-fraction"),
+    pytest.param({**DEMO, "terminal": {"name": "jump_indicator", "min_count": 1.5}},
+                 "terminal 'jump_indicator' parameter 'min_count' must be a whole number, got 1.5",
+                 id="min-count-fraction"),
+]
+
+
+@pytest.mark.parametrize("cfg, message", INPUT_ERROR_CASES)
+def test_invalid_solver_input_is_one_line_and_exit_3(tmp_path, capsys, cfg, message):
+    # these used to exit 1 with a traceback, or (a fractional mark) silently read mark 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["solve-lattice", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"jumpbsde solve-lattice: error: {message}"]
+
+
+def _with_stray(cfg: dict, block: str | None, key: str) -> dict:
+    """cfg with key added at the top level (block None), to the first entry of a list block, or to an object block."""
+    cfg = json.loads(json.dumps(cfg))
+    if block is None:
+        cfg[key] = 1.0
+    else:
+        target = cfg[block][0] if isinstance(cfg[block], list) else cfg[block]
+        target[key] = 1.0
+    return cfg
+
+
+UNKNOWN_KEY_CASES = [
+    pytest.param("compare", experiments.default_comparison_config(), None, "comparison_tol",
+                 "comparison config", id="compare"),
+    pytest.param("compare", experiments.default_comparison_config(), "pairs", "T", "comparison 'pairs'",
+                 id="compare-pair"),
+    pytest.param("counterexample", experiments.default_counterexample_config(), None, "tol", "counterexample config",
+                 id="counterexample"),
+    pytest.param("truncate-study", experiments.default_truncation_config(), None, "level", "truncate-study config",
+                 id="truncate-study"),
+    pytest.param("apriori", experiments.default_apriori_config(), None, "stray", "apriori config", id="apriori"),
+    pytest.param("apriori", experiments.default_apriori_config(), "instances", "tol", "apriori 'instances'",
+                 id="apriori-instance"),
+    pytest.param("convergence", experiments.default_convergence_config(), None, "horizon", "convergence config",
+                 id="convergence"),
+    pytest.param("convergence", experiments.default_convergence_config(), "mc", "T", "convergence 'mc'",
+                 id="convergence-mc"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, block, key, kind", UNKNOWN_KEY_CASES)
+def test_runner_config_with_unknown_key_is_one_line_and_exit_3(tmp_path, capsys, command, cfg, block, key, kind):
+    # a key the runner does not read used to run silently with the default in its place
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with_stray(cfg, block, key)))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"jumpbsde {command}: error: unknown {kind} keys ['{key}']; valid: ")
     assert not (tmp_path / "out" / "report.json").exists()

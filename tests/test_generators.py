@@ -1,8 +1,6 @@
 import math
-import pickle
 import struct
 from dataclasses import replace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -33,8 +31,7 @@ from jumpbsde import (
     zero_generator,
 )
 from jumpbsde.bounds import rho_catalog
-from jumpbsde import generators
-from jumpbsde.generators import CHECK_SLACK, CheckReport, Violation, _draw_points, _sample_times
+from jumpbsde.generators import CHECK_SLACK, CheckReport, Violation
 
 MODEL = LevyModel(0.1, 1.0, ((0.5, 0.8), (-0.3, 0.4)))
 FAST = SamplerConfig(count=60, seed=3)
@@ -277,42 +274,52 @@ def test_scalar_form_matches_array_form_bitwise(name, x):
 # ---------------------------------------------------------------------------
 
 
-def ref_sampled_check(check, label, model, cfg, seed_offset, side):
-    """Reference sampler: a fresh context and fresh arguments per sampled time, one side call each."""
+def ref_sampled_check(check, label, model, cfg, seed_offset, side, extra=None):
+    """Reference sampler: the same whole-array draws, then per sampled time its own corners, spikes and bump
+    and one side call with a scalar t."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
-    m = max(8, model.n_marks + 2)
+    j = model.n_marks
+    m = max(8, j + 2)
     T = cfg.horizon
     drawn = rng.uniform(0.0, T, size=cfg.count) + 1e-9
+    times = np.concatenate([[T, 0.5 * T, 1e-6 * T], np.minimum(drawn, T)])
+    n_args = 2 if extra == "args" else 1
+    xs = rng.uniform(-cfg.x_bound, cfg.x_bound, size=(times.size, m))
+    ys = rng.uniform(-cfg.y_bound, cfg.y_bound, size=(n_args, times.size, m))
+    zs = rng.uniform(-cfg.z_bound, cfg.z_bound, size=(n_args, times.size, m))
+    us = rng.standard_normal(size=(n_args, times.size, m, j))
+    bumps = rng.standard_normal(size=(times.size, m, j)) if extra == "bump" else None
     violations, n_points = [], 0
-    for t in np.concatenate([[T, 0.5 * T, 1e-6 * T], np.minimum(drawn, T)]):
-        x = rng.uniform(-cfg.x_bound, cfg.x_bound, size=m)
+    for i, t in enumerate(times):
+        x = xs[i].copy()
         x[0] = 0.0
         ctx = StepContext(model=model, x=x)
-        y, z, u = ref_sample_args(model, cfg, rng, m)
-        lhs, rhs, point = side(ctx, float(t), y, z, u, rng)
+        args = [arr for a in range(n_args) for arr in ref_corner_args(cfg, ys[a, i], zs[a, i], us[a, i])]
+        if bumps is not None:
+            bump = np.abs(bumps[i])
+            bump[0] = 1.0
+            args.append(bump)
+        lhs, rhs, point = side(ctx, float(t), *args)
         n_points += m
         for k in np.flatnonzero(lhs > rhs + CHECK_SLACK)[:3]:
             violations.append(Violation(point=point(k), lhs=float(lhs[k]), rhs=float(rhs[k])))
     return CheckReport(check, label, not violations, n_points, violations)
 
 
-def ref_sample_args(model, cfg, rng, m):
-    j = model.n_marks
-    y = rng.uniform(-cfg.y_bound, cfg.y_bound, size=m)
-    z = rng.uniform(-cfg.z_bound, cfg.z_bound, size=m)
-    u = rng.standard_normal(size=(m, j)) * cfg.u_scale
+def ref_corner_args(cfg, y, z, u):
+    """One time's (y, z, u): fresh copies with the corner rows and the single-coordinate u spikes set."""
+    y, z, u = y.copy(), z.copy(), u * cfg.u_scale
     y[:4] = [0.0, 1.0, -1.0, cfg.y_bound]
     z[:4] = [0.0, 1.0, -1.0, -cfg.z_bound]
-    if j:
-        u[0] = 0.0
-        for k in range(min(j, max(0, m - 1))):
-            u[1 + k] = 0.0
-            u[1 + k, k] = cfg.u_scale
+    u[0] = 0.0
+    for k in range(u.shape[1]):
+        u[1 + k] = 0.0
+        u[1 + k, k] = cfg.u_scale
     return y, z, u
 
 
 def ref_growth(g, model, cfg):
-    def side(ctx, t, y, z, u, rng):
+    def side(ctx, t, y, z, u):
         val = np.abs(np.asarray(g.eval(ctx, t, y, z, u), dtype=float))
         bound = np.asarray(g.growth_bound(ctx, t, y, z, u), dtype=float)
         return val, bound, lambda k: {"t": t, "x": float(ctx.x[k]), "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
@@ -321,8 +328,7 @@ def ref_growth(g, model, cfg):
 
 
 def ref_monotonicity(g, model, cfg):
-    def side(ctx, t, y, z, u, rng):
-        y2, z2, u2 = ref_sample_args(model, cfg, rng, y.size)
+    def side(ctx, t, y, z, u, y2, z2, u2):
         dy = y - y2
         lhs = dy * (np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y2, z2, u2)))
         rhs = float(g.alpha(t)) * np.asarray(g.rho(dy * dy)) + np.asarray(g.beta(ctx, t)) * np.abs(dy) * (
@@ -330,24 +336,21 @@ def ref_monotonicity(g, model, cfg):
         )
         return lhs, rhs, lambda k: {"t": t, "y": float(y[k]), "y2": float(y2[k]), "z": float(z[k]), "z2": float(z2[k])}
 
-    return ref_sampled_check("monotonicity", g.name, model, cfg, 1, side)
+    return ref_sampled_check("monotonicity", g.name, model, cfg, 1, side, extra="args")
 
 
 def ref_jump_ordering(g, model, cfg):
-    def side(ctx, t, y, z, u, rng):
-        bump = np.abs(rng.standard_normal(size=u.shape))
-        if model.n_marks:
-            bump[0] = 1.0
+    def side(ctx, t, y, z, u, bump):
         u_hi = u + bump
         lhs = np.asarray(g.eval(ctx, t, y, z, u)) - np.asarray(g.eval(ctx, t, y, z, u_hi))
         rhs = (u_hi - u) @ model.intensities
         return lhs, rhs, lambda k: {"t": t, "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist(), "u_hi": u_hi[k].tolist()}
 
-    return ref_sampled_check("jump_ordering", g.name, model, cfg, 2, side)
+    return ref_sampled_check("jump_ordering", g.name, model, cfg, 2, side, extra="bump")
 
 
 def ref_ordering(g_low, g_high, model, cfg):
-    def side(ctx, t, y, z, u, rng):
+    def side(ctx, t, y, z, u):
         lo = np.asarray(g_low.eval(ctx, t, y, z, u), dtype=float)
         hi = np.asarray(g_high.eval(ctx, t, y, z, u), dtype=float)
         return lo, hi, lambda k: {"t": t, "y": float(y[k]), "z": float(z[k]), "u": u[k].tolist()}
@@ -370,7 +373,10 @@ SAMPLER_DRIVERS = {
 
 @st.composite
 def sampler_problems(draw):
-    cfg = SamplerConfig(count=draw(st.integers(1, 40)), seed=draw(st.integers(0, 2**16)))
+    bound = st.floats(0.1, 10.0)
+    cfg = SamplerConfig(count=draw(st.integers(1, 40)), y_bound=draw(bound), z_bound=draw(bound),
+                        u_scale=draw(bound), x_bound=draw(bound), horizon=draw(st.floats(0.1, 5.0)),
+                        seed=draw(st.integers(0, 2**16)))
     n_marks = draw(st.integers(0, 3))
     sizes = draw(st.lists(st.sampled_from([0.5, -0.3, 1.5, -1.5, 0.05]), min_size=n_marks, max_size=n_marks,
                           unique=True))
@@ -408,69 +414,6 @@ def test_batched_sampler_matches_per_time_reference(name, problem):
     for got, want in pairs:
         assert_reports_match(got, want, reads_t)
     assert not pairs[4][0].passed  # the reversed pair fails at every sampled point
-
-
-# ---------------------------------------------------------------------------
-# The block draws against one RNG call per array and time
-# ---------------------------------------------------------------------------
-
-
-def loop_draw_points(cfg, seed_offset, j, extra):
-    """Reference draw phase: at every sampled time, one RNG call per array, in stream order."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed + seed_offset)))
-    m = max(8, j + 2)
-    times = _sample_times(cfg, rng)
-    n_args = 2 if extra == "args" else 1
-    x = np.empty((times.size, m))
-    y, z = np.empty((n_args, times.size, m)), np.empty((n_args, times.size, m))
-    u = np.empty((n_args, times.size, m, j))
-    bump = np.empty((times.size, m, j)) if extra == "bump" else None
-    for i in range(times.size):
-        x[i] = rng.uniform(-cfg.x_bound, cfg.x_bound, size=m)
-        for a in range(n_args):
-            y[a, i] = rng.uniform(-cfg.y_bound, cfg.y_bound, size=m)
-            z[a, i] = rng.uniform(-cfg.z_bound, cfg.z_bound, size=m)
-            u[a, i] = rng.standard_normal(size=(m, j))
-        if bump is not None:
-            bump[i] = rng.standard_normal(size=(m, j))
-    return times, x, y, z, u, bump
-
-
-@st.composite
-def draw_problems(draw):
-    bound = st.floats(0.1, 10.0)
-    cfg = SamplerConfig(count=draw(st.integers(1, 50)), y_bound=draw(bound), z_bound=draw(bound),
-                        u_scale=draw(bound), x_bound=draw(bound), horizon=draw(st.floats(0.1, 5.0)),
-                        seed=draw(st.integers(0, 2**32)))
-    n_marks = draw(st.integers(0, 3))
-    marks = tuple((x, draw(st.floats(0.1, 1.0))) for x in (0.5, -0.3, 1.5)[:n_marks])
-    return cfg, LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks)
-
-
-def all_checks(model, cfg):
-    gens = builtin_generators()
-    reports = []
-    for g in (gens["linear_driver"], gens["tanh_jump_integral"], gens["jump_ordering_violator"]):
-        reports += [check_growth(g, model, cfg), check_monotonicity(g, model, cfg),
-                    check_jump_ordering(g, model, cfg), check_ordering(g, shift_generator(g, -0.1), model, cfg)]
-    return [r.to_dict() for r in reports]
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(draw_problems())
-def test_block_draws_match_the_per_time_draw_loop(problem):
-    cfg, model = problem
-    for offset, extra in enumerate((None, "args", "bump", None)):
-        got = _draw_points(cfg, offset, model.n_marks, extra)
-        want = loop_draw_points(cfg, offset, model.n_marks, extra)
-        for a, b in zip(got, want):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    fast = all_checks(model, cfg)
-    with patch.object(generators, "_draw_points", loop_draw_points):
-        slow = all_checks(model, cfg)
-    assert pickle.dumps(fast) == pickle.dumps(slow)
 
 
 # ---------------------------------------------------------------------------
