@@ -231,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config) if args.config else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     command, csv_name = _COMMANDS[args.command]
     start = time.perf_counter()
     report, header, rows, summary = command(cfg)
     report.runtime_seconds = time.perf_counter() - start
     report.meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KB
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now, so a rejected config leaves no directory
     with open(out_dir / csv_name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -7,8 +7,10 @@ time t is a scalar when a solver calls (one time per level or step) or an
 array with one time per point when a condition check calls; drivers and
 their coefficients accept both. Condition checks are sampling based and
 report witnesses instead of raising: each draws all its points first, then
-evaluates the driver once on all of them. The catalog writes each driver once
-in y-curried form (Curried), whose bound function the solvers' fixed point
+evaluates the driver once on all of them. The catalog writes each driver once,
+as its slope and offset in y (Affine), from which the solvers solve the
+implicit step in closed form; a driver that is not affine in y is written in
+y-curried form (Curried), whose bound function the solvers' fixed point
 iterates in y alone.
 """
 
@@ -136,12 +138,37 @@ class Curried:
         return self.bind(ctx, t, z, u)(y)
 
 
+class Affine:
+    """A driver affine in y, written once as its slope and offset.
+
+    bind(ctx, t, z, u) does every y-independent part of the driver and
+    returns (slope, offset) with f = slope * y + offset: slope is a scalar or
+    one value per point, offset a scalar or one value per point, and neither
+    may be changed afterwards. eval(ctx, t, y, z, u) and the y-curried form
+    (curry) both compute slope * y + offset, and the solvers solve the
+    implicit step with them in closed form.
+    """
+
+    __slots__ = ("bind",)
+
+    def __init__(self, bind: Callable):
+        self.bind = bind
+
+    def curry(self, ctx, t, z, u) -> Callable:
+        slope, offset = self.bind(ctx, t, z, u)
+        return lambda y: slope * np.asarray(y, dtype=float) + offset
+
+    def __call__(self, ctx, t, y, z, u):
+        return self.curry(ctx, t, z, u)(y)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A driver together with its declared condition coefficients.
 
-    eval(ctx, t, y, z, u) must be pure and vectorized over nodes/paths; a
-    Curried eval also gives the solvers its y-curried form (see bind).
+    eval(ctx, t, y, z, u) must be pure and vectorized over nodes/paths; an
+    Affine eval also gives the solvers its slope and offset in y (see
+    affine), and an Affine or Curried eval its y-curried form (see bind).
     F, K1, K2 bound the growth |f| <= F + K1|y| + K2(|z| + ||u||); alpha,
     beta, rho enter the one-sided monotonicity condition. eval and the
     coefficients F, K1, K2, beta, alpha take t as a scalar (solvers) or as
@@ -160,13 +187,20 @@ class GeneratorSpec:
     def bind(self, ctx, t, z, u) -> Callable:
         """y -> f(ctx, t, y, z, u) with z and u held fixed, returning a fresh float array.
 
-        A Curried eval does its y-independent work here, once; any other eval
-        is called per y and its result copied, broadcast to the shape of y.
+        An Affine or Curried eval does its y-independent work here, once; any
+        other eval is called per y and its result copied, broadcast to the
+        shape of y.
         """
-        if isinstance(self.eval, Curried):
-            return self.eval.bind(ctx, t, z, u)
         ev = self.eval
+        if isinstance(ev, Affine):
+            return ev.curry(ctx, t, z, u)
+        if isinstance(ev, Curried):
+            return ev.bind(ctx, t, z, u)
         return lambda y: np.array(np.broadcast_to(ev(ctx, t, y, z, u), np.shape(y)), dtype=float)
+
+    def affine(self, ctx, t, z, u):
+        """(slope, offset) of f in y with z and u held fixed, for an Affine eval; None for any other."""
+        return self.eval.bind(ctx, t, z, u) if isinstance(self.eval, Affine) else None
 
     def growth_bound(self, ctx, t, y, z, u):
         """Declared bound F + K1|y| + K2(|z| + ||u||) at a point."""
@@ -230,8 +264,15 @@ def truncate_generator(g: GeneratorSpec, n: int) -> GeneratorSpec:
 
 
 def shift_generator(g: GeneratorSpec, delta: float) -> GeneratorSpec:
-    """Driver g + delta; the growth level F absorbs |delta|, everything else is unchanged."""
+    """Driver g + delta; the growth level F absorbs |delta|, everything else is unchanged.
+
+    The shift of an Affine driver is Affine, with delta added to its offset.
+    """
     d = float(delta)
+
+    def bind_affine(ctx, t, z, u):
+        slope, offset = g.affine(ctx, t, z, u)
+        return slope, offset + d
 
     def bind_shifted(ctx, t, z, u):
         fy = g.bind(ctx, t, z, u)
@@ -246,7 +287,8 @@ def shift_generator(g: GeneratorSpec, delta: float) -> GeneratorSpec:
     def f_shifted(ctx, t):
         return g.F(ctx, t) + abs(d)
 
-    return replace(g, name=f"{g.name}{d:+g}", eval=Curried(bind_shifted), F=f_shifted)
+    shifted = Affine(bind_affine) if isinstance(g.eval, Affine) else Curried(bind_shifted)
+    return replace(g, name=f"{g.name}{d:+g}", eval=shifted, F=f_shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -431,22 +473,16 @@ def rho_report(rho: RhoFunction, name: str = "rho") -> CheckReport:
 
 
 def zero_generator() -> GeneratorSpec:
-    def bind_zero(ctx, t, z, u):
-        return lambda y: np.zeros_like(np.asarray(y, dtype=float))
-
-    return GeneratorSpec(name="zero", eval=Curried(bind_zero))
+    return GeneratorSpec(name="zero", eval=Affine(lambda ctx, t, z, u: (0.0, 0.0)))
 
 
 def linear_y(k: float = 1.0) -> GeneratorSpec:
     """f = k*y; monotone with identity modulus and slope coefficient max(k, 0)."""
     kf = float(k)
 
-    def bind_lin(ctx, t, z, u):
-        return lambda y: kf * np.asarray(y, dtype=float)
-
     return GeneratorSpec(
         name=f"linear_y(k={kf:g})",
-        eval=Curried(bind_lin),
+        eval=Affine(lambda ctx, t, z, u: (kf, 0.0)),
         K1=constant_coeff(abs(kf)),
         alpha=lambda t: max(kf, 0.0),
     )
@@ -472,7 +508,7 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
         bz = bf * np.asarray(z, dtype=float)
         # np.dot, not @: the same sums on contiguous u, and much faster for one mark
         jump_term = np.dot(np.asarray(u, dtype=float), c_for(ctx.model) * ctx.model.intensities)
-        return lambda y: af * np.asarray(y, dtype=float) + bz + jump_term
+        return af, bz + jump_term
 
     def k2(ctx, t):
         cs = c_for(ctx.model)
@@ -483,7 +519,7 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
     cname = ",".join(f"{v:g}" for v in c_arr)
     return GeneratorSpec(
         name=f"linear(a={af:g},b={bf:g},c=[{cname}])",
-        eval=Curried(bind_lin),
+        eval=Affine(bind_lin),
         K1=constant_coeff(abs(af)),
         K2=k2,
         beta=k2,
@@ -511,14 +547,13 @@ def tanh_jump_integral() -> GeneratorSpec:
         w = kappa_weights(ctx.model, t) * ctx.model.intensities
         u = np.asarray(u, dtype=float)
         integral = u @ w if w.ndim == 1 else np.einsum("nj,nj->n", u, w)
-        value = np.where(np.asarray(t) > 0.0, np.tanh(integral), 0.0)  # +0, not tanh(-0), at t <= 0
-        return lambda y: value.copy()
+        return 0.0, np.where(np.asarray(t) > 0.0, np.tanh(integral), 0.0)  # +0, not tanh(-0), at t <= 0
 
     def k2(ctx, t):
         kap = kappa_weights(ctx.model, t)
         return np.zeros_like(np.asarray(ctx.x, dtype=float)) + np.sqrt((kap * kap) @ ctx.model.intensities)
 
-    return GeneratorSpec(name="tanh_jump_integral", eval=Curried(bind_tanh_jump), K2=k2, beta=k2)
+    return GeneratorSpec(name="tanh_jump_integral", eval=Affine(bind_tanh_jump), K2=k2, beta=k2)
 
 
 def jump_ordering_violator() -> GeneratorSpec:

@@ -3,9 +3,10 @@
 The regression state is the current value of the driving process; the basis
 is polynomial and its degree drops automatically when the design matrix is
 rank deficient on the sampled paths (pure-jump models take few values).
-Each step solves the tree's implicit equation y = E[y'] + dt f(t, y, z, u),
-with Z and U from the regressions of y' dW and y' dN~ scaled by the
-variances dt and lambda*dt of the increments.
+Each step solves the tree's implicit equation y = E[y'] + dt f(t, y, z, u)
+with tree.implicit_step: in closed form for a driver affine in y, by
+fixed-point iteration otherwise. Z and U come from the regressions of y' dW
+and y' dN~ scaled by the variances dt and lambda*dt of the increments.
 """
 
 from __future__ import annotations

@@ -37,9 +37,9 @@ class TreeSizeError(ModelError):
     """The requested tree exceeds the node cap."""
 
 
-class FixedPointError(RuntimeError):
-    """The implicit one-step equation did not converge; dt is too large for
-    the driver's y-sensitivity."""
+class FixedPointError(ModelError):
+    """The implicit one-step equation has no unique solution or did not
+    converge; dt is too large for the driver's y-sensitivity."""
 
 
 @dataclass(frozen=True)
@@ -348,20 +348,42 @@ def _representation_weights(tree: ScenarioTree):
 
 def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int,
                   project=None, tol: float = DEFAULT_FP_TOL):
-    """Solve y = ey + dt f(t, y, z, u) at one step by fixed-point iteration from y = ey.
+    """Solve y = ey + dt f(t, y, z, u) at one step; returns (y, iterations).
 
-    The driver is bound to (ctx, t, z, u) once (GeneratorSpec.bind) and each
-    iteration evaluates it in y alone, accumulating ey + dt f into the fresh
-    array it returns. `project`, when given, maps every driver evaluation to
-    a fresh array before it enters the update. Returns (y, iterations). A tol
-    that is not positive raises ModelError; an iteration that has not converged
-    after DEFAULT_FP_MAX_ITER updates raises FixedPointError with the step, the
-    last delta and the contraction dt * max K1.
+    A driver that declares itself affine in y (GeneratorSpec.affine gives
+    its slope and offset) is solved in closed form, y = (ey + dt offset) /
+    (1 - dt slope), in one iteration; with `project`, only when the slope is
+    a scalar, and then with project(offset), since the projection of
+    slope y + offset is slope y + project(offset) for y measurable. Where
+    1 - dt slope <= 0 the step has no unique solution, and FixedPointError
+    names the step and the smallest 1 - dt slope.
+
+    Any other driver (and a per-point slope under `project`) is bound to
+    (ctx, t, z, u) once (GeneratorSpec.bind) and iterated from y = ey, each
+    iteration evaluating it in y alone and accumulating ey + dt f into the
+    fresh array it returns. `project`, when given, maps every driver
+    evaluation to a fresh array before it enters the update. An iteration
+    that has not converged after DEFAULT_FP_MAX_ITER updates raises
+    FixedPointError with the step, the last delta and the contraction dt *
+    max K1. A tol that is not positive raises ModelError.
     """
     if not tol > 0:
         raise ModelError(f"fixed-point tolerance must be positive, got {tol!r}")
-    fy = g.bind(ctx, t, z, u)
     ey = np.ascontiguousarray(ey, dtype=float)
+    line = g.affine(ctx, t, z, u)
+    if line is not None and (project is None or np.ndim(line[0]) == 0):
+        slope, offset = line
+        denom = 1.0 - dt * np.asarray(slope, dtype=float)
+        low = float(np.min(denom, initial=np.inf))
+        if not low > 0:
+            raise FixedPointError(f"implicit step has no unique solution at step {step}: "
+                                  f"1 - dt*slope = {low:.3g} <= 0")
+        if project is not None:
+            offset = project(np.broadcast_to(offset, ey.shape))
+        y = ey + dt * offset
+        y /= denom
+        return y, 1
+    fy = g.bind(ctx, t, z, u)
     gap = np.empty(ey.shape)
     y = ey
     for it in range(1, DEFAULT_FP_MAX_ITER + 1):

@@ -118,10 +118,10 @@ def test_solve_mc_writes_fixed_point_iterations_in_meta(tmp_path, bootstrap):
     }))
     assert run_cli(["solve-mc", "--config", cfg, "--out", tmp_path / "out"]) == 0
     fp = read_report(tmp_path / "out")["meta"]["fp_iterations"]
-    assert len(fp["base"]) == 3 and all(k >= 2 for k in fp["base"])  # y-dependent: one update, one confirming
+    assert fp["base"] == [1, 1, 1]  # linear_driver is affine in y: each step is solved in closed form
     spread = read_report(tmp_path / "out")["meta"]["bootstrap"]
     if bootstrap:
-        assert len(fp["bootstrap_max"]) == 3 and all(k >= 2 for k in fp["bootstrap_max"])
+        assert fp["bootstrap_max"] == [1, 1, 1]
         assert sorted(spread) == ["max", "min", "replicates"]
         assert spread["replicates"] == 4 and spread["min"] <= spread["max"]
     else:
@@ -536,6 +536,9 @@ INPUT_ERROR_CASES = [
     pytest.param({**DEMO, "terminal": {"name": "jump_indicator", "min_count": 1.5}},
                  "terminal 'jump_indicator' parameter 'min_count' must be a whole number, got 1.5",
                  id="min-count-fraction"),
+    pytest.param({"model": {"drift": 0.0, "sigma": 1.0}, "grid": {"T": 1.0, "steps": 1},
+                  "generator": {"name": "linear_y", "k": 5.0}, "terminal": {"name": "const", "value": 1.0}},
+                 "implicit step has no unique solution at step 0: 1 - dt*slope = -4 <= 0", id="one-step-unsolvable"),
 ]
 
 
@@ -546,6 +549,7 @@ def test_invalid_solver_input_is_one_line_and_exit_3(tmp_path, capsys, cfg, mess
     path.write_text(json.dumps(cfg))
     assert run(["solve-lattice", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.splitlines() == [f"jumpbsde solve-lattice: error: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 def _with_stray(cfg: dict, block: str | None, key: str) -> dict:
@@ -586,4 +590,4 @@ def test_runner_config_with_unknown_key_is_one_line_and_exit_3(tmp_path, capsys,
     assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"jumpbsde {command}: error: unknown {kind} keys ['{key}']; valid: ")
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()

@@ -474,7 +474,7 @@ def test_linear_driver_keeps_its_formula_bitwise():
         m = 4001
         y, z = rng.standard_normal(m) * 1e3, rng.standard_normal(m) * 1e-3
         u = rng.standard_normal((m, len(marks))) * 10.0 ** rng.uniform(-4, 4, (m, len(marks)))
-        want = 0.3 * y + -0.4 * z + u @ ((c if marks else np.zeros(0)) * model.intensities)
+        want = 0.3 * y + (-0.4 * z + u @ ((c if marks else np.zeros(0)) * model.intensities))
         assert g.eval(ctx_for(model, m), 0.5, y, z, u).tobytes() == want.tobytes(), len(marks)
 
 

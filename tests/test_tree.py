@@ -20,6 +20,7 @@ from jumpbsde import (
     build_tree,
     check_jump_ordering,
     conditional_expectation,
+    constant_coeff,
     jump_ordering_violator,
     l2_distance,
     linear_driver,
@@ -32,6 +33,7 @@ from jumpbsde import (
     zero_generator,
 )
 from jumpbsde.experiments import max_ordering_violation
+from jumpbsde.generators import Affine, StepContext, truncate_generator
 from jumpbsde.levy import kept_marks_mask
 from jumpbsde.terminals import make_terminal
 from jumpbsde.tree import (
@@ -185,9 +187,22 @@ def test_fixed_point_divergence_raises():
     # y_k = 1 + 5 y_(k-1) from y_0 = 1: the k-th update moves y by 5^k, and dt * K1 = 5
     assert DEFAULT_FP_MAX_ITER == 200
     tree = build_tree(LevyModel(0.0, 0.0), TimeGrid(1.0, 1))
+    five_y = GeneratorSpec(name="5y", eval=lambda ctx, t, y, z, u: 5.0 * np.asarray(y, dtype=float),
+                           K1=constant_coeff(5.0))  # a plain eval, so the fixed point runs
     with pytest.raises(FixedPointError, match=r"step 0 within 200 iterations: last delta 6\.22e\+139, "
                                               r"estimated contraction dt\*K1 = 5$"):
+        solve_backward(tree, five_y, make_terminal({"name": "const", "value": 1.0}))
+
+
+def test_affine_step_without_a_unique_solution_raises():
+    # dt = 1/2: y = 1 + 2.5 y has a root, but y - dt f(y) decreases in y; at slope 2 it is constant
+    tree = build_tree(LevyModel(0.0, 1.0), TimeGrid(1.0, 2))
+    with pytest.raises(FixedPointError, match=r"^implicit step has no unique solution at step 1: "
+                                              r"1 - dt\*slope = -1\.5 <= 0$"):
         solve_backward(tree, linear_y(5.0), make_terminal({"name": "const", "value": 1.0}))
+    with pytest.raises(FixedPointError, match=r"at step 1: 1 - dt\*slope = 0 <= 0$"):
+        solve_backward(tree, linear_y(2.0), XI_X)
+    assert issubclass(FixedPointError, ModelError)  # an input error: the CLI prints one line and exits 3
 
 
 @pytest.mark.parametrize("kwargs, message", [({"tol": float("nan")}, "tolerance must be positive, got nan"),
@@ -606,6 +621,99 @@ def test_lattice_sweep_matches_product_sweep(problem):
         if kept_marks_mask(tree.model, level).all():
             for a, b in zip(full.Y + full.Z + full.U, trunc.Y + trunc.Z + trunc.U):
                 assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form implicit step against the fixed point
+# ---------------------------------------------------------------------------
+
+
+def plain_copy(g):
+    """g with a plain eval that computes the same numbers, so the solvers iterate its fixed point."""
+    return replace(g, eval=lambda ctx, t, y, z, u: g.eval(ctx, t, y, z, u))
+
+
+SLOPED_STATE = GeneratorSpec(  # affine in y with one slope per point
+    name="sloped_state",
+    eval=Affine(lambda ctx, t, z, u: (0.8 * np.tanh(np.asarray(ctx.x, dtype=float)), 0.3 * np.asarray(z, dtype=float))),
+    K1=constant_coeff(0.8),
+)
+AFFINE_STATE_TANH = GeneratorSpec(  # STATE_TANH declared affine: its offset varies with the removed marks' counts
+    name="affine_state_tanh",
+    eval=Affine(lambda ctx, t, z, u: (-0.2, 0.3 * np.tanh(np.asarray(ctx.x, dtype=float)))),
+)
+
+
+@st.composite
+def affine_drivers(draw, n_marks):
+    """A catalog driver at drawn parameters (or SLOPED_STATE), shifted by a drawn delta or not."""
+    coeff = st.floats(-4.0, 4.0)
+    c = draw(st.one_of(coeff, st.lists(coeff, min_size=n_marks, max_size=n_marks).map(tuple)))
+    g = draw(st.sampled_from([zero_generator(), linear_y(draw(coeff)), linear_driver(draw(coeff), draw(coeff), c or 0.5),
+                              tanh_jump_integral(), jump_ordering_violator(), SLOPED_STATE]))
+    return shift_generator(g, draw(st.floats(-2.0, 2.0))) if draw(st.booleans()) else g
+
+
+@st.composite
+def closed_form_steps(draw):
+    """A driver, a model with 0-2 marks, 1-12 points and a dt with dt |slope| <= 1/2."""
+    n_marks = draw(st.integers(0, 2))
+    marks = tuple((0.3 * (k + 1) * draw(st.sampled_from([1.0, -1.0])), draw(st.floats(0.1, 3.0)))
+                  for k in range(n_marks))
+    model = LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks)
+    m = draw(st.integers(1, 12))
+    vals = st.floats(-6.0, 6.0, allow_subnormal=False)
+    arr = lambda *shape: np.array(draw(st.lists(vals, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+                                  dtype=float).reshape(shape)
+    g = draw(affine_drivers(n_marks))
+    ctx, t = StepContext(model=model, x=arr(m)), draw(st.floats(0.0, 1.0))
+    ey, z, u = arr(m), arr(m), arr(m, n_marks)
+    steepest = float(np.max(np.abs(g.affine(ctx, t, z, u)[0])))
+    dt = draw(st.floats(1e-3, 1.0)) * min(1.0, 0.5 / steepest if steepest else 1.0)
+    return g, ctx, t, dt, ey, z, u
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(closed_form_steps())
+def test_closed_form_step_matches_the_fixed_point(problem):
+    g, ctx, t, dt, ey, z, u = problem
+    slope, offset = g.affine(ctx, t, z, u)
+    scale = float(np.max(np.abs(ey) + dt * np.abs(offset)))  # |y| <= 2 scale, since dt |slope| <= 1/2
+    tol = max(4e-15 * scale, 1e-300)
+    closed, iterations = implicit_step(g, ctx, t, dt, ey, z, u, 0)
+    fixed, fp_iterations = implicit_step(plain_copy(g), ctx, t, dt, ey, z, u, 0, tol=tol)
+    assert iterations == 1 and closed.shape == fixed.shape == ey.shape
+    assert np.abs(closed - fixed).max() <= 1e-14 * scale, g.name
+    first_move = dt * np.abs(np.asarray(g.eval(ctx, t, ey, z, u), dtype=float)).max()
+    assert fp_iterations >= (2 if first_move > tol else 1), g.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sweep_problems(), st.floats(-1.0, 1.0))
+def test_truncated_sweep_takes_the_closed_form_where_the_slope_is_a_scalar(problem, delta):
+    tree, g, xi, n = problem
+    for spec in (g, shift_generator(g, delta), SLOPED_STATE, AFFINE_STATE_TANH):
+        for level in (None, n, n + 1):
+            got, want = (solve_backward(tree, h, xi, tol=1e-14) if level is None else
+                         solve_truncated(tree, h, xi, level, tol=1e-14) for h in (spec, plain_copy(spec)))
+            for a, b in zip(got.Y.lattice + got.Z.lattice + got.U.lattice,
+                            want.Y.lattice + want.Z.lattice + want.U.lattice):
+                assert np.abs(a - b).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(b).max(initial=0.0)), (spec.name, level)
+            per_point = spec is SLOPED_STATE and level is not None and not kept_marks_mask(tree.model, level).all()
+            if isinstance(spec.eval, Affine) and not per_point:
+                assert set(got.fp_iterations) == {1}, (spec.name, level)
+
+
+def test_truncated_and_plain_drivers_keep_the_fixed_point():
+    tree = build_tree(TWO_MARK_MODEL, TimeGrid(1.0, 3))
+    g = linear_driver(0.3, 0.2, (0.4, -0.5))
+    assert set(solve_backward(tree, g, XI_X).fp_iterations) == {1}
+    assert set(solve_truncated(tree, g, XI_X, 4).fp_iterations) == {1}  # a scalar slope passes the projection
+    for spec in (truncate_generator(g, 2), plain_copy(g)):
+        assert min(solve_backward(tree, spec, XI_X).fp_iterations) >= 2, spec.name
+        assert min(solve_truncated(tree, spec, XI_X, 4).fp_iterations) >= 2, spec.name
+    assert min(solve_truncated(tree, SLOPED_STATE, XI_X, 4).fp_iterations) >= 2  # a per-point slope does not
+    assert set(solve_backward(tree, SLOPED_STATE, XI_X).fp_iterations) == {1}
 
 
 def test_lattice_coordinates_and_node_counts():
