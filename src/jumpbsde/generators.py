@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -504,10 +505,17 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
             raise ModelError(f"driver has {c_arr.size} jump coefficients, model has {model.n_marks} marks")
         return c_arr
 
+    @lru_cache(maxsize=8)
+    def jump_weights(model: LevyModel) -> np.ndarray:
+        """c_j * lambda_j, made once per model and read-only."""
+        cl = c_for(model) * model.intensities
+        cl.flags.writeable = False
+        return cl
+
     def bind_lin(ctx, t, z, u):
         bz = bf * np.asarray(z, dtype=float)
         # np.dot, not @: the same sums on contiguous u, and much faster for one mark
-        jump_term = np.dot(np.asarray(u, dtype=float), c_for(ctx.model) * ctx.model.intensities)
+        jump_term = np.dot(np.asarray(u, dtype=float), jump_weights(ctx.model))
         return af, bz + jump_term
 
     def k2(ctx, t):

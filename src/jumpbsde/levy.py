@@ -8,6 +8,7 @@ larger marks through raw counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,12 @@ PATH_BLOCK = 1024
 
 class ModelError(ValueError):
     """Invalid model, grid, driver or terminal parameter, or solve or simulation request."""
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -50,13 +57,14 @@ class LevyModel:
     def n_marks(self) -> int:
         return len(self.marks)
 
-    @property
+    # The mark arrays are read-only and made once per model: drivers read them on every call.
+    @cached_property
     def jump_sizes(self) -> np.ndarray:
-        return np.array([x for x, _ in self.marks], dtype=float)
+        return _read_only([x for x, _ in self.marks])
 
-    @property
+    @cached_property
     def intensities(self) -> np.ndarray:
-        return np.array([lam for _, lam in self.marks], dtype=float)
+        return _read_only([lam for _, lam in self.marks])
 
     @property
     def small_mask(self) -> np.ndarray:

@@ -64,7 +64,12 @@ def _design(x: np.ndarray, degree: int) -> np.ndarray:
     if s == 0.0 or degree == 0:
         return np.ones((x.size, 1))
     xt = (x - x.mean()) / s
-    return np.vander(xt, degree + 1, increasing=True)
+    phi = np.empty((x.size, degree + 1))
+    phi[:, 0] = 1.0
+    phi[:, 1] = xt
+    for c in range(2, degree + 1):
+        np.multiply(phi[:, c - 1], xt, out=phi[:, c])  # the products np.vander takes
+    return phi
 
 
 def _orthonormal_design(x: np.ndarray, degree: int) -> np.ndarray:
@@ -106,10 +111,20 @@ def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
 
     gram is (rows, k, k) and rhs (rows, k, targets). Returns coefficients,
     zero beyond each row's kept columns, and the kept column count per row.
+    The smallest eigenvalue of a leading block is at least that of the whole
+    matrix (Cauchy interlacing), so a row whose whole Gram matrix passes the
+    rank test keeps every column, and only the rows that fail it search
+    their leading blocks.
     """
     rows, k0, _ = gram.shape
-    full = np.stack([np.linalg.eigvalsh(gram[:, :k, :k])[:, 0] > _GRAM_RANK_TOL for k in range(1, k0 + 1)], axis=1)
-    kept = np.cumprod(full, axis=1).sum(axis=1)
+    kept = np.full(rows, k0)
+    bad = np.flatnonzero(~(np.linalg.eigvalsh(gram)[:, 0] > _GRAM_RANK_TOL))
+    if bad.size:
+        sub, full = gram[bad], np.ones(bad.size, dtype=bool)
+        kept[bad] = 0
+        for k in range(1, k0):
+            full &= np.linalg.eigvalsh(sub[:, :k, :k])[:, 0] > _GRAM_RANK_TOL
+            kept[bad] += full
     coef = np.zeros_like(rhs)
     for k in np.unique(kept):
         sel = kept == k
@@ -138,7 +153,6 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
         raise RegressionError("solve_mc needs lambda*dt < 1 for the jump-coefficient normalization")
 
     x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
-    dw, dnt = bundle.dw, bundle.dn_tilde
     rows, m = weights.shape
 
     def context(i):
@@ -153,20 +167,27 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
         z_keep = np.zeros((m, n))
         u_keep = np.zeros((m, n, j))
         y_keep[:, n] = y[0]
+    # the step's increments 1, dW and dN~_j: the design times each gives the
+    # regressors of E[y'], E[y' dW] and E[y' dN~_j], side by side
+    incs = np.empty((m, 2 + j))
+    incs[:, 0] = 1.0
+    wy = np.empty((rows, m))
+    fitted = np.empty((m, 2 + j))
 
     for i in range(n - 1, -1, -1):
         q = _orthonormal_design(x_path[:, i], basis.degree)
         k = q.shape[1]
-        gram = _weighted_sums(weights, (q[:, :, None] * q[:, None, :]).reshape(m, k * k)).reshape(rows, k, k)
-        # regressors of E[y'], E[y' dW] and E[y' dN~_j], side by side
-        cols = np.concatenate([q, q * dw[:, i, None]] + [q * dnt[:, i, mk, None] for mk in range(j)], axis=1)
-        rhs = _weighted_sums(weights * y, cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
+        gram = _weighted_sums(weights, np.einsum("mi,mj->mij", q, q).reshape(m, k * k)).reshape(rows, k, k)
+        incs[:, 1] = bundle.dw[:, i]
+        np.subtract(bundle.dn[:, i], lam_dt, out=incs[:, 2:])
+        cols = np.einsum("ma,mi->mai", incs, q).reshape(m, (2 + j) * k)
+        rhs = _weighted_sums(np.multiply(weights, y, out=wy), cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
         coef, kept = _solve_nested(gram, rhs)
         degrees[:, i] = kept - 1
         ctx = context(i)
         t = float(times[i])
         for b in range(rows):
-            fitted = q @ coef[b]
+            np.matmul(q, coef[b], out=fitted)
             ey = fitted[:, 0]
             z = fitted[:, 1] / dt if model.sigma > 0 else np.zeros(m)
             u = fitted[:, 2:] / lam_dt
@@ -174,7 +195,7 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
             if keep and b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
 
-    y0 = (weights * y).sum(axis=1) / m
+    y0 = np.multiply(weights, y, out=wy).sum(axis=1) / m
     return y0, degrees, iterations, ((y_keep, z_keep, u_keep) if keep else None)
 
 

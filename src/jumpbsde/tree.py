@@ -115,8 +115,9 @@ def _build_lattice(model: LevyModel, grid: TimeGrid, nb: int) -> CountLattice:
             # matrix products sum a row left over from blocks of four in another order, and
             # the sweep needs equal rows to give equal values wherever they sit.
             pad = -size % 4 if size > 1 else 0
-            kid = (coords @ strides)[:, None] + bits @ strides
-            kids.append(np.pad(kid, ((0, pad), (0, 0))).astype(np.int32))
+            kid = np.zeros((size + pad, 2**nb), dtype=np.int32)
+            kid[:size] = (coords @ strides)[:, None] + bits @ strides
+            kids.append(kid)
     return CountLattice(model, tuple(x), tuple(w), tuple(counts), tuple(mass), tuple(path_prob), tuple(kids))
 
 
@@ -356,7 +357,9 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
     a scalar, and then with project(offset), since the projection of
     slope y + offset is slope y + project(offset) for y measurable. Where
     1 - dt slope <= 0 the step has no unique solution, and FixedPointError
-    names the step and the smallest 1 - dt slope.
+    names the step and the smallest 1 - dt slope; a solution that is not
+    finite (from a NaN or infinite ey or offset) raises FixedPointError
+    naming the step, where the fixed point would not converge.
 
     Any other driver (and a per-point slope under `project`) is bound to
     (ctx, t, z, u) once (GeneratorSpec.bind) and iterated from y = ey, each
@@ -369,20 +372,26 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
     """
     if not tol > 0:
         raise ModelError(f"fixed-point tolerance must be positive, got {tol!r}")
-    ey = np.ascontiguousarray(ey, dtype=float)
     line = g.affine(ctx, t, z, u)
     if line is not None and (project is None or np.ndim(line[0]) == 0):
         slope, offset = line
-        denom = 1.0 - dt * np.asarray(slope, dtype=float)
-        low = float(np.min(denom, initial=np.inf))
+        if np.ndim(slope) == 0:
+            denom = low = 1.0 - dt * float(slope)
+        else:
+            denom = 1.0 - dt * np.asarray(slope, dtype=float)
+            low = float(np.min(denom, initial=np.inf))
         if not low > 0:
             raise FixedPointError(f"implicit step has no unique solution at step {step}: "
                                   f"1 - dt*slope = {low:.3g} <= 0")
+        ey = np.asarray(ey, dtype=float)
         if project is not None:
             offset = project(np.broadcast_to(offset, ey.shape))
         y = ey + dt * offset
         y /= denom
+        if not np.isfinite(y).all():
+            raise FixedPointError(f"implicit step has a non-finite solution at step {step}")
         return y, 1
+    ey = np.ascontiguousarray(ey, dtype=float)
     fy = g.bind(ctx, t, z, u)
     gap = np.empty(ey.shape)
     y = ey

@@ -1,5 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jumpbsde import (
     FixedPointError,
@@ -8,19 +13,23 @@ from jumpbsde import (
     TimeGrid,
     bootstrap_y0,
     build_tree,
+    jump_ordering_violator,
     l2_distance,
     linear_driver,
     linear_y,
     simulate_paths,
     solve_backward,
     solve_mc,
+    tanh_jump_integral,
+    truncate_generator,
     zero_generator,
 )
 from jumpbsde.config import generator_from_config, model_from_config
 from jumpbsde.experiments import default_mc_suite
 from jumpbsde.generators import StepContext
-from jumpbsde.mc import RegressionError, _backward_pass, _design
+from jumpbsde.mc import _GRAM_RANK_TOL, RegressionError, _backward_pass, _design, _solve_nested, _weighted_sums
 from jumpbsde.terminals import make_terminal
+from jumpbsde.tree import implicit_step
 
 XI_X = make_terminal("x")
 
@@ -192,3 +201,197 @@ def test_bootstrap_needs_two_resamples(n_boot):
     # the standard error of fewer than two replicates is undefined (n_boot = 1 gave NaN)
     with pytest.raises(RegressionError, match=f"^n_boot must be at least 2 .*, got {n_boot}$"):
         bootstrap_y0(LevyModel(0.0, 1.0), TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200, n_boot=n_boot)
+
+
+# ---------------------------------------------------------------------------
+# The backward pass against a plain copy of the same arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _plain_design(x, degree):
+    x = np.asarray(x, dtype=float)
+    s = x.std()
+    if s == 0.0 or degree == 0:
+        return np.ones((x.size, 1))
+    return np.vander((x - x.mean()) / s, degree + 1, increasing=True)
+
+
+def _plain_orthonormal_design(x, degree):
+    phi = _plain_design(x, degree)
+    q, r = np.linalg.qr(phi)
+    k = phi.shape[1]
+    while k > 1:
+        s = np.linalg.svd(r[:k, :k], compute_uv=False)
+        if s[-1] > np.finfo(float).eps * max(phi.shape[0], k) * s[0]:
+            break
+        k -= 1
+    return q[:, :k]
+
+
+def _plain_solve_nested(gram, rhs):
+    """The rank test on every leading block of every row."""
+    full = np.stack([np.linalg.eigvalsh(gram[:, :k, :k])[:, 0] > _GRAM_RANK_TOL
+                     for k in range(1, gram.shape[1] + 1)], axis=1)
+    kept = np.cumprod(full, axis=1).sum(axis=1)
+    coef = np.zeros_like(rhs)
+    for k in np.unique(kept):
+        sel = kept == k
+        coef[sel, :k] = np.linalg.solve(gram[sel, :k, :k], rhs[sel, :k])
+    return coef, kept
+
+
+def _plain_backward_pass(bundle, g, xi, degree, weights):
+    """_backward_pass(..., keep=True) written plainly: np.vander designs, broadcast Gram products,
+    concatenated regressor columns, fresh arrays for every product and the nested rank test."""
+    model, grid = bundle.model, bundle.grid
+    n, j, dt = grid.steps, model.n_marks, grid.dt
+    x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
+    dw, dnt = bundle.dw, bundle.dn_tilde
+    rows, m = weights.shape
+
+    def context(i):
+        return StepContext(model=model, x=x_path[:, i], w=w_path[:, i], counts=c_path[:, i])
+
+    y = np.empty((rows, m))
+    y[:] = xi(context(n))
+    degrees = np.zeros((rows, n), dtype=int)
+    iterations = np.zeros((rows, n), dtype=int)
+    y_keep, z_keep, u_keep = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, j))
+    y_keep[:, n] = y[0]
+    for i in range(n - 1, -1, -1):
+        q = _plain_orthonormal_design(x_path[:, i], degree)
+        k = q.shape[1]
+        gram = _weighted_sums(weights, (q[:, :, None] * q[:, None, :]).reshape(m, k * k)).reshape(rows, k, k)
+        cols = np.concatenate([q, q * dw[:, i, None]] + [q * dnt[:, i, mk, None] for mk in range(j)], axis=1)
+        rhs = _weighted_sums(weights * y, cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
+        coef, kept = _plain_solve_nested(gram, rhs)
+        degrees[:, i] = kept - 1
+        for b in range(rows):
+            fitted = q @ coef[b]
+            z = fitted[:, 1] / dt if model.sigma > 0 else np.zeros(m)
+            u = fitted[:, 2:] / (model.intensities * dt)
+            y[b], iterations[b, i] = implicit_step(g, context(i), float(grid.times[i]), dt, fitted[:, 0], z, u, i)
+            if b == 0:
+                y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
+    return (weights * y).sum(axis=1) / m, degrees, iterations, (y_keep, z_keep, u_keep)
+
+
+def _plain_eval(g):
+    """g with a plain eval, so the implicit step runs the fixed point on it."""
+    return replace(g, name=f"plain {g.name}", eval=lambda ctx, t, y, z, u: g.eval(ctx, t, y, z, u))
+
+
+PASS_DRIVERS = {
+    "zero": lambda j: zero_generator(),
+    "linear_y": lambda j: linear_y(-0.7),
+    "linear_driver": lambda j: linear_driver(0.4, -0.3, tuple(0.5 - k for k in range(j)) or 0.5),
+    "tanh_jump_integral": lambda j: tanh_jump_integral(),
+    "jump_ordering_violator": lambda j: jump_ordering_violator(),
+    "truncated": lambda j: truncate_generator(linear_driver(0.3, 0.8, 1.5), 1),
+    "plain_eval": lambda j: _plain_eval(linear_driver(0.5, 0.2, -0.5)),
+}
+
+
+def _pass_inputs(sigma, sizes, steps, paths, seed, rows, zero_share, driver, terminal):
+    """A path bundle, driver, terminal and weights: row 0 all ones or a resample, the other rows resamples,
+    and the first zero_share of the paths weighted zero in every row after the first."""
+    lam = [0.3 * steps, 0.6 * steps][:len(sizes)]  # lambda*dt is 0.3 and 0.6
+    model = LevyModel(0.1, sigma, tuple(zip(sizes, lam)))
+    bundle = simulate_paths(model, TimeGrid(1.0, steps), paths, seed)
+    rng = np.random.default_rng(seed)
+    weights = np.array([np.bincount(rng.integers(0, paths, size=paths), minlength=paths) for _ in range(rows)],
+                       dtype=float)
+    if seed % 2:
+        weights[0] = 1.0
+    weights[1:, :int(zero_share * paths)] = 0.0
+    return bundle, PASS_DRIVERS[driver](len(sizes)), make_terminal(terminal), weights
+
+
+def _assert_pass_matches_plain_copy(bundle, g, xi, weights):
+    got = _backward_pass(bundle, g, xi, RegressionBasis(), weights, keep=True)
+    want = _plain_backward_pass(bundle, g, xi, 3, weights)
+    for name, a, b in zip(("y0", "degrees", "iterations"), got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name, a, b in zip("YZU", got[3], want[3]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return got[1]
+
+
+@st.composite
+def backward_passes(draw):
+    n_marks = draw(st.integers(0, 2))
+    sizes = [draw(st.sampled_from([0.5, -0.5])), draw(st.sampled_from([1.5, -0.3]))][:n_marks]
+    return (draw(st.sampled_from([0.0, 1.0])), sizes, draw(st.integers(1, 6)), draw(st.integers(30, 300)),
+            draw(st.integers(0, 2**16)), draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.1, 0.5])),
+            draw(st.sampled_from(sorted(PASS_DRIVERS))), draw(st.sampled_from(["x", "tanh_x", "clip_x"])))
+
+
+PURE_JUMP_PASS = (0.0, [0.5], 4, 203, 3, 5, 0.5, "linear_driver", "x")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(backward_passes())
+@example(PURE_JUMP_PASS)
+@example((1.0, [0.5, -0.3], 6, 301, 2, 4, 0.1, "plain_eval", "tanh_x"))
+def test_backward_pass_is_bitwise_its_plain_copy(case):
+    _assert_pass_matches_plain_copy(*_pass_inputs(*case))
+
+
+def test_plain_copy_check_covers_a_pure_jump_state_that_drops_degree():
+    degrees = _assert_pass_matches_plain_copy(*_pass_inputs(*PURE_JUMP_PASS))
+    assert degrees.min() == 0  # the state is deterministic at step 0
+    # at some step, some rows keep the whole basis and the others search their leading blocks
+    assert ((degrees == 3).any(axis=0) & (degrees < 3).any(axis=0)).any()
+
+
+@st.composite
+def gram_stacks(draw):
+    """Gram stacks of 1-6 rows; per row, a random well-conditioned Gram matrix, one with a repeated or a
+    zero column (rank deficient) or a diagonal with 1e-10 = _GRAM_RANK_TOL at a drawn position."""
+    k0 = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    grams = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["full", "repeat", "zero", "at_tol"]))
+        a = rng.standard_normal((40, k0))
+        col = draw(st.integers(0, k0 - 1))
+        if kind == "repeat" and k0 > 1:
+            a[:, col] = a[:, col - 1]
+        elif kind == "zero":
+            a[:, col] = 0.0
+        grams.append(np.diag(rng.uniform(0.5, 2.0, k0)) if kind == "at_tol" else a.T @ a / 40)
+        if kind == "at_tol":
+            grams[-1][col, col] = _GRAM_RANK_TOL
+    gram = np.stack(grams)
+    return gram, rng.standard_normal((gram.shape[0], k0, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gram_stacks())
+def test_solve_nested_is_bitwise_the_rank_test_on_every_leading_block(stack):
+    gram, rhs = stack
+    (coef, kept), (coef_ref, kept_ref) = _solve_nested(gram, rhs), _plain_solve_nested(gram, rhs)
+    assert kept.tolist() == kept_ref.tolist()
+    assert coef.tobytes() == coef_ref.tobytes()
+
+
+def test_solve_nested_keeps_the_block_before_an_eigenvalue_at_the_tolerance():
+    gram = np.stack([np.diag([1.0, _GRAM_RANK_TOL, 1.0]), np.diag([1.0, 1.0, _GRAM_RANK_TOL]), np.eye(3)])
+    _, kept = _solve_nested(gram, np.ones((3, 3, 2)))
+    assert kept.tolist() == [1, 2, 3]
+
+
+def test_bootstrap_peak_memory_holds_no_per_step_regressors():
+    """Per step the pass keeps one (paths, 2 + marks) array of increments; regressors for every step
+    at once would add steps * paths * (2 + marks) doubles (2 MiB here) and break the guard."""
+    model = LevyModel(0.0, 1.0, ((0.6, 0.25), (-0.4, 0.2)))
+    grid, g = TimeGrid(1.0, 16), linear_driver(0.2, 0.3, [0.4, -0.6])
+    bootstrap_y0(model, grid, g, XI_X, paths=400, seed=1)  # first-call allocations outside the trace
+    tracemalloc.start()
+    try:
+        est = bootstrap_y0(model, grid, g, XI_X, paths=4000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(est.y0)
+    assert peak <= 1.1 * 7.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"

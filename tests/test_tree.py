@@ -205,6 +205,26 @@ def test_affine_step_without_a_unique_solution_raises():
     assert issubclass(FixedPointError, ModelError)  # an input error: the CLI prints one line and exits 3
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_with_a_non_finite_solution_raises_on_both_paths(bad):
+    # the closed form returned ([nan], 1) here; the plain-eval fixed point never converges on it
+    ctx = StepContext(model=LevyModel(0.0, 1.0), x=np.zeros(2))
+    z, u = np.zeros(2), np.zeros((2, 0))
+    through_ey = [(g, np.array([0.5, bad]), z) for g in (linear_y(0.5), linear_driver(0.5, 0.3, 0.0), SLOPED_STATE)]
+    through_offset = [(g, np.zeros(2), np.array([bad, 0.5])) for g in (linear_driver(0.5, 0.3, 0.0), SLOPED_STATE)]
+    for g, ey, zz in through_ey + through_offset:
+        with pytest.raises(FixedPointError, match=r"^implicit step has a non-finite solution at step 3$"):
+            implicit_step(g, ctx, 0.0, 0.5, ey, zz, u, 3)
+        with pytest.raises(FixedPointError, match=r"at step 3 within 200 iterations: last delta nan,"):
+            implicit_step(plain_copy(g), ctx, 0.0, 0.5, ey, zz, u, 3)
+    tree = build_tree(LevyModel(0.0, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 3))
+    nan_at_a_jump = lambda ctx: np.where(ctx.counts[:, 0] > 0, bad, 0.0)  # noqa: E731
+    for solve in (solve_backward, partial(solve_truncated, n=1)):
+        with pytest.raises(FixedPointError, match=r"non-finite solution at step 2$"):
+            solve(tree, linear_driver(0.2, 0.3, -0.5), nan_at_a_jump)
+
+
 @pytest.mark.parametrize("kwargs, message", [({"tol": float("nan")}, "tolerance must be positive, got nan"),
                                              ({"tol": 0.0}, "tolerance must be positive, got 0.0")])
 def test_fixed_point_rejects_bad_inputs(kwargs, message):
