@@ -12,8 +12,9 @@ times each of its nb branch bits (Brownian sign, one per mark) was set
 along its path, and so does every value the solvers compute from them.
 The solvers therefore sweep the recombining count lattice, whose level i
 has (i+1)^nb points, and the product tree keeps one lattice index per
-node: its per-node arrays are gathers from the lattice, made on first
-access.
+node. Its per-node arrays are gathered on first access, level i as the
+rows of its parents' points in the lattice values of their children, so
+they read the index of level i-1, B times shorter than the level.
 """
 
 from __future__ import annotations
@@ -121,13 +122,19 @@ def _build_lattice(model: LevyModel, grid: TimeGrid, nb: int) -> CountLattice:
     return CountLattice(model, tuple(x), tuple(w), tuple(counts), tuple(mass), tuple(path_prob), tuple(kids))
 
 
+def _child_rows(table: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """Per-node values of a level from its parents' lattice points: row p of table
+    holds the values of the B children of point p, so node k*B + b is entry b of
+    the row of parent k's point."""
+    return np.take(table, parents, axis=0).reshape((parents.size * table.shape[1],) + table.shape[2:])
+
+
 class ProductIndex(Sequence):
     """The lattice point of every product node, one int32 array per level,
     enumerated on first access to a level together with the levels before it.
 
-    A child's point is its parent's point plus the branch bits: kids[:, 0]
-    re-numbers the parent's point on the next level, and kids[0] holds the
-    branch offsets.
+    kids[i][p] lists the level-(i+1) points of the children of point p, so
+    level i+1 is the rows of kids[i] at level i's points.
     """
 
     def __init__(self, kids: tuple):
@@ -140,8 +147,7 @@ class ProductIndex(Sequence):
     def __getitem__(self, key: int) -> np.ndarray:
         i = range(len(self))[key]
         while len(self._levels) <= i:
-            kids = self.kids[len(self._levels) - 1]
-            self._levels.append(np.add.outer(kids[:, 0][self._levels[-1]], kids[0]).ravel())
+            self._levels.append(_child_rows(self.kids[len(self._levels) - 1], self._levels[-1]))
         return self._levels[i]
 
 
@@ -149,8 +155,10 @@ class LevelArrays(Sequence):
     """Per-level arrays over the product tree's nodes, gathered on first access
     from per-point values on the count lattice.
 
-    lattice[i] holds one value (or row) per lattice point at level i, and
-    index[i] the lattice point of every level-i node. Slices and sums with
+    lattice[i] holds one value (or row) per lattice point at level i. A level
+    below the root is gathered as the rows of its parents' points in the
+    lattice values of their children, lattice[i][kids[i-1]], so a read
+    enumerates index only up to the parents' level. Slices and sums with
     other sequences give tuples.
     """
 
@@ -168,7 +176,8 @@ class LevelArrays(Sequence):
         i = range(len(self))[key]
         if i not in self._gathered:
             v = self.lattice[i]
-            self._gathered[i] = v[self.index[i]] if v.ndim == 1 else np.take(v, self.index[i], axis=0)
+            self._gathered[i] = (np.take(v, self.index[0], axis=0) if i == 0 else
+                                 _child_rows(np.take(v, self.index.kids[i - 1], axis=0), self.index[i - 1]))
         return self._gathered[i]
 
     def __add__(self, other) -> tuple:
@@ -189,9 +198,10 @@ class ScenarioTree:
     base-B digits, the first step most significant. In branch b, mark j is
     bit j and the Brownian sign (when sigma > 0) is the top bit, so a level
     reshapes to one binary axis per step and bit; project_coarse relies on it.
-    index[i] holds each level-i node's lattice point, through which the
-    per-node arrays are gathered from the lattice on first access; it is
-    enumerated only when a level is first gathered.
+    index[i] holds each level-i node's lattice point. The per-node arrays
+    are gathered from the lattice on first access, level i through index[i-1]
+    (see LevelArrays), and the index is enumerated only as far as a gather
+    or a read of it needs.
     """
 
     model: LevyModel
@@ -236,7 +246,7 @@ class ScenarioTree:
 def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
     """The product tree over its count lattice; rejects lambda*dt >= 1 and trees above DEFAULT_NODE_CAP nodes.
 
-    The product index is enumerated level by level when a per-node array is first read.
+    The product index is enumerated level by level when a per-node array or the index is first read.
     """
     grid.validate_for_tree(model)
     j = model.n_marks
@@ -365,10 +375,11 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
     (ctx, t, z, u) once (GeneratorSpec.bind) and iterated from y = ey, each
     iteration evaluating it in y alone and accumulating ey + dt f into the
     fresh array it returns. `project`, when given, maps every driver
-    evaluation to a fresh array before it enters the update. An iteration
-    that has not converged after DEFAULT_FP_MAX_ITER updates raises
-    FixedPointError with the step, the last delta and the contraction dt *
-    max K1. A tol that is not positive raises ModelError.
+    evaluation to a fresh array before it enters the update. A delta that
+    is not finite raises FixedPointError naming the step at once; an
+    iteration that has not converged after DEFAULT_FP_MAX_ITER updates
+    raises FixedPointError with the step, the last delta and the
+    contraction dt * max K1. A tol that is not positive raises ModelError.
     """
     if not tol > 0:
         raise ModelError(f"fixed-point tolerance must be positive, got {tol!r}")
@@ -400,6 +411,8 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
         y_new *= dt
         y_new += ey
         delta = float(np.abs(np.subtract(y_new, y, out=gap), out=gap).max()) if gap.size else 0.0
+        if not math.isfinite(delta):
+            raise FixedPointError(f"implicit step has a non-finite solution at step {step}")
         y = y_new
         if delta <= tol:
             return y, it
@@ -485,11 +498,13 @@ def project_coarse(tree: ScenarioTree, values, n: int, level: int) -> np.ndarray
 
     The level's values form a tensor of branch bits (see ScenarioTree). Each
     removed-mark bit axis is averaged out in turn, outermost first, as
-    v0 + (v1 - v0) * lambda dt on a view that halves it; the means are then
-    repeated back over the same axes, innermost first. Every average is
-    centred at bit 0, so measurable values pass through bitwise and the
-    projection is idempotent. A level that does not match the values'
-    length raises ModelError.
+    v0 + (v1 - v0) * lambda dt on a view that halves it, written into the
+    half of the result its source does not occupy. The means then reach the
+    nodes by one row take: node k*B + b reads, in the row of parent k's kept
+    bits, the entry of branch b's kept bits. Every average is centred at
+    bit 0, so measurable values pass through bitwise and the projection is
+    idempotent. The result is the only level-sized allocation. A level that
+    does not match the values' length raises ModelError.
     """
     v = np.asarray(values, dtype=float)
     lvl = int(level)
@@ -505,15 +520,26 @@ def project_coarse(tree: ScenarioTree, values, n: int, level: int) -> np.ndarray
     # Mark k's bit at step s has nb*(lvl-1-s) + k axes after it (see ScenarioTree). Halving the axes
     # outermost first leaves those axes whole, so the trailing size of each is 2**after.
     after = [nb * (lvl - 1 - s) + k for s in range(lvl) for k in np.flatnonzero(removed)[::-1]]
+    out = np.empty(v.size)
+    halves = out.reshape(2, -1)
     t = v
-    for a in after:
+    for h, a in enumerate(after):  # halving h reads the half halving h-1 wrote and writes the other
         pair = t.reshape(-1, 2, 1 << a)
-        t = np.subtract(pair[:, 1], pair[:, 0])
+        t = np.subtract(pair[:, 1], pair[:, 0], out=halves[h % 2, : t.size // 2].reshape(-1, 1 << a))
         t *= p_jump[a % nb]
         t += pair[:, 0]
-    for a in reversed(after):
-        t = np.repeat(t.reshape(-1, 1, 1 << a), 2, axis=1)
-    return t.reshape(-1)
+    # The means are in C order over the kept bits, step by step; each step's kept bits keep their order.
+    kept = np.flatnonzero(np.r_[~removed, np.ones(nb - removed.size, dtype=bool)])
+    branch = np.arange(tree.branching)
+    col = ((branch[:, None] >> kept) & 1) @ (1 << np.arange(kept.size))
+    rows = np.zeros(1, dtype=np.intp)
+    for _ in range(lvl - 1):
+        rows = np.add.outer(rows << kept.size, col).ravel()
+    # The column take moves the means to a small array of their own, so the row take may fill the whole
+    # result; its indices are all in range, and mode="clip" lets it write there without a buffer.
+    np.take(np.take(t.reshape(-1, 1 << kept.size), col, axis=1), rows, axis=0,
+            out=out.reshape(-1, tree.branching), mode="clip")
+    return out
 
 
 def _removed_count_average(tree: ScenarioTree, removed: np.ndarray, level: int):

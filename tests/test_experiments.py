@@ -333,7 +333,7 @@ def test_markov_measurements_leave_the_product_index_unenumerated():
     stability_inputs(tree, sol, sol_prime, g, g_prime)
     assert len(tree.index._levels) == 1  # the root alone: no product level was enumerated
     tree.states[2]
-    assert len(tree.index._levels) == 3  # a per-node read enumerates the levels up to its own
+    assert len(tree.index._levels) == 2  # a per-node read enumerates the levels up to its parents'
 
 
 # Catalog specs are copied whole by config.resolve_spec, which rejects unknown parameters itself.
