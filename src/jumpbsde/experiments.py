@@ -149,7 +149,7 @@ def _sup_time_sum(tree: ScenarioTree, coeff) -> float:
     V + dt c on the lattice; rounded addition is monotone, so it is the max of the path sums bitwise."""
     v = np.zeros(1)
     for i in range(tree.n_steps):
-        v = tree.lattice.to_kids(i, np.maximum, -np.inf, (v + _lattice_coeff(tree, coeff, i))[:, None])
+        v = tree.lattice.forward(i, v + _lattice_coeff(tree, coeff, i), law=False)
     return float(v.max())
 
 
@@ -160,12 +160,12 @@ def measure_ck(tree: ScenarioTree, g) -> float:
 
 def measure_e_if2(tree: ScenarioTree, g) -> float:
     """E[(int F dt)^2] on the grid, from each lattice point's mass-weighted moments m1, m2 of the
-    running sum S: a step adds a = dt F to S, and the moments flow to the kids by branch probability."""
-    lat, p, m1, m2 = tree.lattice, tree.branch_prob, np.zeros(1), np.zeros(1)
+    running sum S: a step adds a = dt F to S, and the moments flow to the next level by the step's law."""
+    lat, m1, m2 = tree.lattice, np.zeros(1), np.zeros(1)
     for i in range(tree.n_steps):
         a = _lattice_coeff(tree, g.F, i)
         s1, s2 = m1 + a * lat.mass[i], m2 + a * (2.0 * m1 + a * lat.mass[i])
-        m1, m2 = (lat.to_kids(i, np.add, 0.0, s[:, None] * p) for s in (s1, s2))
+        m1, m2 = lat.forward(i, s1), lat.forward(i, s2)
     return float(m2.sum())
 
 

@@ -72,7 +72,7 @@ class LevyModel:
         return np.abs(self.jump_sizes) <= SMALL_JUMP_CUTOFF
 
     def state_increment(self, dt: float, dw, dn):
-        """State increment a*dt + sigma*dW + dN @ sizes, less the small marks' compensator.
+        """State increment a*dt + sigma*dW + sum_j dN_j x_j, less the small marks' compensator.
 
         dn carries one count per mark in its last axis; the path simulator and
         the tree's branch alphabet both step the state through this law.
@@ -81,7 +81,7 @@ class LevyModel:
         if self.n_marks:
             sizes, small = self.jump_sizes, self.small_mask
             comp = float((sizes[small] * self.intensities[small]).sum()) * dt
-            inc = inc + dn @ sizes - comp
+            inc = inc + mark_sum(dn, sizes) - comp
         return inc
 
     def mean_terminal_state(self, horizon: float) -> float:
@@ -129,7 +129,20 @@ def levy_norm(u, model: LevyModel):
     lam = model.intensities
     if u.shape[-1:] != lam.shape:
         raise ModelError(f"jump vector has {u.shape[-1] if u.ndim else 0} entries, model has {model.n_marks} marks")
-    return np.sqrt((u * u) @ lam)
+    return np.sqrt(mark_sum(u * u, lam))
+
+
+def mark_sum(values, weights) -> np.ndarray:
+    """sum_j values[..., j] * weights[..., j], added from mark 0 up, so its bits do not
+    depend on the BLAS kernel or the CPU; with no marks, zeros."""
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    if not values.shape[-1]:
+        return np.zeros(np.broadcast_shapes(values.shape, weights.shape)[:-1])
+    out = values[..., 0] * weights[..., 0]
+    term = np.empty_like(out)
+    for k in range(1, values.shape[-1]):
+        out += np.multiply(values[..., k], weights[..., k], out=term)
+    return out
 
 
 def truncate_model(model: LevyModel, n: int) -> LevyModel:

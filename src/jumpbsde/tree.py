@@ -2,19 +2,14 @@
 and the projection onto the sub-filtration generated by the coarse jumps.
 
 Per step the branch alphabet is the product of a Brownian sign (when sigma
-is positive) with one jump/no-jump bit per mark. Branch b at any node has
-the same increment and probability, so level i holds exactly B^i nodes laid
-out so that the children of node k are k*B + b. All conditional expectations
-are probability-weighted sums over children, with no regression anywhere.
-
-A node's state, Brownian value and jump counts depend only on how many
-times each of its nb branch bits (Brownian sign, one per mark) was set
-along its path, and so does every value the solvers compute from them.
-The solvers therefore sweep the recombining count lattice, whose level i
-has (i+1)^nb points, and the product tree keeps one lattice index per
-node. Its per-node arrays are gathered on first access, level i as the
-rows of its parents' points in the lattice values of their children, so
-they read the index of level i-1, B times shorter than the level.
+is positive) with one jump/no-jump bit per mark, so level i of the product
+tree holds B^i nodes, the children of node k being k*B + b. Every value the
+solvers compute depends on a node only through how often each of its nb
+bits was set, so they sweep the recombining count lattice, whose level i is
+a box of (i+1)^nb points. A step's bits are independent, so its operators
+work on the box one axis at a time, in sums of fixed order with no BLAS.
+The product tree keeps one lattice index per node and gathers its per-node
+arrays on first access.
 """
 
 from __future__ import annotations
@@ -22,12 +17,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .generators import GeneratorSpec, StepContext
-from .levy import LevyModel, ModelError, TimeGrid, kept_marks_mask
+from .levy import LevyModel, ModelError, TimeGrid, kept_marks_mask, mark_sum
 
 DEFAULT_NODE_CAP = 2_000_000
 DEFAULT_FP_TOL = 1e-12
@@ -48,15 +42,12 @@ class CountLattice:
     """Per-level values on the recombining lattice of branch-bit counts.
 
     A level-i point is the vector of counts of each branch bit over i steps,
-    most significant bit first: down signs (when sigma > 0), then the jumps
-    of marks J-1 .. 0. Points are numbered in C order of the (i+1,)*nb box.
-    x, w and counts are the state, Brownian value and per-mark jump counts;
-    mass is the point's probability, a product of binomial laws, and
-    path_prob the probability of each single path that reaches it.
-    kids[i][p, b] is the level-(i+1) point that branch b leads to from p:
-    the point plus the branch's bits; rows past the level's points pad it.
-    Branch b leads from the root to level-1 point b, so level 1 holds the
-    one-step alphabet.
+    most significant bit first: down signs (when sigma > 0), then the jumps of
+    marks J-1 .. 0. Points are numbered in C order of the (i+1,)*nb box, one
+    axis per bit; a step adds its bits to the point, and bit_prob[a] is the
+    chance that it sets axis a's bit. x, w and counts are the state, Brownian
+    value and per-mark jump counts; mass is the point's probability, a product
+    of binomial laws, and path_prob that of each single path reaching it.
     """
 
     model: LevyModel
@@ -65,39 +56,78 @@ class CountLattice:
     counts: tuple
     mass: tuple
     path_prob: tuple
-    kids: tuple
+    bit_prob: np.ndarray
 
     def context(self, level: int) -> StepContext:
         return StepContext(model=self.model, x=self.x[level], w=self.w[level], counts=self.counts[level])
 
     def expectation(self, values, level: int) -> float:
         """Unconditional expectation of per-point values at one level."""
-        return float(self.mass[level] @ values)
+        return float(np.sum(self.mass[level] * values))
 
-    def to_kids(self, level: int, ufunc, fill: float, values) -> np.ndarray:
-        """Reduce per-branch values (a row per level point) by ufunc onto the next level's points they lead to;
-        points no row reaches keep `fill`."""
-        out = np.full(self.x[level + 1].size, fill)
-        ufunc.at(out, self.kids[level][: len(values)], values)
-        return out
+    def one_step(self, level: int, values, dt: float):
+        """(E[y'], Z, U) at every level point from the next level's values y'.
+
+        Along each axis a step reaches lo (bit unset) or hi (bit set). E averages the axes in order,
+        lo + q (hi - lo). Z is (lo - hi) 0.5 / sqrt(dt) along the Brownian axis and U_j is hi - lo
+        along mark j's axis, each averaged along the other axes from E's partial averages on.
+        """
+        q, j, nb = self.bit_prob, self.model.n_marks, len(self.bit_prob)
+        ey = np.asarray(values, dtype=float).reshape((level + 2,) * nb)
+        z, u = np.zeros((level + 1,) * nb), np.empty((level + 1,) * nb + (j,))
+        for a in range(nb):
+            part = ey
+            for b in range(a + 1, nb):
+                part = _average(part, b, q[b])
+            lo, hi = _pair(part, a)
+            diff = np.subtract(hi, lo, out=u[..., nb - 1 - a] if a >= nb - j else None)
+            if a < nb - j:  # the Brownian axis: (hi - lo) * -c is (lo - hi) * c bit for bit
+                np.multiply(diff, -0.5 / math.sqrt(dt), out=z)
+            ey = _average(ey, a, q[a])
+        return ey.reshape(-1), z.reshape(-1), u.reshape(z.size, j)
+
+    def forward(self, level: int, values, law: bool = True) -> np.ndarray:
+        """Per next-level point, over the level's points that lead to it: the sum of their values times
+        the step's probability, or with law=False the largest value."""
+        v = np.asarray(values, dtype=float).reshape((level + 1,) * len(self.bit_prob))
+        combine = np.add if law else np.maximum
+        for a, q in enumerate(self.bit_prob):
+            out = np.full(v.shape[:a] + (level + 2,) + v.shape[a + 1:], 0.0 if law else -np.inf)
+            lo, hi = _pair(out, a)
+            combine(lo, v * (1.0 - q) if law else v, out=lo)
+            combine(hi, v * q if law else v, out=hi)
+            v = out
+        return v.reshape(-1)
+
+
+def _pair(v: np.ndarray, axis: int):
+    """The views of v at k and at k + 1 along axis, for every k but the last."""
+    head = (slice(None),) * axis
+    return v[head + (slice(None, -1),)], v[head + (slice(1, None),)]
+
+
+def _average(v: np.ndarray, axis: int, q: float) -> np.ndarray:
+    """The two-point average lo + q (hi - lo) along axis (see _pair), in a fresh array."""
+    lo, hi = _pair(v, axis)
+    return lo + q * (hi - lo)
 
 
 def _count_law(level: int, q: float):
-    """For k = 0..level successes in `level` Bernoulli(q) trials: the probability
-    of one sequence with k successes, and the binomial mass of k."""
-    k = np.arange(level + 1)
-    path = q**k * (1.0 - q) ** (level - k)
-    return path, path * np.array([math.comb(level, int(c)) for c in k], dtype=float)
+    """For k = 0..level successes in `level` Bernoulli(q) trials: the probability of one sequence
+    with k successes, and the binomial mass of k. Powers are repeated products, the same on any CPU."""
+    up, down = np.full(level + 1, q), np.full(level + 1, 1.0 - q)
+    up[0] = down[0] = 1.0
+    path = np.multiply.accumulate(up, out=up) * np.multiply.accumulate(down, out=down)[::-1]
+    return path, path * np.array([math.comb(level, c) for c in range(level + 1)], dtype=float)
 
 
 def _build_lattice(model: LevyModel, grid: TimeGrid, nb: int) -> CountLattice:
-    j = model.n_marks
-    has_w = nb > j
+    j, has_w = model.n_marks, nb > model.n_marks
     times, sqrt_dt = grid.times, np.sqrt(grid.dt)
     # (axis, law) per bit in the order the laws multiply: the Brownian sign, then marks 0, 1, ...
     laws = ([(0, 0.5)] if has_w else []) + [(nb - 1 - k, q) for k, q in enumerate(model.intensities * grid.dt)]
-    bits = np.indices((2,) * nb).reshape(nb, 2**nb).T  # branch b's bits, the level-1 point it leads to
-    x, w, counts, mass, path_prob, kids = [], [], [], [], [], []
+    bit_prob = np.r_[[0.5] * has_w, model.intensities[::-1] * grid.dt]
+    x, w, counts, mass, path_prob = [], [], [], [], []
     for i in range(grid.steps + 1):
         size = (i + 1) ** nb
         coords = np.indices((i + 1,) * nb).reshape(nb, size).T
@@ -110,45 +140,39 @@ def _build_lattice(model: LevyModel, grid: TimeGrid, nb: int) -> CountLattice:
         x.append(model.state_increment(float(times[i]), w[-1], counts[-1]))
         mass.append(point)
         path_prob.append(path)
-        if i < grid.steps:
-            strides = (i + 2) ** np.arange(nb - 1, -1, -1)
-            # Rows of point 0 pad a level of more than one point to a multiple of four: BLAS
-            # matrix products sum a row left over from blocks of four in another order, and
-            # the sweep needs equal rows to give equal values wherever they sit.
-            pad = -size % 4 if size > 1 else 0
-            kid = np.zeros((size + pad, 2**nb), dtype=np.int32)
-            kid[:size] = (coords @ strides)[:, None] + bits @ strides
-            kids.append(kid)
-    return CountLattice(model, tuple(x), tuple(w), tuple(counts), tuple(mass), tuple(path_prob), tuple(kids))
+    return CountLattice(model, tuple(x), tuple(w), tuple(counts), tuple(mass), tuple(path_prob), bit_prob)
 
 
 def _child_rows(table: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """Per-node values of a level from its parents' lattice points: row p of table
-    holds the values of the B children of point p, so node k*B + b is entry b of
-    the row of parent k's point."""
+    """Per-node values of a level from its parents' lattice points: row p of table holds
+    the values of point p's B children, so node k*B + b is entry b of parent k's row."""
     return np.take(table, parents, axis=0).reshape((parents.size * table.shape[1],) + table.shape[2:])
 
 
 class ProductIndex(Sequence):
     """The lattice point of every product node, one int32 array per level,
-    enumerated on first access to a level together with the levels before it.
-
-    kids[i][p] lists the level-(i+1) points of the children of point p, so
-    level i+1 is the rows of kids[i] at level i's points.
+    enumerated on first access to a level together with the levels before it:
+    level i+1 is the rows of children(i) at level i's points, where
+    children(i)[p, b] is p plus branch b's bits, made from the box when asked.
     """
 
-    def __init__(self, kids: tuple):
-        self.kids = kids
+    def __init__(self, nb: int, steps: int):
+        self.nb, self.steps = nb, steps
         self._levels = [np.zeros(1, dtype=np.int32)]
 
     def __len__(self) -> int:
-        return len(self.kids) + 1
+        return self.steps + 1
 
     def __getitem__(self, key: int) -> np.ndarray:
         i = range(len(self))[key]
         while len(self._levels) <= i:
-            self._levels.append(_child_rows(self.kids[len(self._levels) - 1], self._levels[-1]))
+            self._levels.append(_child_rows(self.children(len(self._levels) - 1), self._levels[-1]))
         return self._levels[i]
+
+    def children(self, level: int) -> np.ndarray:
+        box = np.arange((level + 2) ** self.nb, dtype=np.int32).reshape((level + 2,) * self.nb)
+        # box numbers are linear in the coordinates: point c plus bits sits at box[c] + box[bits]
+        return np.add.outer(box[(slice(-1),) * self.nb].ravel(), box[(slice(2),) * self.nb].ravel())
 
 
 class LevelArrays(Sequence):
@@ -156,10 +180,9 @@ class LevelArrays(Sequence):
     from per-point values on the count lattice.
 
     lattice[i] holds one value (or row) per lattice point at level i. A level
-    below the root is gathered as the rows of its parents' points in the
-    lattice values of their children, lattice[i][kids[i-1]], so a read
-    enumerates index only up to the parents' level. Slices and sums with
-    other sequences give tuples.
+    below the root is gathered as the rows of its parents' points in
+    lattice[i][index.children(i-1)], so a read enumerates index only up to the
+    parents' level. Slices and sums with other sequences give tuples.
     """
 
     def __init__(self, index: ProductIndex, lattice):
@@ -177,7 +200,7 @@ class LevelArrays(Sequence):
         if i not in self._gathered:
             v = self.lattice[i]
             self._gathered[i] = (np.take(v, self.index[0], axis=0) if i == 0 else
-                                 _child_rows(np.take(v, self.index.kids[i - 1], axis=0), self.index[i - 1]))
+                                 _child_rows(np.take(v, self.index.children(i - 1), axis=0), self.index[i - 1]))
         return self._gathered[i]
 
     def __add__(self, other) -> tuple:
@@ -191,17 +214,13 @@ class LevelArrays(Sequence):
 class ScenarioTree:
     """Enumerated product tree over the count lattice, a view of it.
 
-    dw_branch, dn_branch and branch_prob describe one step's alphabet, read
-    off the level-1 lattice points; states/wpaths/counts/node_prob hold
-    per-node values for levels 0..N.
-    The children of node k are k*B + b, so a level-i node index has i
-    base-B digits, the first step most significant. In branch b, mark j is
-    bit j and the Brownian sign (when sigma > 0) is the top bit, so a level
-    reshapes to one binary axis per step and bit; project_coarse relies on it.
-    index[i] holds each level-i node's lattice point. The per-node arrays
-    are gathered from the lattice on first access, level i through index[i-1]
-    (see LevelArrays), and the index is enumerated only as far as a gather
-    or a read of it needs.
+    dw_branch, dn_branch and branch_prob, one step's alphabet, are the level-1
+    lattice points; states/wpaths/counts/node_prob hold per-node values for
+    levels 0..N, and index[i] each level-i node's lattice point, made only as
+    far as a read needs (see LevelArrays). A level-i node index has i base-B
+    digits, the first step most significant. In branch b, mark j is bit j and
+    the Brownian sign (when sigma > 0) the top bit, so a level reshapes to one
+    binary axis per step and bit; project_coarse relies on it.
     """
 
     model: LevyModel
@@ -230,9 +249,7 @@ class ScenarioTree:
                 "lattice": sum(x.size for x in self.lattice.x)}
 
     def context(self, level: int) -> StepContext:
-        return StepContext(
-            model=self.model, x=self.states[level], w=self.wpaths[level], counts=self.counts[level]
-        )
+        return StepContext(model=self.model, x=self.states[level], w=self.wpaths[level], counts=self.counts[level])
 
     def dn_tilde_branch(self) -> np.ndarray:
         """Compensated per-branch jump increments, shape (B, J)."""
@@ -240,7 +257,7 @@ class ScenarioTree:
 
     def expectation(self, values, level: int) -> float:
         """Unconditional expectation of per-node values at one level."""
-        return float(np.asarray(values, dtype=float) @ self.node_prob[level])
+        return float(np.sum(np.asarray(values, dtype=float) * self.node_prob[level]))
 
 
 def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
@@ -249,24 +266,21 @@ def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
     The product index is enumerated level by level when a per-node array or the index is first read.
     """
     grid.validate_for_tree(model)
-    j = model.n_marks
-    has_w = model.sigma > 0.0
-    branching = (2 if has_w else 1) * 2**j
+    nb = int(model.sigma > 0.0) + model.n_marks
+    branching = 2**nb
     total = sum(branching**i for i in range(grid.steps + 1))
     if total > DEFAULT_NODE_CAP:
-        raise TreeSizeError(
-            f"tree needs {total} nodes (branching {branching}, {grid.steps} steps), cap is {DEFAULT_NODE_CAP}"
-        )
-    lattice = _build_lattice(model, grid, int(has_w) + j)
-    first = lattice.kids[0][0]  # the level-1 point of each branch
-    index = ProductIndex(lattice.kids)
-    return ScenarioTree(
+        raise TreeSizeError(f"tree needs {total} nodes (branching {branching}, {grid.steps} steps), "
+                            f"cap is {DEFAULT_NODE_CAP}")
+    lattice = _build_lattice(model, grid, nb)
+    index = ProductIndex(nb, grid.steps)
+    return ScenarioTree(  # branch b leads to level-1 point b
         model=model,
         grid=grid,
         branching=branching,
-        dw_branch=lattice.w[1][first],
-        dn_branch=lattice.counts[1][first],
-        branch_prob=lattice.path_prob[1][first],
+        dw_branch=lattice.w[1],
+        dn_branch=lattice.counts[1],
+        branch_prob=lattice.path_prob[1],
         lattice=lattice,
         index=index,
         states=LevelArrays(index, lattice.x),
@@ -277,13 +291,20 @@ def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
 
 
 def conditional_expectation(tree: ScenarioTree, values) -> np.ndarray:
-    """Exact one-level conditional expectation: values at level i+1 -> level i, for i in 0..N-1."""
+    """Exact one-level conditional expectation: values at level i+1 -> level i, for i in 0..N-1.
+
+    A node's children form a (2,)*nb box averaged one axis at a time as in
+    CountLattice.one_step, so the two agree bitwise and constants pass through.
+    """
     v = np.asarray(values, dtype=float)
     if tree.branching == 1:
         return v.copy()
     if v.shape[0] not in map(tree.level_size, range(1, tree.n_steps + 1)):
         raise ModelError(f"{v.shape[0]} values fit no tree level 1..{tree.n_steps}, so no level below the root")
-    return v.reshape(-1, tree.branching) @ tree.branch_prob
+    v = v.reshape((-1,) + (2,) * len(tree.lattice.bit_prob))
+    for a, q in enumerate(tree.lattice.bit_prob, start=1):
+        v = _average(v, a, q)
+    return v.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -309,7 +330,8 @@ class TreeSolution:
         run = np.abs(self.Y[0])
         for lvl in range(1, len(self.Y)):
             run = np.maximum(np.repeat(run, self.tree.branching), np.abs(self.Y[lvl]))
-        return float((run * run) @ self.tree.node_prob[len(self.Y) - 1])
+        run *= run
+        return float(np.sum(run * self.tree.node_prob[-1]))
 
     def sup_expected_y_squared(self) -> float:
         """Maximum over grid times of E|Y|^2."""
@@ -331,30 +353,11 @@ class TreeSolution:
         dt, lam, mean = self.tree.grid.dt, self.tree.model.intensities, self.tree.lattice.expectation
         return (float(sum(mean(y * y, i) for i, y in enumerate(levels("Y")[:-1])) * dt),
                 float(sum(mean(z * z, i) for i, z in enumerate(levels("Z"))) * dt),
-                float(sum(mean((u * u) @ lam, i) for i, u in enumerate(levels("U"))) * dt))
+                float(sum(mean(mark_sum(u * u, lam), i) for i, u in enumerate(levels("U"))) * dt))
 
     def zu_integrals(self) -> tuple[float, float]:
         """Time-integrated second moments: (E int |Z|^2 ds, E int ||U||^2 ds)."""
         return self.square_integrals()[1:]
-
-
-def _representation_weights(tree: ScenarioTree):
-    """Per-branch weights extracting Z and U from next-level values.
-
-    Z = E[Y_next dW] / dt and U_j = E[Y_next dN~_j] / (lambda_j dt (1 - lambda_j dt)),
-    the exact second-moment normalizations of the one-step increments.
-    """
-    dt = tree.grid.dt
-    p = tree.branch_prob
-    w_z = p * tree.dw_branch / dt if tree.model.sigma > 0 else None
-    j = tree.model.n_marks
-    if j:
-        p_jump = tree.model.intensities * dt
-        denom = p_jump * (1.0 - p_jump)
-        w_u = p[:, None] * tree.dn_tilde_branch() / denom[None, :]
-    else:
-        w_u = None
-    return w_z, w_u
 
 
 def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int,
@@ -429,28 +432,17 @@ def _sweep(tree: ScenarioTree, g: GeneratorSpec, xi, n: int | None, tol: float) 
     With n, the terminal values and every driver evaluation are averaged over
     the removed marks' counts and U is zeroed on the removed marks.
     """
-    lat = tree.lattice
-    steps, dt = tree.n_steps, tree.grid.dt
-    j = tree.model.n_marks
-    times = tree.grid.times
-    w_z, w_u = _representation_weights(tree)
-    removed = ~kept_marks_mask(tree.model, n) if n is not None else np.zeros(j, dtype=bool)
+    lat, steps, dt, times = tree.lattice, tree.n_steps, tree.grid.dt, tree.grid.times
+    removed = ~kept_marks_mask(tree.model, n) if n is not None else np.zeros(tree.model.n_marks, dtype=bool)
     coarse = bool(removed.any())
 
-    y_levels = [None] * (steps + 1)
-    z_levels = [None] * steps
-    u_levels = [None] * steps
-    iters = [0] * steps
+    y_levels, z_levels, u_levels, iters = [None] * (steps + 1), [None] * steps, [None] * steps, [0] * steps
     y_levels[steps] = np.asarray(xi(lat.context(steps)), dtype=float)
     if coarse:
         y_levels[steps] = _removed_count_average(tree, removed, steps)(y_levels[steps])
 
     for i in range(steps - 1, -1, -1):
-        size = lat.x[i].size
-        nxt = y_levels[i + 1][lat.kids[i]]
-        ey = (nxt @ tree.branch_prob)[:size]
-        z = (nxt @ w_z)[:size] if w_z is not None else np.zeros(size)
-        u = (nxt @ w_u)[:size] if w_u is not None else np.zeros((size, j))
+        ey, z, u = lat.one_step(i, y_levels[i + 1], dt)
         project = None
         if coarse:
             u[:, removed] = 0.0
@@ -475,21 +467,6 @@ def solve_backward(tree: ScenarioTree, g: GeneratorSpec, xi, tol: float = DEFAUL
 # ---------------------------------------------------------------------------
 # Projection onto the sub-filtration of coarse jumps
 # ---------------------------------------------------------------------------
-
-
-def _centered_average(values, shape: tuple, gone: list, w: np.ndarray) -> np.ndarray:
-    """Average values of the given shape over the `gone` axes under the weights w
-    (their joint law, C order over gone), and broadcast the mean back.
-
-    The average is centred at index 0 of every gone axis, so values constant
-    along those axes pass through bitwise and the average is idempotent. The
-    result is a fresh array.
-    """
-    perm = [a for a in range(len(shape)) if a not in gone] + list(gone)
-    t = np.asarray(values, dtype=float).reshape(shape).transpose(perm)
-    rows = t.reshape(-1, w.size)
-    mean = rows[:, 0] + (rows - rows[:, :1]) @ w
-    return np.repeat(mean[:, None], w.size, axis=1).reshape(t.shape).transpose(np.argsort(perm)).reshape(-1)
 
 
 def project_coarse(tree: ScenarioTree, values, n: int, level: int) -> np.ndarray:
@@ -531,7 +508,7 @@ def project_coarse(tree: ScenarioTree, values, n: int, level: int) -> np.ndarray
     # The means are in C order over the kept bits, step by step; each step's kept bits keep their order.
     kept = np.flatnonzero(np.r_[~removed, np.ones(nb - removed.size, dtype=bool)])
     branch = np.arange(tree.branching)
-    col = ((branch[:, None] >> kept) & 1) @ (1 << np.arange(kept.size))
+    col = np.sum(((branch[:, None] >> kept) & 1) << np.arange(kept.size), axis=1)
     rows = np.zeros(1, dtype=np.intp)
     for _ in range(lvl - 1):
         rows = np.add.outer(rows << kept.size, col).ravel()
@@ -543,13 +520,24 @@ def project_coarse(tree: ScenarioTree, values, n: int, level: int) -> np.ndarray
 
 
 def _removed_count_average(tree: ScenarioTree, removed: np.ndarray, level: int):
-    """project_coarse on lattice values at one level: the average over the
-    removed marks' counts under their Binomial(level, lambda dt) laws."""
-    nb = tree.branching.bit_length() - 1
-    gone = [nb - 1 - k for k in np.flatnonzero(removed)]  # mark k is bit k, on axis nb - 1 - k
-    laws = [_count_law(level, p)[1] for p in tree.model.intensities[removed] * tree.grid.dt]
-    w = reduce(np.multiply.outer, laws, 1.0).ravel()
-    return lambda values: _centered_average(values, (level + 1,) * nb, gone, w)
+    """project_coarse on lattice values at one level: the average over the removed marks'
+    counts under their Binomial(level, lambda dt) laws, one axis at a time as
+    v0 + sum_k (vk - v0) mass(k), into a fresh array. Centred at count 0, it
+    passes values constant along the removed axes through bitwise."""
+    q = tree.lattice.bit_prob
+    shape = (level + 1,) * len(q)
+    # mark k is bit k, on axis a = nb - 1 - k, with k axes after it
+    laws = [(a, _count_law(level, q[a])[1].reshape((-1,) + (1,) * (len(q) - 1 - a)))
+            for a in len(q) - 1 - np.flatnonzero(removed)]
+
+    def average(values):
+        v = np.asarray(values, dtype=float).reshape(shape)
+        for a, mass in laws:
+            v0 = v[(slice(None),) * a + (slice(1),)]
+            v = v0 + np.sum((v - v0) * mass, axis=a, keepdims=True)
+        return np.broadcast_to(v, shape).flatten()
+
+    return average
 
 
 def solve_truncated(tree: ScenarioTree, g: GeneratorSpec, xi, n: int, tol: float = DEFAULT_FP_TOL) -> TreeSolution:

@@ -1,14 +1,18 @@
 import csv
+import ctypes
 import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import jumpbsde
 from jumpbsde import experiments
@@ -348,6 +352,38 @@ def test_reports_byte_identical_modulo_meta(tmp_path, default_run, command):
 
 
 DIGESTS = Path(__file__).with_name("default_digests.json")
+TREE_COMMANDS = ("solve-lattice", "compare", "counterexample", "truncate-study", "apriori")
+# The CPU features an OpenBLAS kernel needs, by OPENBLAS_CORETYPE name, as numpy reports them.
+KERNEL_FEATURES = {"SkylakeX": ("AVX512_SKX",), "Haswell": ("AVX2", "FMA3"), "Prescott": ("SSE3",)}
+
+
+def numpy_cpu():
+    """numpy's (__cpu_features__, __cpu_dispatch__)."""
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    return umath.__cpu_features__, umath.__cpu_dispatch__
+
+
+def openblas_core():
+    """The kernel OpenBLAS runs, from the OpenBLAS library mapped into this process, or None."""
+    try:
+        libs = sorted({line.split()[-1] for line in Path("/proc/self/maps").read_text().splitlines()
+                       if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return None
+    for path in libs:
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            fn = getattr(ctypes.CDLL(path), name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def numeric_platform() -> dict:
+    """Where digests are computed: the OpenBLAS kernel, the numpy SIMD targets in use and the versions."""
+    features, dispatch = numpy_cpu()
+    return {"openblas_core": openblas_core(), "numpy_cpu_dispatch": [t for t in dispatch if features.get(t)],
+            "numpy": np.__version__, "scipy": scipy.__version__, "python": platform.python_version()}
 
 
 def default_output_digests(out_dir) -> dict:
@@ -362,11 +398,52 @@ def default_output_digests(out_dir) -> dict:
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_default_outputs_match_committed_digests(default_run, command):
     # default_digests.json pins every default output; rewrite it only with a change meant to alter results
-    want = json.loads(DIGESTS.read_text())[command]
+    recorded = json.loads(DIGESTS.read_text())
+    want = recorded[command]
     got = default_output_digests(default_run(command))
     assert sorted(got) == sorted(want), f"{command}: output files {sorted(got)}, digests for {sorted(want)}"
     for name, digest in want.items():
-        assert got[name] == digest, f"{command}: {name} differs from its digest in {DIGESTS.name}"
+        assert got[name] == digest, (f"{command}: {name} differs from its digest in {DIGESTS.name}; the digests "
+                                     f"were written on {recorded.get('platform')}, this run is on {numeric_platform()}")
+
+
+def test_digests_record_their_platform():
+    recorded = json.loads(DIGESTS.read_text())
+    assert sorted(recorded) == sorted(["platform", *_COMMANDS])
+    assert sorted(recorded["platform"]) == sorted(numeric_platform())
+
+
+RUN_TREE_COMMANDS = """
+import sys
+from jumpbsde.cli import main
+sys.path.insert(0, sys.argv[1])
+from test_cli import openblas_core
+print(openblas_core())
+for command in sys.argv[3:]:
+    if main([command, "--out", f"{sys.argv[2]}/{command}"]) != 0:
+        sys.exit(f"{command} failed")
+"""
+
+
+def test_tree_subcommands_give_the_same_bytes_under_every_openblas_kernel(tmp_path):
+    """The tree oracle sums in a fixed order and uses no BLAS, so its default outputs do not depend
+    on the OpenBLAS kernel; each kernel the CPU can run is forced through OPENBLAS_CORETYPE."""
+    if openblas_core() is None:
+        pytest.skip("numpy does not run on OpenBLAS here")
+    features, _ = numpy_cpu()
+    kernels = [k for k, need in KERNEL_FEATURES.items() if all(features.get(f) for f in need)]
+    env = {**os.environ, "PYTHONPATH": str(Path(jumpbsde.__file__).parents[1])}
+    runs, cores = {}, {}
+    for kernel in kernels:
+        out = tmp_path / kernel
+        proc = subprocess.run([sys.executable, "-c", RUN_TREE_COMMANDS, str(Path(__file__).parent), str(out),
+                               *TREE_COMMANDS], capture_output=True, text=True, timeout=300,
+                              env={**env, "OPENBLAS_CORETYPE": kernel})
+        assert proc.returncode == 0, (kernel, proc.stderr)
+        cores[kernel] = proc.stdout.splitlines()[0]
+        runs[kernel] = {c: default_output_digests(out / c) for c in TREE_COMMANDS}
+    assert len(set(cores.values())) == len(kernels), f"a kernel was not forced: {cores}"
+    assert len({json.dumps(r, sort_keys=True) for r in runs.values()}) == 1, (cores, runs)
 
 
 def test_usage_error_exits_3_with_argparse_message(capsys):

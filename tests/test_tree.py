@@ -32,7 +32,7 @@ from jumpbsde import (
     tanh_jump_integral,
     zero_generator,
 )
-from jumpbsde.experiments import max_ordering_violation
+from jumpbsde.experiments import _sup_time_sum, max_ordering_violation, measure_e_if2
 from jumpbsde.generators import Affine, StepContext, truncate_generator
 from jumpbsde.levy import kept_marks_mask
 from jumpbsde.terminals import make_terminal
@@ -40,7 +40,6 @@ from jumpbsde.tree import (
     DEFAULT_FP_MAX_ITER,
     DEFAULT_FP_TOL,
     _removed_count_average,
-    _representation_weights,
     implicit_step,
 )
 
@@ -94,7 +93,7 @@ def test_two_point_compensated_mean_is_exact_zero():
     tree = build_tree(LevyModel(0.0, 0.0, ((1.0, 0.7),)), TimeGrid(1.0, 2))
     terms = tree.dn_tilde_branch()[:, 0] * tree.branch_prob
     assert terms[0] == -terms[1]  # the two products cancel bit for bit
-    # the BLAS dot may fuse the multiply-add, leaving at most one ulp
+    # the centred two-point average may leave one rounding
     dnt_children = np.tile(tree.dn_tilde_branch()[:, 0], tree.level_size(1))
     out = conditional_expectation(tree, dnt_children)
     assert np.abs(out).max() <= 1e-16
@@ -146,7 +145,7 @@ def test_zero_driver_is_exact_martingale_and_representation():
         sol = solve_backward(tree, ZERO, xi)
         for i in range(tree.n_steps):
             nxt = sol.Y[i + 1].reshape(-1, tree.branching)
-            assert np.array_equal(nxt @ tree.branch_prob, sol.Y[i])
+            assert np.array_equal(conditional_expectation(tree, sol.Y[i + 1]), sol.Y[i])
             pred = (
                 sol.Y[i][:, None]
                 + np.outer(sol.Z[i], tree.dw_branch)
@@ -571,11 +570,40 @@ def test_comparison_fails_outside_the_discrete_margin():
 # ---------------------------------------------------------------------------
 
 
+def representation_weights(tree):
+    """Per-branch weights of the one-step Z and U: Z = E[Y_next dW] / dt and
+    U_j = E[Y_next dN~_j] / (lambda_j dt (1 - lambda_j dt)), the form the sweep once used."""
+    dt, p = tree.grid.dt, tree.branch_prob
+    w_z = p * tree.dw_branch / dt if tree.model.sigma > 0 else None
+    p_jump = tree.model.intensities * dt
+    w_u = p[:, None] * tree.dn_tilde_branch() / (p_jump * (1.0 - p_jump))[None, :] if tree.model.n_marks else None
+    return w_z, w_u
+
+
+def kids_table(tree, level):
+    """kids[p, b]: the level-(level+1) point that branch b leads to from level-`level` point p,
+    the point plus the branch's bits (the child table the lattice once kept)."""
+    nb = tree.branching.bit_length() - 1
+    coords = np.indices((level + 1,) * nb).reshape(nb, (level + 1) ** nb).T
+    bits = np.indices((2,) * nb).reshape(nb, 2**nb).T
+    strides = (level + 2) ** np.arange(nb - 1, -1, -1)
+    return ((coords @ strides)[:, None] + bits @ strides).astype(np.int32)
+
+
+def eager_index(tree):
+    """The lattice point of every product node, every level enumerated from kids_table."""
+    index = [np.zeros(1, dtype=np.int32)]
+    for i in range(tree.n_steps):
+        kids = kids_table(tree, i)
+        index.append(np.add.outer(kids[:, 0][index[-1]], kids[0]).ravel())
+    return index
+
+
 def product_sweep(tree, g, xi, n=None):
     """Reference: the implicit backward sweep over every node of the product tree,
     projecting with project_coarse when a truncation level n is given."""
     steps, b, dt, j = tree.n_steps, tree.branching, tree.grid.dt, tree.model.n_marks
-    w_z, w_u = _representation_weights(tree)
+    w_z, w_u = representation_weights(tree)
     ys, zs, us = [None] * (steps + 1), [None] * steps, [None] * steps
     ys[steps] = np.asarray(xi(tree.context(steps)), dtype=float)
     if n is not None:
@@ -790,9 +818,7 @@ def test_gathered_levels_match_the_eagerly_enumerated_index():
     tree = build_tree(TWO_MARK_MODEL, TimeGrid(1.0, 3))
     sol = solve_backward(tree, linear_driver(0.3, 0.2, -0.5), XI_TANH)
     lat = tree.lattice
-    index = [np.zeros(1, dtype=np.int32)]
-    for kids in lat.kids:
-        index.append(np.add.outer(kids[:, 0][index[-1]], kids[0]).ravel())
+    index = eager_index(tree)
     for lvl in (3, 0, 2, 1):  # out of order: a later level builds the ones before it
         assert tree.index[lvl].dtype == np.int32 and np.array_equal(tree.index[lvl], index[lvl])
         for got, values in ((tree.states, lat.x), (tree.wpaths, lat.w), (tree.counts, lat.counts),
@@ -844,9 +870,7 @@ def same_bytes(got, want):
 def test_every_gathered_level_equals_the_lattice_at_the_eager_index(problem):
     tree, _, _, _ = problem
     sol = solve_backward(tree, linear_driver(0.3, 0.2, -0.5), XI_TANH)
-    lat, index = tree.lattice, [np.zeros(1, dtype=np.int32)]
-    for kids in lat.kids:
-        index.append(np.add.outer(kids[:, 0][index[-1]], kids[0]).ravel())
+    lat, index = tree.lattice, eager_index(tree)
     for lvl in range(tree.n_steps, -1, -1):  # leaf first: its gathers run before anything enumerates its index
         for got, values in ((tree.states, lat.x), (tree.wpaths, lat.w), (tree.counts, lat.counts),
                             (tree.node_prob, lat.path_prob), (sol.Y, sol.Y.lattice)) + (
@@ -918,8 +942,83 @@ def test_alphabet_read_off_the_lattice_matches_the_bit_construction(problem):
 
 
 def test_only_tree_reads_the_lattice_layout():
-    """The kids rows and their padding belong to tree.py; other modules go through CountLattice's methods."""
+    """The box layout belongs to tree.py: other modules go through CountLattice's methods, never its
+    per-axis bit laws or the product index's child table."""
     readers = [f"{path.name}:{node.lineno}" for path in sorted(Path(jumpbsde.__file__).parent.glob("*.py"))
                if path.name != "tree.py" for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Attribute) and node.attr == "kids"]
+               if isinstance(node, ast.Attribute) and node.attr in ("bit_prob", "children", "kids")]
     assert readers == []
+
+
+# ---------------------------------------------------------------------------
+# Per-axis lattice operators against the child-table gathers they replaced
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def lattice_levels(draw):
+    """sigma in {0, 1}, 0-3 marks with lambda dt in (0, 1), 1-6 steps (fewer on wide trees) and a seed."""
+    sigma = draw(st.sampled_from([0.0, 1.0]))
+    n_marks = draw(st.integers(0, 3))
+    branching = (2 if sigma else 1) * 2**n_marks
+    fits = [s for s in range(1, 7) if sum(branching**i for i in range(s + 1)) <= 2_000_000]
+    steps = min(draw(st.integers(1, 6)), fits[-1])
+    marks = tuple((0.3 * (k + 1), draw(st.floats(0.01, 0.99)) * steps) for k in range(n_marks))
+    return build_tree(LevyModel(0.1, sigma, marks), TimeGrid(1.0, steps)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lattice_levels())
+def test_one_step_stencil_matches_the_child_table_gather(problem):
+    """(E, Z, U) from per-axis stencils equal y'[kids] @ (branch_prob, w_z, w_u) to 1e-14 of the values' scale."""
+    tree, seed = problem
+    lat, dt, j = tree.lattice, tree.grid.dt, tree.model.n_marks
+    w_z, w_u = representation_weights(tree)
+    rng = np.random.default_rng(seed)
+    for i in range(tree.n_steps):
+        y = rng.standard_normal(lat.x[i + 1].size) * 10.0 ** rng.uniform(-3, 3)
+        nxt = y[kids_table(tree, i)]
+        size, scale = lat.x[i].size, np.abs(y).max()
+        want = (nxt @ tree.branch_prob, nxt @ w_z if w_z is not None else np.zeros(size),
+                nxt @ w_u if w_u is not None else np.zeros((size, j)))
+        for name, got, ref, norm in zip("EZU", lat.one_step(i, y, dt), want, (1.0, 1.0 / np.sqrt(dt), 1.0)):
+            assert got.shape == ref.shape, (name, i)
+            err = np.abs(got - ref).max(initial=0.0)
+            assert err <= 1e-14 * scale * norm, (name, i, float(err / scale / norm))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lattice_levels())
+def test_max_plus_recursion_equals_the_maximum_at_scatter_bytewise(problem):
+    """max is exact, so the per-axis max-plus step and its sup time sum equal np.maximum.at over the kids."""
+    tree, seed = problem
+    rng = np.random.default_rng(seed)
+    table = [rng.standard_normal(x.size) for x in tree.lattice.x]
+    coeff = lambda ctx, t: table[int(round(t / tree.grid.dt))]  # noqa: E731
+    v = np.zeros(1)
+    for i in range(tree.n_steps):
+        step = v + tree.grid.dt * table[i]
+        v = np.full(tree.lattice.x[i + 1].size, -np.inf)
+        np.maximum.at(v, kids_table(tree, i), step[:, None])
+        assert same_bytes(tree.lattice.forward(i, step, law=False), v), i
+    assert np.float64(_sup_time_sum(tree, coeff)).tobytes() == np.float64(v.max()).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lattice_levels())
+def test_moment_flow_matches_the_add_at_scatter(problem):
+    """E[(int F dt)^2] from per-axis moment flows equals the np.add.at flow over the kids to 1e-14 relative."""
+    tree, seed = problem
+    rng = np.random.default_rng(seed)
+    table = [rng.standard_normal(x.size) for x in tree.lattice.x]
+    g = GeneratorSpec(name="table_F", eval=lambda ctx, t, y, z, u: np.zeros_like(y),
+                      F=lambda ctx, t: table[int(round(t / tree.grid.dt))])
+    lat, p, m1, m2 = tree.lattice, tree.branch_prob, np.zeros(1), np.zeros(1)
+    for i in range(tree.n_steps):
+        a = tree.grid.dt * table[i]
+        s1, s2 = m1 + a * lat.mass[i], m2 + a * (2.0 * m1 + a * lat.mass[i])
+        m1, m2 = (np.zeros(lat.x[i + 1].size) for _ in range(2))
+        np.add.at(m1, kids_table(tree, i), s1[:, None] * p)
+        np.add.at(m2, kids_table(tree, i), s2[:, None] * p)
+        assert np.abs(lat.forward(i, s2) - m2).max() <= 1e-14 * np.abs(m2).max(), i
+    assert measure_e_if2(tree, g) == pytest.approx(float(m2.sum()), rel=1e-14, abs=0.0)
