@@ -34,7 +34,6 @@ from .generators import (
     linear_driver,
     linear_y,
     project_ball,
-    rho_report,
     shift_generator,
     truncate_generator,
     zero_generator,
@@ -47,7 +46,6 @@ from .levy import (
     kept_marks_mask,
     levy_norm,
     simulate_paths,
-    truncate_model,
 )
 from .mc import BootstrapEstimate, L2Distance, McSolution, RegressionBasis, bootstrap_y0, l2_distance, solve_mc
 from .terminals import make_terminal

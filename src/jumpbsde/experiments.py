@@ -309,6 +309,8 @@ def run_comparison(cfg: dict | None = None) -> Report:
     """
     cfg = cfg or default_comparison_config()
     _check_keys("comparison", cfg, default_comparison_config(), "pairs")
+    if not cfg["pairs"]:
+        raise ConfigError("compare needs at least one pair in 'pairs'")
     fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     horizon = config_value(cfg, "horizon", float, 1.0)
     cases, checks = [], []
@@ -359,7 +361,9 @@ def run_comparison(cfg: dict | None = None) -> Report:
 
 
 def default_counterexample_config() -> dict:
-    """Frozen instance found by search_counterexample over small parameter grids."""
+    """An instance frozen from a scan over one mark of size 1, lambda in {0.5, 1, 2}, T = 1 and
+    1, 2, 4 or 8 steps with lambda dt < 1. Every scanned instance breaks the ordering; the one kept,
+    lambda = 1 with 4 steps (margin 1.44), is not the largest margin (lambda = 2 with 8 steps, 4.96)."""
     return {
         "fixed_point_tol": DEFAULT_FP_TOL,
         "margin_factor": 100.0,
@@ -425,25 +429,6 @@ def run_counterexample(cfg: dict | None = None) -> Report:
         boundary.assert_leq("no_violation", margin, 0.0, tolerance=10.0 * fp_tol)
 
     return Report("counterexample", cfg, [case, boundary], meta={"checks": _checks_meta([gamma, gamma_b])})
-
-
-def search_counterexample() -> list:
-    """Brute-force scan over one mark of size 1 with lambda in {0.5, 1, 2}, T = 1 and
-    1, 2, 4 or 8 steps where lambda dt < 1, largest margin first; the largest-margin
-    hit was frozen as the shipped default instance."""
-    g = generator_from_config("jump_ordering_violator")
-    xi = make_terminal({"name": "const", "value": 0.0})
-    xip = make_terminal({"name": "jump_indicator", "mark": 0})
-    results = []
-    for lam in (0.5, 1.0, 2.0):
-        for steps in (1, 2, 4, 8):
-            if lam / steps >= 1.0:
-                continue
-            model = model_from_config({"drift": 0.0, "sigma": 0.0, "marks": [{"x": 1.0, "lambda": lam}]})
-            tree = build_tree(model, TimeGrid(horizon=1.0, steps=steps))
-            margin = max_ordering_violation(solve_backward(tree, g, xi), solve_backward(tree, g, xip))
-            results.append({"lambda": lam, "steps": steps, "margin": float(margin)})
-    return sorted(results, key=lambda r: -r["margin"])
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +520,8 @@ def run_apriori_check(cfg: dict | None = None) -> Report:
     """Tree-measured solution norms against the explicit a-priori constants."""
     cfg = cfg or default_apriori_config()
     _check_keys("apriori", cfg, default_apriori_config(), "instances")
+    if not cfg["instances"]:
+        raise ConfigError("apriori needs at least one instance in 'instances'")
     fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
@@ -653,6 +640,8 @@ def run_convergence(cfg: dict | None = None) -> Report:
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     steps_list = config_value(cfg, "steps_list", [int])
+    if not steps_list:
+        raise ConfigError("convergence needs at least one step count in 'steps_list'")
     if any(a >= b for a, b in zip(steps_list[:-1], steps_list[1:])):
         raise ConfigError(f"steps_list must be strictly increasing, got {steps_list}")
 

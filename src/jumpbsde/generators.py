@@ -7,11 +7,10 @@ time t is a scalar when a solver calls (one time per level or step) or an
 array with one time per point when a condition check calls; drivers and
 their coefficients accept both. Condition checks are sampling based and
 report witnesses instead of raising: each draws all its points first, then
-evaluates the driver once on all of them. The catalog writes each driver once,
-as its slope and offset in y (Affine), from which the solvers solve the
-implicit step in closed form; a driver that is not affine in y is written in
-y-curried form (Curried), whose bound function the solvers' fixed point
-iterates in y alone.
+evaluates the driver once on all of them. A driver has one of two forms: the
+catalog writes each driver once, as its slope and offset in y (Affine), from
+which the solvers solve the implicit step in closed form; any other driver is
+a plain eval, which the solvers' fixed point iterates in y.
 """
 
 from __future__ import annotations
@@ -119,26 +118,6 @@ def constant_coeff(c: float) -> Callable:
     return coeff
 
 
-class Curried:
-    """A driver written once, in y-curried form.
-
-    bind(ctx, t, z, u) does every y-independent part of the driver and
-    returns y -> f(ctx, t, y, z, u); that function must be pure and return a
-    fresh array, which the fixed point then updates in place. Called as
-    eval(ctx, t, y, z, u), a Curried is bind(ctx, t, z, u)(y). Because the
-    curried form travels with the eval it defines, a spec that replaces eval
-    can never keep a stale one.
-    """
-
-    __slots__ = ("bind",)
-
-    def __init__(self, bind: Callable):
-        self.bind = bind
-
-    def __call__(self, ctx, t, y, z, u):
-        return self.bind(ctx, t, z, u)(y)
-
-
 class Affine:
     """A driver affine in y, written once as its slope and offset.
 
@@ -169,7 +148,7 @@ class GeneratorSpec:
 
     eval(ctx, t, y, z, u) must be pure and vectorized over nodes/paths; an
     Affine eval also gives the solvers its slope and offset in y (see
-    affine), and an Affine or Curried eval its y-curried form (see bind).
+    affine) and its y-curried form (see bind).
     F, K1, K2 bound the growth |f| <= F + K1|y| + K2(|z| + ||u||); alpha,
     beta, rho enter the one-sided monotonicity condition. eval and the
     coefficients F, K1, K2, beta, alpha take t as a scalar (solvers) or as
@@ -188,15 +167,12 @@ class GeneratorSpec:
     def bind(self, ctx, t, z, u) -> Callable:
         """y -> f(ctx, t, y, z, u) with z and u held fixed, returning a fresh float array.
 
-        An Affine or Curried eval does its y-independent work here, once; any
-        other eval is called per y and its result copied, broadcast to the
-        shape of y.
+        An Affine eval does its y-independent work here, once; any other eval
+        is called per y and its result copied, broadcast to the shape of y.
         """
         ev = self.eval
         if isinstance(ev, Affine):
             return ev.curry(ctx, t, z, u)
-        if isinstance(ev, Curried):
-            return ev.bind(ctx, t, z, u)
         return lambda y: np.array(np.broadcast_to(ev(ctx, t, y, z, u), np.shape(y)), dtype=float)
 
     def affine(self, ctx, t, z, u):
@@ -240,28 +216,14 @@ def truncate_generator(g: GeneratorSpec, n: int) -> GeneratorSpec:
 
     f_cap, k1_cap, k2_cap = capped(g.F), capped(g.K1), capped(g.K2)
 
-    def bind_n(ctx, t, z, u):
+    def eval_n(ctx, t, y, z, u):
         cz = clamp(z, n)
         cu = project_ball(u, n, ctx.model)
-        fy = g.bind(ctx, t, cz, cu)
-        level, slope = f_cap(ctx, t), k1_cap(ctx, t)
-        zu_cap = k2_cap(ctx, t) * (np.abs(cz) + levy_norm(cu, ctx.model))
+        fhat = g.bind(ctx, t, cz, cu)(y)
+        cap = f_cap(ctx, t) + k1_cap(ctx, t) * np.abs(y) + k2_cap(ctx, t) * (np.abs(cz) + levy_norm(cu, ctx.model))
+        return np.where(np.abs(fhat) > cap, np.sign(fhat) * cap, fhat)
 
-        def f(y):
-            fhat = fy(y)
-            cap = level + slope * np.abs(y) + zu_cap
-            return np.where(np.abs(fhat) > cap, np.sign(fhat) * cap, fhat)
-
-        return f
-
-    return replace(
-        g,
-        name=f"{g.name}^({n})",
-        eval=Curried(bind_n),
-        F=f_cap,
-        K1=k1_cap,
-        K2=k2_cap,
-    )
+    return replace(g, name=f"{g.name}^({n})", eval=eval_n, F=f_cap, K1=k1_cap, K2=k2_cap)
 
 
 def shift_generator(g: GeneratorSpec, delta: float) -> GeneratorSpec:
@@ -275,20 +237,15 @@ def shift_generator(g: GeneratorSpec, delta: float) -> GeneratorSpec:
         slope, offset = g.affine(ctx, t, z, u)
         return slope, offset + d
 
-    def bind_shifted(ctx, t, z, u):
-        fy = g.bind(ctx, t, z, u)
-
-        def f(y):
-            out = fy(y)
-            out += d
-            return out
-
-        return f
+    def eval_shifted(ctx, t, y, z, u):
+        out = g.bind(ctx, t, z, u)(y)
+        out += d
+        return out
 
     def f_shifted(ctx, t):
         return g.F(ctx, t) + abs(d)
 
-    shifted = Affine(bind_affine) if isinstance(g.eval, Affine) else Curried(bind_shifted)
+    shifted = Affine(bind_affine) if isinstance(g.eval, Affine) else eval_shifted
     return replace(g, name=f"{g.name}{d:+g}", eval=shifted, F=f_shifted)
 
 
@@ -439,33 +396,6 @@ def check_ordering(
         return lo, hi, {"y": y, "z": z, "u": u}
 
     return _sampled_check("ordering", f"{g_low.name} <= {g_high.name}", model, cfg, 3, side)
-
-
-def rho_report(rho: RhoFunction, name: str = "rho") -> CheckReport:
-    """Zero at zero, monotone and midpoint-concave on a sampled grid, small-x rate table.
-
-    The small-x rate rho(x^2)/x is reported on x = 2^-k; behavior below the
-    grid cannot be decided by sampling and is noted, not asserted.
-    """
-    xs = np.concatenate([[0.0], np.logspace(-8, 1, 40)])
-    vals = np.asarray([float(rho(x)) for x in xs])
-    violations = []
-    if abs(vals[0]) > CHECK_SLACK:
-        violations.append(Violation({"x": 0.0}, float(vals[0]), 0.0))
-    diffs = np.diff(vals)
-    for k in np.flatnonzero(diffs < -CHECK_SLACK)[:3]:
-        violations.append(Violation({"x": float(xs[k + 1])}, float(vals[k + 1]), float(vals[k])))
-    mid = np.asarray([float(rho(0.5 * (a + b))) for a, b in zip(xs[:-1], xs[1:])])
-    concave_gap = mid - 0.5 * (vals[:-1] + vals[1:])
-    for k in np.flatnonzero(concave_gap < -CHECK_SLACK)[:3]:
-        violations.append(Violation({"midpoint_of": [float(xs[k]), float(xs[k + 1])]}, float(mid[k]), float(0.5 * (vals[k] + vals[k + 1]))))
-    grid = 2.0 ** -np.arange(1, 26)
-    rate = np.asarray([float(rho(x * x)) / x for x in grid])
-    note = (
-        "small-x rate rho(x^2)/x on x=2^-k, k=1..25: "
-        f"first={rate[0]:.3e}, last={rate[-1]:.3e}; behavior below the grid is not decidable by sampling"
-    )
-    return CheckReport("rho_shape", name, not violations, xs.size, violations, note=note)
 
 
 # ---------------------------------------------------------------------------

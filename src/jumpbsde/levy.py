@@ -108,9 +108,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The N + 1 grid times, read-only and made once per grid: the solvers read them every step."""
+        times = np.linspace(0.0, self.horizon, self.steps + 1)
+        times.flags.writeable = False
+        return times
 
     def validate_for_tree(self, model: LevyModel) -> None:
         """Tree branching allows at most one jump per mark per step: lambda*dt < 1."""
@@ -145,12 +148,6 @@ def mark_sum(values, weights) -> np.ndarray:
     return out
 
 
-def truncate_model(model: LevyModel, n: int) -> LevyModel:
-    """Drop marks of size below 1/n; the boundary size |x| = 1/n is kept."""
-    kept = kept_marks_mask(model, n)
-    return LevyModel(model.drift, model.sigma, tuple(m for m, k in zip(model.marks, kept) if k))
-
-
 def kept_marks_mask(model: LevyModel, n: int) -> np.ndarray:
     """Boolean mask of marks retained at truncation level n."""
     if n < 1:
@@ -176,11 +173,6 @@ class PathBundle:
     @property
     def n_paths(self) -> int:
         return self.dw.shape[0]
-
-    @property
-    def dn_tilde(self) -> np.ndarray:
-        """Compensated jump increments dN - lambda*dt."""
-        return self.dn - self.model.intensities * self.grid.dt
 
     def brownian(self) -> np.ndarray:
         """Brownian path values at grid times, shape (paths, steps+1)."""

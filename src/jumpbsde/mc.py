@@ -43,9 +43,6 @@ class RegressionBasis:
 class McSolution:
     """Path-indexed solution arrays plus the degrees the regression used."""
 
-    model: LevyModel
-    grid: TimeGrid
-    basis: RegressionBasis
     Y: np.ndarray  # (paths, steps+1)
     Z: np.ndarray  # (paths, steps)
     U: np.ndarray  # (paths, steps, marks)
@@ -217,8 +214,7 @@ def solve_mc(
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
     _, degrees, iterations, (y, z, u) = _backward_pass(bundle, g, xi, basis, np.ones((1, paths)), keep=True)
-    return McSolution(model=model, grid=grid, basis=basis, Y=y, Z=z, U=u,
-                      degrees_used=tuple(int(d) for d in degrees[0]),
+    return McSolution(Y=y, Z=z, U=u, degrees_used=tuple(int(d) for d in degrees[0]),
                       fp_iterations=tuple(int(k) for k in iterations[0]))
 
 
@@ -268,7 +264,7 @@ def bootstrap_y0(
 
 @dataclass(frozen=True)
 class L2Distance:
-    """Squared empirical distances E int |dY|^2 ds, E int |dZ|^2 ds, E int ||dU||^2 ds."""
+    """Squared distances E int |dY|^2 ds, E int |dZ|^2 ds, E int ||dU||^2 ds."""
 
     dY: float
     dZ: float
@@ -279,21 +275,12 @@ class L2Distance:
 
 
 def l2_distance(sol_a, sol_b) -> L2Distance:
-    """Distance between two solutions on the same tree or the same path bundle.
+    """Distance between two solutions on the same tree, summed on their count lattice
+    (TreeSolution.square_integrals); any other pair raises ModelError.
 
-    Tree solutions are compared on their count lattice (TreeSolution.square_integrals).
     The Y integral runs over the N left endpoints, so a constant offset c
     contributes exactly c^2 * T.
     """
     if isinstance(sol_a, TreeSolution) and isinstance(sol_b, TreeSolution):
         return L2Distance(*sol_a.square_integrals(sol_b))
-    if isinstance(sol_a, McSolution) and isinstance(sol_b, McSolution):
-        if sol_a.Y.shape != sol_b.Y.shape:
-            raise ModelError("path solutions have mismatched shapes")
-        dt = sol_a.grid.dt
-        lam = sol_a.model.intensities
-        dy = float(((sol_a.Y[:, :-1] - sol_b.Y[:, :-1]) ** 2).mean(axis=0).sum() * dt)
-        dz = float(((sol_a.Z - sol_b.Z) ** 2).mean(axis=0).sum() * dt)
-        du = float((((sol_a.U - sol_b.U) ** 2) @ lam).mean(axis=0).sum() * dt) if lam.size else 0.0
-        return L2Distance(dy, dz, du)
-    raise ModelError("l2_distance needs two tree solutions or two path solutions")
+    raise ModelError("l2_distance needs two tree solutions")

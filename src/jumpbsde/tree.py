@@ -182,7 +182,7 @@ class LevelArrays(Sequence):
     lattice[i] holds one value (or row) per lattice point at level i. A level
     below the root is gathered as the rows of its parents' points in
     lattice[i][index.children(i-1)], so a read enumerates index only up to the
-    parents' level. Slices and sums with other sequences give tuples.
+    parents' level. Slices give tuples.
     """
 
     def __init__(self, index: ProductIndex, lattice):
@@ -202,12 +202,6 @@ class LevelArrays(Sequence):
             self._gathered[i] = (np.take(v, self.index[0], axis=0) if i == 0 else
                                  _child_rows(np.take(v, self.index.children(i - 1), axis=0), self.index[i - 1]))
         return self._gathered[i]
-
-    def __add__(self, other) -> tuple:
-        return tuple(self) + tuple(other)
-
-    def __radd__(self, other) -> tuple:
-        return tuple(other) + tuple(self)
 
 
 @dataclass(frozen=True)
@@ -332,11 +326,6 @@ class TreeSolution:
             run = np.maximum(np.repeat(run, self.tree.branching), np.abs(self.Y[lvl]))
         run *= run
         return float(np.sum(run * self.tree.node_prob[-1]))
-
-    def sup_expected_y_squared(self) -> float:
-        """Maximum over grid times of E|Y|^2."""
-        mean = self.tree.lattice.expectation
-        return max(mean(y * y, lvl) for lvl, y in enumerate(self.Y.lattice))
 
     def square_integrals(self, other: TreeSolution | None = None) -> tuple[float, float, float]:
         """(E int |Y|^2 ds, E int |Z|^2 ds, E int ||U||^2 ds) on the grid, of this solution or of its gap

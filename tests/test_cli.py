@@ -475,10 +475,14 @@ def test_unreadable_config_is_one_line_and_exit_3(tmp_path, capsys, kind):
 
 
 BIHARI_CONFIG = {"c": 1.0, "K": 2.0, "rho": "identity", "t": 0.0, "T": 1.0}
+NO_REFERENCE = {k: v for k, v in experiments.default_convergence_config().items() if k != "reference"}
 REQUIRED_KEY_CASES = [
     pytest.param("compare", experiments.default_comparison_config(), "pairs", None, id="compare"),
+    pytest.param("compare", experiments.default_comparison_config(), "pairs", [], id="compare-empty"),
     pytest.param("apriori", experiments.default_apriori_config(), "instances", None, id="apriori"),
+    pytest.param("apriori", experiments.default_apriori_config(), "instances", [], id="apriori-empty"),
     pytest.param("convergence", experiments.default_convergence_config(), "steps_list", None, id="convergence"),
+    pytest.param("convergence", NO_REFERENCE, "steps_list", [], id="convergence-empty"),
     pytest.param("solve-mc", {**_demo_model_config(), "paths": 1000}, "paths", None, id="solve-mc"),
     pytest.param("solve-lattice", _demo_model_config(), "generator", None, id="solve-lattice"),
     pytest.param("solve-lattice", _demo_model_config(), "model", None, id="solve-lattice-model"),

@@ -32,13 +32,13 @@ from jumpbsde.experiments import (
     gap_orders,
     measure_beta2_budget,
     measure_ck,
+    max_ordering_violation,
     measure_e_if2,
     run_apriori_check,
     run_comparison,
     run_convergence,
     run_counterexample,
     run_truncation_study,
-    search_counterexample,
     stability_inputs,
 )
 from jumpbsde.terminals import make_terminal
@@ -129,10 +129,17 @@ def test_counterexample_equal_terminals_find_nothing():
 
 
 def test_counterexample_search_contains_shipped_instance():
-    rows = search_counterexample()
-    shipped = [r for r in rows if r["lambda"] == 1.0 and r["steps"] == 4]
-    assert shipped and shipped[0]["margin"] > 1.0
-    assert all(rows[i]["margin"] >= rows[i + 1]["margin"] for i in range(len(rows) - 1))
+    # the scan that default_counterexample_config's instance was frozen from
+    g, xi = jump_ordering_violator(), make_terminal({"name": "const", "value": 0.0})
+    xi_prime = make_terminal({"name": "jump_indicator", "mark": 0})
+    margins = {}
+    for lam in (0.5, 1.0, 2.0):
+        for steps in (s for s in (1, 2, 4, 8) if lam / s < 1.0):
+            tree = build_tree(LevyModel(0.0, 0.0, ((1.0, lam),)), TimeGrid(1.0, steps))
+            margins[lam, steps] = max_ordering_violation(*(solve_backward(tree, g, t) for t in (xi, xi_prime)))
+    shipped = default_counterexample_config()
+    assert (shipped["model"]["marks"], shipped["grid"]) == ([{"x": 1.0, "lambda": 1.0}], {"T": 1.0, "steps": 4})
+    assert len(margins) == 9 and min(margins.values()) > 0.0 and margins[1.0, 4] > 1.0
 
 
 def test_truncation_study_default_and_small_mark_free_data():

@@ -25,7 +25,6 @@ from jumpbsde import (
     linear_driver,
     linear_y,
     project_ball,
-    rho_report,
     shift_generator,
     truncate_generator,
     zero_generator,
@@ -232,13 +231,18 @@ def test_pointwise_convergence_of_truncation_levels():
             assert np.allclose(val, raw, atol=1e-13)
 
 
-def test_rho_reports():
+def modulus_shape_gaps(rho) -> tuple[float, float, float]:
+    """(|rho(0)|, largest drop, largest midpoint-concavity gap) of rho on a grid over [0, 10]."""
+    xs = np.concatenate([[0.0], np.logspace(-8, 1, 40)])
+    vals = np.asarray([float(rho(x)) for x in xs])
+    mids = np.asarray([float(rho(0.5 * (a + b))) for a, b in zip(xs[:-1], xs[1:])])
+    return abs(vals[0]), float(-np.diff(vals).min()), float((0.5 * (vals[:-1] + vals[1:]) - mids).max())
+
+
+def test_catalog_moduli_have_modulus_shape():
     for name, rho in rho_catalog().items():
-        report = rho_report(rho, name)
-        assert report.passed, (name, [v.to_dict() for v in report.violations])
-        assert "below the grid" in report.note
-    convex = rho_report(lambda x: np.asarray(x, dtype=float) ** 2, "square")
-    assert not convex.passed  # convex: the midpoint check must flag it
+        assert max(modulus_shape_gaps(rho)) <= CHECK_SLACK, name  # zero at zero, nondecreasing, concave
+    assert modulus_shape_gaps(lambda x: np.asarray(x, dtype=float) ** 2)[2] > CHECK_SLACK  # convex: flagged
 
 
 _INV_E = 1.0 / math.e

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jumpbsde import LevyModel, ModelError, TimeGrid, levy_norm, simulate_paths, truncate_model
+from jumpbsde import LevyModel, ModelError, TimeGrid, levy_norm, simulate_paths
 from jumpbsde.levy import PATH_BLOCK, kept_marks_mask
 from jumpbsde.tree import build_tree
 
@@ -23,6 +23,15 @@ def test_grid_validation():
     with pytest.raises(ModelError):
         TimeGrid(horizon=1.0, steps=0)
     assert TimeGrid(1.0, 4).dt == 0.25
+
+
+def test_grid_times_are_made_once_and_read_only():
+    grid = TimeGrid(1.5, 6)
+    times = grid.times
+    assert grid.times is times and not times.flags.writeable
+    assert times.tobytes() == np.linspace(0.0, 1.5, 7).tobytes()
+    with pytest.raises(ValueError):
+        times[0] = 1.0
 
 
 def test_drift_only_paths_are_deterministic():
@@ -53,7 +62,7 @@ def test_terminal_mean_matches_compensation_rule():
 def test_compensated_increments_have_zero_mean():
     model = LevyModel(0.0, 0.5, ((0.4, 1.5), (-0.7, 0.6)))
     bundle = simulate_paths(model, TimeGrid(1.0, 5), count=100_000, seed=9)
-    sums = bundle.dn_tilde.sum(axis=1)  # (paths, marks)
+    sums = (bundle.dn - model.intensities * bundle.grid.dt).sum(axis=1)  # (paths, marks)
     for j in range(model.n_marks):
         se = sums[:, j].std(ddof=1) / np.sqrt(sums.shape[0])
         assert abs(sums[:, j].mean()) <= 4 * se
@@ -103,18 +112,14 @@ def test_simulate_rejects_zero_paths_but_allows_large_lambda_dt():
         ((((-0.2, 3.0)),), 5, (-0.2,)),  # boundary |x| = 1/n is kept
     ],
 )
-def test_truncate_model(marks, n, expected_sizes):
+def test_kept_marks_mask(marks, n, expected_sizes):
     model = LevyModel(0.3, 0.7, marks)
-    out = truncate_model(model, n)
-    assert tuple(x for x, _ in out.marks) == expected_sizes
-    assert out.drift == model.drift and out.sigma == model.sigma
+    assert tuple(model.jump_sizes[kept_marks_mask(model, n)]) == expected_sizes
 
 
-def test_truncate_model_idempotent_and_monotone():
+def test_kept_marks_mask_grows_with_level():
     model = LevyModel(0.0, 1.0, ((0.05, 1.0), (0.2, 2.0), (0.9, 0.3), (-1.5, 0.1)))
     for n in (1, 2, 5, 10, 100):
-        t1 = truncate_model(model, n)
-        assert truncate_model(t1, n) == t1
         mask_n = kept_marks_mask(model, n)
         mask_next = kept_marks_mask(model, n + 1)
         assert np.all(mask_n <= mask_next)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jumpbsde import (
     FixedPointError,
     LevyModel,
+    ModelError,
     RegressionBasis,
     TimeGrid,
     bootstrap_y0,
@@ -127,7 +128,7 @@ def _reference_y0(bundle, g, xi, degree, idx):
     model, grid = bundle.model, bundle.grid
     n, j, dt = grid.steps, model.n_marks, grid.dt
     x, w, c = bundle.states()[idx], bundle.brownian()[idx], bundle.jump_counts()[idx]
-    dw, dnt = bundle.dw[idx], bundle.dn_tilde[idx]
+    dw, dnt = bundle.dw[idx], bundle.dn[idx] - model.intensities * dt
     y = xi(StepContext(model=model, x=x[:, n], w=w[:, n], counts=c[:, n]))
     degrees = [0] * n
     for i in range(n - 1, -1, -1):
@@ -172,28 +173,14 @@ def test_weighted_bootstrap_matches_resampled_passes(inst):
         assert np.count_nonzero(degrees[1:] < degrees[0]) == 11
 
 
-def test_l2_distance_mc_solutions():
-    from dataclasses import replace
-
-    model = LevyModel(0.0, 1.0)
-    grid = TimeGrid(1.0, 5)
-    a = solve_mc(model, grid, zero_generator(), XI_X, paths=400, seed=3)
-    same = solve_mc(model, grid, zero_generator(), XI_X, paths=400, seed=3)
-    d0 = l2_distance(a, same)
-    assert (d0.dY, d0.dZ, d0.dU) == (0.0, 0.0, 0.0)
-    offset = replace(a, Y=a.Y + 2.0)
-    d = l2_distance(a, offset)
-    assert d.dY == pytest.approx(4.0 * grid.horizon)
-    assert d.dZ == 0.0 and d.dU == 0.0
-
-
 def test_l2_distance_rejects_mixed_kinds():
     model = LevyModel(0.0, 1.0)
     grid = TimeGrid(1.0, 3)
     mc = solve_mc(model, grid, zero_generator(), XI_X, paths=200, seed=0)
     tree_sol = solve_backward(build_tree(model, grid), zero_generator(), XI_X)
-    with pytest.raises(Exception):
-        l2_distance(mc, tree_sol)
+    for pair in ((mc, tree_sol), (mc, mc)):  # tree solutions only
+        with pytest.raises(ModelError, match="needs two tree solutions"):
+            l2_distance(*pair)
 
 
 @pytest.mark.parametrize("n_boot", [0, 1])
@@ -246,7 +233,7 @@ def _plain_backward_pass(bundle, g, xi, degree, weights):
     model, grid = bundle.model, bundle.grid
     n, j, dt = grid.steps, model.n_marks, grid.dt
     x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
-    dw, dnt = bundle.dw, bundle.dn_tilde
+    dw, dnt = bundle.dw, bundle.dn - model.intensities * dt
     rows, m = weights.shape
 
     def context(i):
