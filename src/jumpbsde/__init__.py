@@ -24,6 +24,7 @@ from .generators import (
     StepContext,
     jump_ordering_violator,
     builtin_generators,
+    check_branch_weights,
     check_jump_ordering,
     check_growth,
     check_monotonicity,
@@ -47,15 +48,17 @@ from .levy import (
     levy_norm,
     simulate_paths,
 )
-from .mc import BootstrapEstimate, L2Distance, McSolution, RegressionBasis, bootstrap_y0, l2_distance, solve_mc
+from .mc import BootstrapEstimate, McSolution, RegressionBasis, bootstrap_y0, solve_mc
 from .terminals import make_terminal
 from .tree import (
     FixedPointError,
+    L2Distance,
     ScenarioTree,
     TreeSizeError,
     TreeSolution,
     build_tree,
     conditional_expectation,
+    l2_distance,
     project_coarse,
     solve_backward,
     solve_truncated,

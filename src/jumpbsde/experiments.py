@@ -18,11 +18,13 @@ from . import bounds
 from .bounds import apriori_bound
 from .config import (ConfigError, _reject_unknown, basis_from_config, config_value, generator_from_config,
                      model_from_config, resolve_model_grid)
-from .generators import SamplerConfig, check_jump_ordering, check_growth, check_monotonicity, check_ordering
+from .generators import (SamplerConfig, check_branch_weights, check_growth, check_jump_ordering, check_monotonicity,
+                         check_ordering)
 from .levy import TimeGrid, kept_marks_mask
-from .mc import bootstrap_y0, l2_distance
+from .mc import bootstrap_y0
 from .terminals import make_terminal
-from .tree import DEFAULT_FP_TOL, ScenarioTree, TreeSolution, build_tree, solve_backward, solve_truncated
+from .tree import (DEFAULT_FP_TOL, ScenarioTree, TreeSolution, build_tree, l2_distance, solve_backward,
+                   solve_truncated)
 
 
 def _py(obj):
@@ -303,9 +305,10 @@ def run_comparison(cfg: dict | None = None) -> Report:
     """Solve ordered pairs on the lattice and assert node-wise solution ordering.
 
     Preconditions per pair (sampled driver ordering, node-wise terminal
-    ordering, ordered-jump condition for one driver) gate the verdicts: an
-    unmet hypothesis yields a preconditions-unmet case with no ordering
-    verdict asserted.
+    ordering, ordered-jump condition for one driver, nonnegative branch
+    weights of the scheme for one driver) gate the verdicts: an unmet
+    hypothesis yields a preconditions-unmet case with no ordering verdict
+    asserted.
     """
     cfg = cfg or default_comparison_config()
     _check_keys("comparison", cfg, default_comparison_config(), "pairs")
@@ -324,18 +327,23 @@ def run_comparison(cfg: dict | None = None) -> Report:
         grid = TimeGrid(horizon=horizon, steps=config_value(pair, "steps", int))
         tree = build_tree(model, grid)
 
-        order = check_ordering(g, gp, model, SamplerConfig(horizon=grid.horizon))
+        sampler = SamplerConfig(horizon=grid.horizon)
+        order = check_ordering(g, gp, model, sampler)
         if not order.passed:
             case.unmet("driver ordering f <= f' fails on sampled points")
             case.witnesses.extend(v.to_dict() for v in order.violations[:3])
         term_gap = _terminal_gap(tree, xi, xip)
         if term_gap > 1e-12:
             case.unmet(f"terminal ordering fails node-wise (max excess {term_gap})")
-        gamma = check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon))
-        gamma_p = check_jump_ordering(gp, model, SamplerConfig(horizon=grid.horizon))
-        checks += [order, gamma, gamma_p]
+        gamma, gamma_p = check_jump_ordering(g, model, sampler), check_jump_ordering(gp, model, sampler)
+        weights = check_branch_weights(g, model, grid, sampler)
+        weights_p = check_branch_weights(gp, model, grid, sampler)
+        checks += [order, gamma, gamma_p, weights, weights_p]
         if not (gamma.passed or gamma_p.passed):
             case.unmet("neither driver passes the ordered-jump condition")
+        if not (weights.passed or weights_p.passed):
+            case.unmet("neither driver keeps every branch weight of the tree's implicit step nonnegative")
+            case.witnesses.extend(v.to_dict() for v in weights.violations[:3])
         if case.status == "preconditions-unmet":
             cases.append(case)
             continue

@@ -23,10 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .levy import LevyModel, ModelError, levy_norm, mark_sum
+from .levy import LevyModel, ModelError, TimeGrid, levy_norm, mark_sum
 
 # Numerical slack for all inequality checks (floating-point associativity).
 CHECK_SLACK = 1e-12
+# Step of the central differences in branch_weight_margin, in z and in each lambda_j u_j: a power of two,
+# so a driver affine in (z, u) gives its coefficients up to the rounding of its own values times 2**3.
+_DIFF_STEP = 2.0**-4
 
 
 @dataclass(frozen=True)
@@ -383,6 +386,49 @@ def check_jump_ordering(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig =
         return lhs, rhs, {"y": y, "z": z, "u": u, "u_hi": u_hi}
 
     return _sampled_check("jump_ordering", g.name, model, cfg, 2, side, extra="bump")
+
+
+def branch_weight_margin(g: GeneratorSpec, ctx: StepContext, t, dt: float, y, z, u) -> np.ndarray:
+    """Per point, the smallest weight over its probability that the tree's implicit step puts on a branch.
+
+    Linearising y = E[y'] + dt f(t, y, z, u) in z = E[y' dW] / dt and
+    u_j = E[y' dN~_j] / (p_j (1 - p_j)), p_j = lambda_j dt, weights branch b
+    by p_b (1 + f_z dW_b + sum_j dt f_(u_j) dN~_(j,b) / (p_j (1 - p_j))). Per
+    bit, the Brownian sign (sigma > 0) adds -|f_z| sqrt(dt) at worst, and mark
+    j the smaller of s_j (a jump) and -s_j p_j / (1 - p_j) (none), with
+    s_j = f_(u_j) / lambda_j, the slope of f in lambda_j u_j. f_z and s_j are
+    central differences at (y, z, u), so for linear_driver(a, b, c) the margin
+    is 1 - |b| sqrt(dt) + sum_j min(c_j, -c_j p_j / (1 - p_j)).
+    """
+    model, h = ctx.model, _DIFF_STEP
+
+    def slope(z_hi, u_hi, z_lo, u_lo):
+        hi = np.asarray(g.eval(ctx, t, y, z_hi, u_hi), dtype=float)
+        return (hi - np.asarray(g.eval(ctx, t, y, z_lo, u_lo), dtype=float)) / (2.0 * h)
+
+    margin = np.ones(np.shape(y))
+    if model.sigma > 0:
+        margin -= np.abs(slope(z + h, u, z - h, u)) * math.sqrt(dt)
+    for j, (lam, p) in enumerate(zip(model.intensities, model.intensities * dt)):
+        bump = np.where(np.arange(model.n_marks) == j, h / lam, 0.0)
+        s = slope(z, u + bump, z, u - bump)
+        margin += np.minimum(s, -s * p / (1.0 - p))
+    return margin
+
+
+def check_branch_weights(g: GeneratorSpec, model: LevyModel, grid: TimeGrid,
+                         cfg: SamplerConfig = SamplerConfig()) -> CheckReport:
+    """Sample points and test that the tree's implicit step weights every branch nonnegatively
+    (branch_weight_margin >= 0 up to slack), with the driver at the left end of the grid step that
+    holds each sampled time. The discrete comparison needs it: the step then maps ordered next
+    values and ordered drivers to ordered values."""
+
+    def side(ctx, t, y, z, u):
+        t_step = grid.times[np.minimum((t / grid.dt).astype(int), grid.steps - 1)]
+        margin = branch_weight_margin(g, ctx, t_step, grid.dt, y, z, u)
+        return np.zeros(margin.shape), margin, {"t_step": t_step, "x": ctx.x, "y": y, "z": z, "u": u}
+
+    return _sampled_check("branch_weights", g.name, model, cfg, 4, side)
 
 
 def check_ordering(

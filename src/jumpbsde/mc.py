@@ -1,4 +1,4 @@
-"""Least-squares Monte Carlo backward solver and solution distances.
+"""Least-squares Monte Carlo backward solver.
 
 The regression state is the current value of the driving process; the basis
 is polynomial and its degree drops automatically when the design matrix is
@@ -17,7 +17,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, StepContext
 from .levy import PATH_BLOCK, LevyModel, ModelError, PathBundle, TimeGrid, simulate_paths
-from .tree import TreeSolution, implicit_step
+from .tree import implicit_step
 
 
 class RegressionError(ModelError):
@@ -111,17 +111,18 @@ def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
     The smallest eigenvalue of a leading block is at least that of the whole
     matrix (Cauchy interlacing), so a row whose whole Gram matrix passes the
     rank test keeps every column, and only the rows that fail it search
-    their leading blocks.
+    their leading blocks; when none fails, the stack is solved in one call.
     """
     rows, k0, _ = gram.shape
-    kept = np.full(rows, k0)
     bad = np.flatnonzero(~(np.linalg.eigvalsh(gram)[:, 0] > _GRAM_RANK_TOL))
-    if bad.size:
-        sub, full = gram[bad], np.ones(bad.size, dtype=bool)
-        kept[bad] = 0
-        for k in range(1, k0):
-            full &= np.linalg.eigvalsh(sub[:, :k, :k])[:, 0] > _GRAM_RANK_TOL
-            kept[bad] += full
+    if not bad.size:
+        return np.linalg.solve(gram, rhs), np.full(rows, k0)
+    kept = np.full(rows, k0)
+    sub, full = gram[bad], np.ones(bad.size, dtype=bool)
+    kept[bad] = 0
+    for k in range(1, k0):
+        full &= np.linalg.eigvalsh(sub[:, :k, :k])[:, 0] > _GRAM_RANK_TOL
+        kept[bad] += full
     coef = np.zeros_like(rhs)
     for k in np.unique(kept):
         sel = kept == k
@@ -170,25 +171,31 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     incs[:, 0] = 1.0
     wy = np.empty((rows, m))
     fitted = np.empty((m, 2 + j))
+    # flat buffers for the step's Gram products and regressor columns, viewed at the step's design width k
+    gram_buf = np.empty(m * basis.dimension ** 2)
+    cols_buf = np.empty(m * (2 + j) * basis.dimension)
+    z = np.empty(m) if model.sigma > 0 else np.zeros(m)
+    u = np.empty((m, j))
 
     for i in range(n - 1, -1, -1):
         q = _orthonormal_design(x_path[:, i], basis.degree)
         k = q.shape[1]
-        gram = _weighted_sums(weights, np.einsum("mi,mj->mij", q, q).reshape(m, k * k)).reshape(rows, k, k)
+        products = np.einsum("mi,mj->mij", q, q, out=gram_buf[:m * k * k].reshape(m, k, k))
+        gram = _weighted_sums(weights, products.reshape(m, k * k)).reshape(rows, k, k)
         incs[:, 1] = bundle.dw[:, i]
         np.subtract(bundle.dn[:, i], lam_dt, out=incs[:, 2:])
-        cols = np.einsum("ma,mi->mai", incs, q).reshape(m, (2 + j) * k)
-        rhs = _weighted_sums(np.multiply(weights, y, out=wy), cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
-        coef, kept = _solve_nested(gram, rhs)
+        cols = np.einsum("ma,mi->mai", incs, q, out=cols_buf[:m * (2 + j) * k].reshape(m, 2 + j, k))
+        rhs = _weighted_sums(np.multiply(weights, y, out=wy), cols.reshape(m, (2 + j) * k)).reshape(rows, 2 + j, k)
+        coef, kept = _solve_nested(gram, rhs.transpose(0, 2, 1))
         degrees[:, i] = kept - 1
         ctx = context(i)
         t = float(times[i])
         for b in range(rows):
             np.matmul(q, coef[b], out=fitted)
-            ey = fitted[:, 0]
-            z = fitted[:, 1] / dt if model.sigma > 0 else np.zeros(m)
-            u = fitted[:, 2:] / lam_dt
-            y[b], iterations[b, i] = implicit_step(g, ctx, t, dt, ey, z, u, i)
+            if model.sigma > 0:
+                np.divide(fitted[:, 1], dt, out=z)
+            np.divide(fitted[:, 2:], lam_dt, out=u)
+            _, iterations[b, i] = implicit_step(g, ctx, t, dt, fitted[:, 0], z, u, i, out=y[b])
             if keep and b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
 
@@ -255,32 +262,3 @@ def bootstrap_y0(
     samples = y0[1:]
     return BootstrapEstimate(y0=float(y0[0]), se=float(samples.std(ddof=1)), samples=samples,
                              fp_iterations=tuple(int(k) for k in iterations[1:].max(axis=0, initial=0)))
-
-
-# ---------------------------------------------------------------------------
-# Solution distances
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class L2Distance:
-    """Squared distances E int |dY|^2 ds, E int |dZ|^2 ds, E int ||dU||^2 ds."""
-
-    dY: float
-    dZ: float
-    dU: float
-
-    def total(self) -> float:
-        return self.dY + self.dZ + self.dU
-
-
-def l2_distance(sol_a, sol_b) -> L2Distance:
-    """Distance between two solutions on the same tree, summed on their count lattice
-    (TreeSolution.square_integrals); any other pair raises ModelError.
-
-    The Y integral runs over the N left endpoints, so a constant offset c
-    contributes exactly c^2 * T.
-    """
-    if isinstance(sol_a, TreeSolution) and isinstance(sol_b, TreeSolution):
-        return L2Distance(*sol_a.square_integrals(sol_b))
-    raise ModelError("l2_distance needs two tree solutions")

@@ -349,10 +349,36 @@ class TreeSolution:
         return self.square_integrals()[1:]
 
 
+@dataclass(frozen=True)
+class L2Distance:
+    """Squared distances E int |dY|^2 ds, E int |dZ|^2 ds, E int ||dU||^2 ds."""
+
+    dY: float
+    dZ: float
+    dU: float
+
+    def total(self) -> float:
+        return self.dY + self.dZ + self.dU
+
+
+def l2_distance(sol_a, sol_b) -> L2Distance:
+    """Distance between two solutions on the same tree, summed on their count lattice
+    (TreeSolution.square_integrals); any other pair raises ModelError.
+
+    The Y integral runs over the N left endpoints, so a constant offset c
+    contributes exactly c^2 * T.
+    """
+    if isinstance(sol_a, TreeSolution) and isinstance(sol_b, TreeSolution):
+        return L2Distance(*sol_a.square_integrals(sol_b))
+    raise ModelError("l2_distance needs two tree solutions")
+
+
 def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int,
-                  project=None, tol: float = DEFAULT_FP_TOL):
+                  project=None, tol: float = DEFAULT_FP_TOL, out: np.ndarray | None = None):
     """Solve y = ey + dt f(t, y, z, u) at one step; returns (y, iterations).
 
+    y is `out` when given (an array of the solution's shape that aliases
+    none of the inputs), a fresh array otherwise; the values are the same.
     A driver that declares itself affine in y (GeneratorSpec.affine gives
     its slope and offset) is solved in closed form, y = (ey + dt offset) /
     (1 - dt slope), in one iteration; with `project`, only when the slope is
@@ -389,7 +415,8 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
         ey = np.asarray(ey, dtype=float)
         if project is not None:
             offset = project(np.broadcast_to(offset, ey.shape))
-        y = ey + dt * offset
+        y = np.multiply(offset, dt, out=out)  # then + ey: IEEE + and * commute, so this is ey + dt * offset
+        y += ey  # a scalar offset gives a new array here, of ey's shape
         y /= denom
         if not np.isfinite(y).all():
             raise FixedPointError(f"implicit step has a non-finite solution at step {step}")
@@ -407,6 +434,9 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
             raise FixedPointError(f"implicit step has a non-finite solution at step {step}")
         y = y_new
         if delta <= tol:
+            if out is not None:
+                out[...] = y
+                y = out
             return y, it
     contraction = dt * float(np.max(g.K1(ctx, t), initial=0.0))
     raise FixedPointError(

@@ -104,6 +104,27 @@ def test_unordered_terminals_mark_preconditions_unmet():
     assert report.cases[0].status == "preconditions-unmet"
 
 
+def test_pair_outside_the_discrete_margin_marks_preconditions_unmet():
+    # linear_driver(0, 0.5, -1) passes every continuous-time precondition, but on a jump branch with
+    # dW = -sqrt(dt) its one-step weight 1 + c + b dW is -0.25, and the solutions are not ordered
+    pair = {
+        "name": "outside_the_discrete_margin",
+        "model": {"drift": 0.0, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.8}]},
+        "steps": 4,
+        "generator": {"name": "linear_driver", "a": 0.0, "b": 0.5, "c": -1.0},
+        "generator_prime": {"name": "linear_driver", "a": 0.0, "b": 0.5, "c": -1.0},
+        "terminal": make_terminal({"name": "const", "value": 0.0}),
+        "terminal_prime": lambda ctx: (ctx.counts[:, 0] >= 1) * np.maximum(-ctx.w, 0.0),
+    }
+    report = run_comparison(small_comparison_config([pair]))
+    case = report.cases[0]
+    assert case.status == "preconditions-unmet" and not case.verdicts
+    assert case.data["unmet_reasons"] == ["neither driver keeps every branch weight of the tree's implicit step "
+                                          "nonnegative"]
+    assert case.witnesses[0]["rhs"] == pytest.approx(-0.25, abs=1e-12)
+    assert report.meta["checks"]["calls"] == 5  # ordering, two jump-ordering and two branch-weight checks
+
+
 def test_default_comparison_suite_has_enough_pairs():
     assert len(default_comparison_pairs()) >= 10
 

@@ -18,6 +18,7 @@ from jumpbsde import (
     TimeGrid,
     TreeSizeError,
     build_tree,
+    check_branch_weights,
     check_jump_ordering,
     conditional_expectation,
     constant_coeff,
@@ -33,7 +34,7 @@ from jumpbsde import (
     zero_generator,
 )
 from jumpbsde.experiments import _sup_time_sum, max_ordering_violation, measure_e_if2
-from jumpbsde.generators import Affine, StepContext, truncate_generator
+from jumpbsde.generators import CHECK_SLACK, Affine, StepContext, branch_weight_margin, truncate_generator
 from jumpbsde.levy import kept_marks_mask
 from jumpbsde.terminals import make_terminal
 from jumpbsde.tree import (
@@ -507,6 +508,35 @@ def one_step_weight_margin(tree, b, c) -> float:
 
 
 @st.composite
+def linear_weight_problems(draw):
+    """A small tree (lambda dt < 1), linear driver coefficients b and c, a time and a point seed."""
+    steps = draw(st.integers(1, 6))
+    marks = tuple((x, draw(st.floats(0.02, 0.98)) * steps)
+                  for x in draw(st.lists(st.sampled_from([0.5, -0.3, 1.5]), max_size=2, unique=True)))
+    tree = build_tree(LevyModel(0.1, draw(st.sampled_from([0.0, 1.0])), marks), TimeGrid(1.0, steps))
+    coeff = st.floats(-2.0, 3.0)
+    return tree, draw(coeff), [draw(coeff) for _ in marks], draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(linear_weight_problems())
+def test_branch_weight_margin_of_a_linear_driver_is_the_closed_form(problem):
+    """The sampled check's difference quotients give one_step_weight_margin at every point, to well
+    inside CHECK_SLACK, and the check fails exactly where that margin is negative."""
+    tree, b, c, t, seed = problem
+    g = linear_driver(0.7, b, tuple(c) or 0.0)
+    rng = np.random.default_rng(seed)
+    m = 64
+    ctx = StepContext(model=tree.model, x=rng.uniform(-3.0, 3.0, m))
+    y, z = rng.uniform(-4.0, 4.0, (2, m))
+    closed = one_step_weight_margin(tree, b, c)
+    margin = branch_weight_margin(g, ctx, t, tree.grid.dt, y, z, 2.0 * rng.standard_normal((m, len(c))))
+    assert np.abs(margin - closed).max() <= 0.5 * CHECK_SLACK
+    if abs(closed) > 1e-9:
+        assert check_branch_weights(g, tree.model, tree.grid).passed == (closed > 0.0)
+
+
+@st.composite
 def ordered_pairs(draw):
     """A small tree (lambda dt < 1), a linear driver inside the discrete margin, a shift of it,
     and a terminal gap s * 1{N_k >= m} (s alone without marks) above x."""
@@ -541,6 +571,7 @@ def test_comparison_theorem_holds_node_wise(pair):
     (1 + c_j >= |b| sqrt(dt) for one mark: every one-step weight nonnegative) order Y at every node."""
     tree, g, margin, delta, xi_up = pair
     assert check_jump_ordering(g, tree.model).passed and margin >= -1e-12
+    assert check_branch_weights(g, tree.model, tree.grid).passed
     sol = solve_backward(tree, g, XI_X)
     sol_up = solve_backward(tree, shift_generator(g, delta), xi_up)
     for lvl, (y, y_up) in enumerate(zip(sol.Y, sol_up.Y)):
@@ -556,6 +587,7 @@ def test_comparison_fails_outside_the_discrete_margin():
     g = linear_driver(0.0, 0.5, -1.0)
     assert check_jump_ordering(g, tree.model).passed
     assert one_step_weight_margin(tree, 0.5, [-1.0]) == -0.25
+    assert not check_branch_weights(g, tree.model, tree.grid).passed  # so run_comparison reports it unmet
     zero = make_terminal({"name": "const", "value": 0.0})
     gap = lambda ctx: (ctx.counts[:, 0] >= 1) * np.maximum(-ctx.w, 0.0)  # noqa: E731
     excess = max_ordering_violation(solve_backward(tree, g, zero), solve_backward(tree, g, gap))
@@ -759,6 +791,93 @@ def test_truncated_and_plain_drivers_keep_the_fixed_point():
         assert min(solve_truncated(tree, spec, XI_X, 4).fp_iterations) >= 2, spec.name
     assert min(solve_truncated(tree, SLOPED_STATE, XI_X, 4).fp_iterations) >= 2  # a per-point slope does not
     assert set(solve_backward(tree, SLOPED_STATE, XI_X).fp_iterations) == {1}
+
+
+def closed_form_as_written(g, ctx, t, dt, ey, z, u, project=None):
+    """(ey + dt offset) / (1 - dt slope) in the order the closed form once took, into a fresh array; None
+    where implicit_step takes the fixed point."""
+    line = g.affine(ctx, t, z, u)
+    if line is None or (project is not None and np.ndim(line[0]) != 0):
+        return None
+    slope, offset = line
+    ey = np.asarray(ey, dtype=float)
+    if project is not None:
+        offset = project(np.broadcast_to(offset, ey.shape))
+    y = ey + dt * offset
+    y /= 1.0 - dt * (float(slope) if np.ndim(slope) == 0 else np.asarray(slope, dtype=float))
+    return y
+
+
+def assert_in_place_step_is_the_fresh_step(g, ctx, t, dt, ey, z, u, step, project=None, out=None):
+    """implicit_step with out (a NaN-filled array of ey's shape unless given) returns out, holding the bytes
+    and the iteration count of the step that returns a new array; a closed-form step holds the bytes of
+    ey + dt offset over 1 - dt slope."""
+    fresh, iterations = implicit_step(g, ctx, t, dt, ey, z, u, step, project)
+    out = np.full(np.shape(ey), np.nan) if out is None else out
+    got, got_iterations = implicit_step(g, ctx, t, dt, ey, z, u, step, project, out=out)
+    assert got is out and got_iterations == iterations, g.name
+    assert out.dtype == fresh.dtype and out.shape == fresh.shape and out.tobytes() == fresh.tobytes(), g.name
+    written = closed_form_as_written(g, ctx, t, dt, ey, z, u, project)
+    assert written is None or written.tobytes() == fresh.tobytes(), g.name
+    return fresh
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(closed_form_steps())
+def test_in_place_step_is_bitwise_the_fresh_step(problem):
+    # scalar and per-point slopes, scalar and array offsets, and the same drivers' fixed point
+    g, ctx, t, dt, ey, z, u = problem
+    for spec in (g, plain_copy(g)):
+        assert_in_place_step_is_the_fresh_step(spec, ctx, t, dt, ey, z, u, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sweep_problems())
+def test_in_place_step_is_bitwise_the_fresh_step_on_tree_levels(problem):
+    tree, g, xi, n = problem
+    lat, dt = tree.lattice, tree.grid.dt
+    removed = ~kept_marks_mask(tree.model, n)
+    y = np.asarray(xi(lat.context(tree.n_steps)), dtype=float)
+    for i in range(tree.n_steps - 1, -1, -1):
+        ey, z, u = lat.one_step(i, y, dt)
+        u[:, removed] = 0.0
+        for spec in (g, plain_copy(g), SLOPED_STATE):
+            for project in (None, _removed_count_average(tree, removed, i)):  # averages over no marks too
+                fresh = assert_in_place_step_is_the_fresh_step(spec, lat.context(i), float(tree.grid.times[i]), dt,
+                                                               ey, z, u, i, project)
+                if spec is g and project is None:
+                    y = fresh
+
+
+@pytest.mark.parametrize("g", [linear_driver(0.4, -0.3, (0.5, -0.5)), tanh_jump_integral(), SLOPED_STATE,
+                               plain_copy(linear_driver(0.5, 0.2, -0.5))], ids=lambda g: g.name)
+def test_in_place_step_is_bitwise_the_fresh_step_on_regression_rows(g):
+    # as the LSMC pass calls it: ey a column of the fitted values, out a row of the (rows, paths) values
+    model, m = TWO_MARK_MODEL, 50
+    rng = np.random.default_rng(5)
+    fitted = rng.standard_normal((m, 2 + model.n_marks))
+    ctx = StepContext(model=model, x=rng.standard_normal(m), w=rng.standard_normal(m),
+                      counts=rng.integers(0, 2, (m, model.n_marks)))
+    z, u = fitted[:, 1] / 0.25, fitted[:, 2:] / (model.intensities * 0.25)
+    y = np.full((3, m), np.nan)
+    for project in (None, lambda v: np.full(np.shape(v), np.mean(v))):
+        assert_in_place_step_is_the_fresh_step(g, ctx, 0.5, 0.25, fitted[:, 0], z, u, 2, project, out=y[1])
+        assert np.isnan(y[[0, 2]]).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_in_place_step_raises_as_the_fresh_step(bad):
+    ctx = StepContext(model=LevyModel(0.0, 1.0), x=np.zeros(2))
+    u = np.zeros((2, 0))
+    cases = [(g, np.zeros(2), np.array([bad, 0.5]), r"^implicit step has a non-finite solution at step 3$")
+             for g in (linear_driver(0.5, 0.3, 0.0), SLOPED_STATE, plain_copy(linear_driver(0.5, 0.3, 0.0)))]
+    no_root = r"^implicit step has no unique solution at step 3: 1 - dt\*slope = -1\.5 <= 0$"
+    cases += [(g, np.ones(2), np.zeros(2), no_root) for g in (linear_y(5.0), linear_driver(5.0, 0.3, 0.0))]
+    for g, ey, z, message in cases:
+        for out in (None, np.empty(2)):
+            with pytest.raises(FixedPointError, match=message):
+                implicit_step(g, ctx, 0.0, 0.5, ey, z, u, 3, out=out)
 
 
 def test_lattice_coordinates_and_node_counts():
