@@ -25,7 +25,7 @@ import numpy as np
 
 from . import experiments
 from .bounds import BoundInputError, PiecewiseConstantRate, bihari_bound
-from .config import (ConfigError, _reject_unknown, basis_from_config, config_value, generator_from_config,
+from .config import (ConfigError, _check_keys, basis_from_config, config_value, generator_from_config,
                      load_config, resolve_model_grid)
 from .experiments import Case, Report
 from .levy import ModelError, simulate_paths
@@ -52,13 +52,20 @@ def _demo_model_config() -> dict:
     }
 
 
+def _model_grid(command: str, cfg: dict, *keys: str):
+    """resolve_model_grid, then reject a top-level key that is neither the demo config's nor one of keys."""
+    model, grid = resolve_model_grid(cfg)
+    _check_keys(command, cfg, dict.fromkeys([*_demo_model_config(), *keys]))
+    return model, grid
+
+
 # Every command maps a config (None for the built-in demo) to
 # (report, CSV header, CSV rows, one-line summary).
 
 
 def _simulate(cfg):
     cfg = cfg or {**_demo_model_config(), "count": 1000}
-    model, grid = resolve_model_grid(cfg)
+    model, grid = _model_grid("simulate", cfg, "count")
     bundle = simulate_paths(model, grid, config_value(cfg, "count", int, 1000), config_value(cfg, "seed", int, 0))
     x = bundle.states()
     case = Case(name="simulate", data={
@@ -90,7 +97,7 @@ def _solution_rows(sol) -> list:
 
 def _solve_lattice(cfg):
     cfg = cfg or _demo_model_config()
-    model, grid = resolve_model_grid(cfg)
+    model, grid = _model_grid("solve-lattice", cfg, "fixed_point_tol", "truncation_level")
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
@@ -107,7 +114,7 @@ def _solve_lattice(cfg):
 
 def _solve_mc(cfg):
     cfg = cfg or {**_demo_model_config(), "paths": 20000, "basis_degree": 3}
-    model, grid = resolve_model_grid(cfg)
+    model, grid = _model_grid("solve-mc", cfg, "paths", "basis_degree", "bootstrap", "n_boot")
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     basis = basis_from_config(cfg)
@@ -180,12 +187,10 @@ def _convergence(cfg):
     return report, ["steps", "y0", "error_vs_reference"], list(zip(steps, y0s, errs)), summary
 
 
-_BIHARI_KEYS = ("c", "K", "rho", "t", "T")
-
-
 def _bihari(cfg):
-    cfg = cfg or {"c": 1.0, "K": {"times": [0.0, 1.0], "values": [2.0]}, "rho": "identity", "t": 0.0, "T": 1.0}
-    _reject_unknown("bihari config", cfg, _BIHARI_KEYS)
+    default = {"c": 1.0, "K": {"times": [0.0, 1.0], "values": [2.0]}, "rho": "identity", "t": 0.0, "T": 1.0}
+    cfg = cfg or default
+    _check_keys("bihari", cfg, default)
     c, t, T = (config_value(cfg, key) for key in ("c", "t", "T"))
     k_spec = cfg["K"]
     if isinstance(k_spec, dict):

@@ -104,6 +104,22 @@ def _reject_unknown(kind: str, block: dict, valid: tuple) -> None:
         raise ConfigError(f"unknown {kind} keys {unknown}; valid: {list(valid)}")
 
 
+def _check_keys(kind: str, cfg: dict, default: dict, block: str | None = None) -> None:
+    """Raise ConfigError on a key that the runner's default config lacks: at the top level and,
+    for block, in that object or in each object of that list, which must have that shape."""
+    _reject_unknown(f"{kind} config", cfg, tuple(default))
+    if block is None or not cfg.get(block):
+        return
+    many = isinstance(default[block], list)
+    items = cfg[block] if many else [cfg[block]]
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ConfigError(f"config key {block!r} must be {'a list of objects' if many else 'an object'}, "
+                          f"got {cfg[block]!r:.60}")
+    template = default[block][0] if many else default[block]
+    for item in items:
+        _reject_unknown(f"{kind} {block!r}", item, tuple(template))
+
+
 def model_from_config(cfg: dict) -> LevyModel:
     """A model block {"drift", "sigma", "marks": [{"x", "lambda"}, ...]}; unknown keys raise ConfigError."""
     _reject_unknown("model", cfg, _MODEL_KEYS)

@@ -9,8 +9,9 @@ their coefficients accept both. Condition checks are sampling based and
 report witnesses instead of raising: each draws all its points first, then
 evaluates the driver once on all of them. A driver has one of two forms: the
 catalog writes each driver once, as its slope and offset in y (Affine), from
-which the solvers solve the implicit step in closed form; any other driver is
-a plain eval, which the solvers' fixed point iterates in y.
+which the solvers solve the implicit step in closed form, in the truncated
+sweep too; any other driver is a plain eval, which the solvers' fixed point
+iterates in y.
 """
 
 from __future__ import annotations
@@ -127,9 +128,8 @@ class Affine:
     bind(ctx, t, z, u) does every y-independent part of the driver and
     returns (slope, offset) with f = slope * y + offset: slope is a scalar or
     one value per point, offset a scalar or one value per point, and neither
-    may be changed afterwards. eval(ctx, t, y, z, u) and the y-curried form
-    (curry) both compute slope * y + offset, and the solvers solve the
-    implicit step with them in closed form.
+    may be changed afterwards. Called as an eval, it computes slope * y +
+    offset; the solvers solve the implicit step from bind in closed form.
     """
 
     __slots__ = ("bind",)
@@ -137,12 +137,9 @@ class Affine:
     def __init__(self, bind: Callable):
         self.bind = bind
 
-    def curry(self, ctx, t, z, u) -> Callable:
-        slope, offset = self.bind(ctx, t, z, u)
-        return lambda y: slope * np.asarray(y, dtype=float) + offset
-
     def __call__(self, ctx, t, y, z, u):
-        return self.curry(ctx, t, z, u)(y)
+        slope, offset = self.bind(ctx, t, z, u)
+        return slope * np.asarray(y, dtype=float) + offset
 
 
 @dataclass(frozen=True)
@@ -150,8 +147,7 @@ class GeneratorSpec:
     """A driver together with its declared condition coefficients.
 
     eval(ctx, t, y, z, u) must be pure and vectorized over nodes/paths; an
-    Affine eval also gives the solvers its slope and offset in y (see
-    affine) and its y-curried form (see bind).
+    Affine eval also gives the solvers its slope and offset in y.
     F, K1, K2 bound the growth |f| <= F + K1|y| + K2(|z| + ||u||); alpha,
     beta, rho enter the one-sided monotonicity condition. eval and the
     coefficients F, K1, K2, beta, alpha take t as a scalar (solvers) or as
@@ -166,21 +162,6 @@ class GeneratorSpec:
     beta: Callable = _zero_coeff
     alpha: Callable = lambda t: 0.0
     rho: RhoFunction = RHO_CATALOG["identity"]
-
-    def bind(self, ctx, t, z, u) -> Callable:
-        """y -> f(ctx, t, y, z, u) with z and u held fixed, returning a fresh float array.
-
-        An Affine eval does its y-independent work here, once; any other eval
-        is called per y and its result copied, broadcast to the shape of y.
-        """
-        ev = self.eval
-        if isinstance(ev, Affine):
-            return ev.curry(ctx, t, z, u)
-        return lambda y: np.array(np.broadcast_to(ev(ctx, t, y, z, u), np.shape(y)), dtype=float)
-
-    def affine(self, ctx, t, z, u):
-        """(slope, offset) of f in y with z and u held fixed, for an Affine eval; None for any other."""
-        return self.eval.bind(ctx, t, z, u) if isinstance(self.eval, Affine) else None
 
     def growth_bound(self, ctx, t, y, z, u):
         """Declared bound F + K1|y| + K2(|z| + ||u||) at a point."""
@@ -217,16 +198,16 @@ def truncate_generator(g: GeneratorSpec, n: int) -> GeneratorSpec:
     def capped(coeff):
         return lambda ctx, t: np.minimum(coeff(ctx, t), nf)
 
-    f_cap, k1_cap, k2_cap = capped(g.F), capped(g.K1), capped(g.K2)
+    spec = replace(g, name=f"{g.name}^({n})", F=capped(g.F), K1=capped(g.K1), K2=capped(g.K2))
 
     def eval_n(ctx, t, y, z, u):
         cz = clamp(z, n)
         cu = project_ball(u, n, ctx.model)
-        fhat = g.bind(ctx, t, cz, cu)(y)
-        cap = f_cap(ctx, t) + k1_cap(ctx, t) * np.abs(y) + k2_cap(ctx, t) * (np.abs(cz) + levy_norm(cu, ctx.model))
+        fhat = g.eval(ctx, t, y, cz, cu)
+        cap = spec.growth_bound(ctx, t, y, cz, cu)
         return np.where(np.abs(fhat) > cap, np.sign(fhat) * cap, fhat)
 
-    return replace(g, name=f"{g.name}^({n})", eval=eval_n, F=f_cap, K1=k1_cap, K2=k2_cap)
+    return replace(spec, eval=eval_n)
 
 
 def shift_generator(g: GeneratorSpec, delta: float) -> GeneratorSpec:
@@ -237,13 +218,11 @@ def shift_generator(g: GeneratorSpec, delta: float) -> GeneratorSpec:
     d = float(delta)
 
     def bind_affine(ctx, t, z, u):
-        slope, offset = g.affine(ctx, t, z, u)
+        slope, offset = g.eval.bind(ctx, t, z, u)
         return slope, offset + d
 
     def eval_shifted(ctx, t, y, z, u):
-        out = g.bind(ctx, t, z, u)(y)
-        out += d
-        return out
+        return np.asarray(g.eval(ctx, t, y, z, u), dtype=float) + d
 
     def f_shifted(ctx, t):
         return g.F(ctx, t) + abs(d)
@@ -287,18 +266,7 @@ class CheckReport:
     passed: bool
     n_points: int
     violations: list[Violation]
-    note: str = ""
-    seconds: float = 0.0  # time the check took; a measurement, so not part of to_dict
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "generator": self.generator,
-            "passed": self.passed,
-            "n_points": self.n_points,
-            "violations": [v.to_dict() for v in self.violations[:10]],
-            "note": self.note,
-        }
+    seconds: float = 0.0  # time the check took
 
 
 def _sample_times(cfg: SamplerConfig, rng) -> np.ndarray:

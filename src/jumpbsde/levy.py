@@ -166,7 +166,6 @@ class PathBundle:
 
     model: LevyModel
     grid: TimeGrid
-    seed: int
     dw: np.ndarray
     dn: np.ndarray
 
@@ -222,4 +221,4 @@ def simulate_paths(model: LevyModel, grid: TimeGrid, count: int, seed: int) -> P
         dw[lo:hi] = rng.standard_normal((PATH_BLOCK, steps))[: hi - lo] * sqrt_dt
         if j:
             dn[lo:hi] = rng.poisson(lam_dt, size=(PATH_BLOCK, steps, j))[: hi - lo]
-    return PathBundle(model=model, grid=grid, seed=seed, dw=dw, dn=dn)
+    return PathBundle(model=model, grid=grid, dw=dw, dn=dn)

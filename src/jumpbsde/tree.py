@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorSpec, StepContext
+from .generators import Affine, GeneratorSpec, StepContext
 from .levy import LevyModel, ModelError, TimeGrid, kept_marks_mask, mark_sum
 
 DEFAULT_NODE_CAP = 2_000_000
@@ -379,31 +379,31 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
 
     y is `out` when given (an array of the solution's shape that aliases
     none of the inputs), a fresh array otherwise; the values are the same.
-    A driver that declares itself affine in y (GeneratorSpec.affine gives
-    its slope and offset) is solved in closed form, y = (ey + dt offset) /
-    (1 - dt slope), in one iteration; with `project`, only when the slope is
-    a scalar, and then with project(offset), since the projection of
-    slope y + offset is slope y + project(offset) for y measurable. Where
-    1 - dt slope <= 0 the step has no unique solution, and FixedPointError
-    names the step and the smallest 1 - dt slope; a solution that is not
-    finite (from a NaN or infinite ey or offset) raises FixedPointError
-    naming the step, where the fixed point would not converge.
+    An Affine eval is solved in closed form, y = (ey + dt offset) / (1 - dt
+    slope), in one iteration. With `project`, offset and a per-point slope
+    are projected first: for y measurable, the projection of slope y +
+    offset is project(slope) y + project(offset). Where 1 - dt slope <= 0
+    the step has no unique solution, and FixedPointError names the step and
+    the smallest 1 - dt slope; a solution that is not finite (from a NaN or
+    infinite ey or offset) raises FixedPointError naming the step.
 
-    Any other driver (and a per-point slope under `project`) is bound to
-    (ctx, t, z, u) once (GeneratorSpec.bind) and iterated from y = ey, each
-    iteration evaluating it in y alone and accumulating ey + dt f into the
-    fresh array it returns. `project`, when given, maps every driver
-    evaluation to a fresh array before it enters the update. A delta that
-    is not finite raises FixedPointError naming the step at once; an
-    iteration that has not converged after DEFAULT_FP_MAX_ITER updates
-    raises FixedPointError with the step, the last delta and the
+    A plain eval is iterated from y = ey, each update copying f (projected
+    when `project` is given) into a fresh array that accumulates ey + dt f.
+    A delta that is not finite raises FixedPointError naming the step at
+    once; an iteration that has not converged after DEFAULT_FP_MAX_ITER
+    updates raises FixedPointError with the step, the last delta and the
     contraction dt * max K1. A tol that is not positive raises ModelError.
     """
     if not tol > 0:
         raise ModelError(f"fixed-point tolerance must be positive, got {tol!r}")
-    line = g.affine(ctx, t, z, u)
-    if line is not None and (project is None or np.ndim(line[0]) == 0):
-        slope, offset = line
+    ev = g.eval
+    if isinstance(ev, Affine):
+        slope, offset = ev.bind(ctx, t, z, u)
+        ey = np.asarray(ey, dtype=float)
+        if project is not None:
+            offset = project(np.broadcast_to(offset, ey.shape))
+            if np.ndim(slope):
+                slope = project(np.broadcast_to(slope, ey.shape))
         if np.ndim(slope) == 0:
             denom = low = 1.0 - dt * float(slope)
         else:
@@ -412,9 +412,6 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
         if not low > 0:
             raise FixedPointError(f"implicit step has no unique solution at step {step}: "
                                   f"1 - dt*slope = {low:.3g} <= 0")
-        ey = np.asarray(ey, dtype=float)
-        if project is not None:
-            offset = project(np.broadcast_to(offset, ey.shape))
         y = np.multiply(offset, dt, out=out)  # then + ey: IEEE + and * commute, so this is ey + dt * offset
         y += ey  # a scalar offset gives a new array here, of ey's shape
         y /= denom
@@ -422,11 +419,12 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
             raise FixedPointError(f"implicit step has a non-finite solution at step {step}")
         return y, 1
     ey = np.ascontiguousarray(ey, dtype=float)
-    fy = g.bind(ctx, t, z, u)
     gap = np.empty(ey.shape)
     y = ey
     for it in range(1, DEFAULT_FP_MAX_ITER + 1):
-        y_new = fy(y) if project is None else project(fy(y))
+        y_new = np.array(np.broadcast_to(ev(ctx, t, y, z, u), y.shape), dtype=float)
+        if project is not None:
+            y_new = project(y_new)
         y_new *= dt
         y_new += ey
         delta = float(np.abs(np.subtract(y_new, y, out=gap), out=gap).max()) if gap.size else 0.0

@@ -660,6 +660,9 @@ UNKNOWN_KEY_CASES = [
                  id="convergence"),
     pytest.param("convergence", experiments.default_convergence_config(), "mc", "T", "convergence 'mc'",
                  id="convergence-mc"),
+    pytest.param("simulate", {**_demo_model_config(), "count": 10}, None, "cuont", "simulate config", id="simulate"),
+    pytest.param("solve-lattice", _demo_model_config(), None, "cuont", "solve-lattice config", id="solve-lattice"),
+    pytest.param("solve-mc", {**_demo_model_config(), "paths": 100}, None, "cuont", "solve-mc config", id="solve-mc"),
 ]
 
 

@@ -230,7 +230,11 @@ def test_convergence_zero_driver_gaps_vanish():
         "mc": None,
     }
     report = run_convergence(cfg)
-    assert all(g <= 1e-13 for g in report.cases[0].data["gaps"])
+    case = report.cases[0]
+    assert all(g <= 1e-13 for g in case.data["gaps"])
+    # with no reference nothing is asserted, so the run does not pass
+    assert case.status == "preconditions-unmet" and case.verdicts == []
+    assert case.data["unmet_reasons"] == ["no 'reference': refinement gaps are reported, not checked"]
 
 
 def test_convergence_rejects_steps_that_do_not_increase():

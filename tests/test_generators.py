@@ -30,7 +30,8 @@ from jumpbsde import (
     zero_generator,
 )
 from jumpbsde.bounds import rho_catalog
-from jumpbsde.generators import CHECK_SLACK, CheckReport, Violation
+from jumpbsde.generators import CHECK_SLACK, Affine, CheckReport, Violation
+from jumpbsde.tree import implicit_step
 
 MODEL = LevyModel(0.1, 1.0, ((0.5, 0.8), (-0.3, 0.4)))
 FAST = SamplerConfig(count=60, seed=3)
@@ -428,54 +429,6 @@ def test_batched_sampler_matches_per_time_reference(name, problem):
     assert not pairs[4][0].passed  # the reversed pair fails at every sampled point
 
 
-# ---------------------------------------------------------------------------
-# The y-curried form: bind(ctx, t, z, u)(y) is eval(ctx, t, y, z, u)
-# ---------------------------------------------------------------------------
-
-STATE_DRIFT = GeneratorSpec(  # eval only: binds through the default, one eval per y
-    name="state_drift",
-    eval=lambda ctx, t, y, z, u: 0.3 * np.tanh(np.asarray(ctx.x, dtype=float)) - 0.2 * np.asarray(y, dtype=float),
-    K1=constant_coeff(0.2),
-)
-
-
-def curried_drivers(n_marks):
-    base = list(builtin_generators().values()) + [linear_driver(0.3, -0.4, (0.5, -0.7)[:n_marks] or 0.5), STATE_DRIFT]
-    return base + [wrap for g in base for wrap in (truncate_generator(g, 2), shift_generator(g, -0.35))]
-
-
-@st.composite
-def curried_points(draw):
-    """A model with 0, 1 or 2 marks, 1-12 points, arguments that reach past the truncation cutoffs,
-    and t as a scalar or per point (zero included)."""
-    n_marks = draw(st.integers(0, 2))
-    sizes = draw(st.lists(st.floats(-1.5, 1.5).filter(lambda x: abs(x) > 1e-3), min_size=n_marks, max_size=n_marks,
-                          unique=True))
-    marks = tuple((x, draw(st.floats(0.1, 3.0))) for x in sizes)
-    model = LevyModel(draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.0, 1.0])), marks)
-    m = draw(st.integers(1, 12))
-    vals = st.floats(-6.0, 6.0, allow_subnormal=False)
-    arr = lambda shape: np.array(draw(st.lists(vals, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
-                                 dtype=float).reshape(shape)
-    t = draw(st.one_of(st.floats(0.0, 1.0), st.just("per-point")))
-    t = np.abs(arr((m,))) / 6.0 if t == "per-point" else t
-    return model, StepContext(model=model, x=arr((m,))), t, arr((m,)), arr((m,)), arr((m, n_marks))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(curried_points())
-def test_bound_driver_is_eval_bitwise_and_returns_fresh_arrays(point):
-    model, ctx, t, y, z, u = point
-    for g in curried_drivers(model.n_marks):
-        fy = g.bind(ctx, t, z, u)
-        got, want = fy(y), np.asarray(g.eval(ctx, t, y, z, u), dtype=float)
-        assert got.shape == want.shape == y.shape and got.tobytes() == want.tobytes(), g.name
-        again = fy(y)
-        assert not any(np.shares_memory(got, a) for a in (again, y, z, u, ctx.x)), g.name
-        got[...] = np.nan  # the fixed point writes into what fy returns
-        assert fy(y).tobytes() == again.tobytes(), g.name
-
-
 def test_linear_driver_keeps_its_formula_bitwise():
     # the jump term adds c_j lambda_j u_j from mark 0 up, so its bits do not depend on the BLAS kernel
     rng = np.random.default_rng(11)
@@ -491,18 +444,28 @@ def test_linear_driver_keeps_its_formula_bitwise():
 
 
 def test_replaced_eval_never_keeps_the_curried_form():
+    # the wrappers of a replaced eval evaluate and solve with it, never with the Affine form it replaced
     g = linear_driver(0.3, 0.4, -0.5)
     doubled = replace(g, eval=lambda ctx, t, y, z, u: 2.0 * g.eval(ctx, t, y, z, u))
     ctx, t, y, z, u = sample_points(MODEL, 50, seed=9)
-    twice = 2.0 * g.eval(ctx, t, y, z, u)
-    assert doubled.bind(ctx, t, z, u)(y).tobytes() == twice.tobytes()
-    shifted = shift_generator(doubled, 0.25)
-    assert shifted.bind(ctx, t, z, u)(y).tobytes() == (twice + 0.25).tobytes()
-    assert replace(shifted, eval=g.eval).bind(ctx, t, z, u)(y).tobytes() == g.eval(ctx, t, y, z, u).tobytes()
     n = 3
-    cz, cu = clamp(z, n), project_ball(u, n, MODEL)
-    inner = 2.0 * g.eval(ctx, t, y, cz, cu)
-    cap = np.minimum(g.F(ctx, t), n) + np.minimum(g.K1(ctx, t), n) * np.abs(y) + np.minimum(g.K2(ctx, t), n) * (
-        np.abs(cz) + levy_norm(cu, MODEL))
-    want = np.where(np.abs(inner) > cap, np.sign(inner) * cap, inner)
-    assert truncate_generator(doubled, n).bind(ctx, t, z, u)(y).tobytes() == want.tobytes()
+
+    def capped(ctx, t, y, z, u):
+        cz, cu = clamp(z, n), project_ball(u, n, MODEL)
+        inner = 2.0 * g.eval(ctx, t, y, cz, cu)
+        cap = np.minimum(g.F(ctx, t), n) + np.minimum(g.K1(ctx, t), n) * np.abs(y) + np.minimum(g.K2(ctx, t), n) * (
+            np.abs(cz) + levy_norm(cu, MODEL))
+        return np.where(np.abs(inner) > cap, np.sign(inner) * cap, inner)
+
+    shifted = shift_generator(doubled, 0.25)
+    written = [(doubled, lambda ctx, t, y, z, u: 2.0 * g.eval(ctx, t, y, z, u)), (shifted, lambda ctx, t, y, z, u: 2.0 * g.eval(ctx, t, y, z, u) + 0.25),
+               (truncate_generator(doubled, n), capped)]
+    for spec, f in written:
+        assert not isinstance(spec.eval, Affine), spec.name
+        assert np.asarray(spec.eval(ctx, t, y, z, u)).tobytes() == f(ctx, t, y, z, u).tobytes(), spec.name
+        got, want = (implicit_step(h, ctx, t, 0.1, y, z, u, 0) for h in (spec, GeneratorSpec(name=spec.name, eval=f)))
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1] >= 2, spec.name
+    restored = replace(shifted, eval=g.eval)
+    assert restored.eval(ctx, t, y, z, u).tobytes() == g.eval(ctx, t, y, z, u).tobytes()
+    got, want = (implicit_step(h, ctx, t, 0.1, y, z, u, 0) for h in (restored, g))
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1] == 1

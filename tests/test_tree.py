@@ -745,7 +745,7 @@ def closed_form_steps(draw):
     g = draw(affine_drivers(n_marks))
     ctx, t = StepContext(model=model, x=arr(m)), draw(st.floats(0.0, 1.0))
     ey, z, u = arr(m), arr(m), arr(m, n_marks)
-    steepest = float(np.max(np.abs(g.affine(ctx, t, z, u)[0])))
+    steepest = float(np.max(np.abs(g.eval.bind(ctx, t, z, u)[0])))
     dt = draw(st.floats(1e-3, 1.0)) * min(1.0, 0.5 / steepest if steepest else 1.0)
     return g, ctx, t, dt, ey, z, u
 
@@ -754,7 +754,7 @@ def closed_form_steps(draw):
 @given(closed_form_steps())
 def test_closed_form_step_matches_the_fixed_point(problem):
     g, ctx, t, dt, ey, z, u = problem
-    slope, offset = g.affine(ctx, t, z, u)
+    slope, offset = g.eval.bind(ctx, t, z, u)
     scale = float(np.max(np.abs(ey) + dt * np.abs(offset)))  # |y| <= 2 scale, since dt |slope| <= 1/2
     tol = max(4e-15 * scale, 1e-300)
     closed, iterations = implicit_step(g, ctx, t, dt, ey, z, u, 0)
@@ -767,7 +767,7 @@ def test_closed_form_step_matches_the_fixed_point(problem):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(sweep_problems(), st.floats(-1.0, 1.0))
-def test_truncated_sweep_takes_the_closed_form_where_the_slope_is_a_scalar(problem, delta):
+def test_truncated_sweep_takes_the_closed_form_for_every_affine_driver(problem, delta):
     tree, g, xi, n = problem
     for spec in (g, shift_generator(g, delta), SLOPED_STATE, AFFINE_STATE_TANH):
         for level in (None, n, n + 1):
@@ -776,9 +776,22 @@ def test_truncated_sweep_takes_the_closed_form_where_the_slope_is_a_scalar(probl
             for a, b in zip(got.Y.lattice + got.Z.lattice + got.U.lattice,
                             want.Y.lattice + want.Z.lattice + want.U.lattice):
                 assert np.abs(a - b).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(b).max(initial=0.0)), (spec.name, level)
-            per_point = spec is SLOPED_STATE and level is not None and not kept_marks_mask(tree.model, level).all()
-            if isinstance(spec.eval, Affine) and not per_point:
+            if isinstance(spec.eval, Affine):
                 assert set(got.fp_iterations) == {1}, (spec.name, level)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_truncated_per_point_slope_is_the_limit_of_its_fixed_point(n):
+    # n = 1 removes both marks, n = 4 the small one; the projected slope 0.8 tanh(x) varies along them
+    tree = build_tree(TWO_MARK_MODEL, TimeGrid(1.0, 3))
+    removed = ~kept_marks_mask(tree.model, n)
+    got, want = (solve_truncated(tree, h, XI_X, n, tol=1e-14) for h in (SLOPED_STATE, plain_copy(SLOPED_STATE)))
+    assert set(got.fp_iterations) == {1} and min(want.fp_iterations) >= 2
+    for a, b in zip(got.Y.lattice + got.Z.lattice + got.U.lattice, want.Y.lattice + want.Z.lattice + want.U.lattice):
+        assert np.abs(a - b).max() <= 1e-13
+    for i, (y, z) in enumerate(zip(got.Y.lattice, got.Z.lattice)):  # constant along the removed marks' counts
+        average = _removed_count_average(tree, removed, i)
+        assert average(y).tobytes() == y.tobytes() and average(z).tobytes() == z.tobytes(), i
 
 
 def test_truncated_and_plain_drivers_keep_the_fixed_point():
@@ -789,20 +802,21 @@ def test_truncated_and_plain_drivers_keep_the_fixed_point():
     for spec in (truncate_generator(g, 2), plain_copy(g)):
         assert min(solve_backward(tree, spec, XI_X).fp_iterations) >= 2, spec.name
         assert min(solve_truncated(tree, spec, XI_X, 4).fp_iterations) >= 2, spec.name
-    assert min(solve_truncated(tree, SLOPED_STATE, XI_X, 4).fp_iterations) >= 2  # a per-point slope does not
+    assert set(solve_truncated(tree, SLOPED_STATE, XI_X, 4).fp_iterations) == {1}  # and so does a per-point slope
     assert set(solve_backward(tree, SLOPED_STATE, XI_X).fp_iterations) == {1}
 
 
 def closed_form_as_written(g, ctx, t, dt, ey, z, u, project=None):
-    """(ey + dt offset) / (1 - dt slope) in the order the closed form once took, into a fresh array; None
-    where implicit_step takes the fixed point."""
-    line = g.affine(ctx, t, z, u)
-    if line is None or (project is not None and np.ndim(line[0]) != 0):
+    """(ey + dt offset) / (1 - dt slope), with project applied to the offset and a per-point slope, in the
+    order the closed form once took, into a fresh array; None for a plain eval."""
+    if not isinstance(g.eval, Affine):
         return None
-    slope, offset = line
+    slope, offset = g.eval.bind(ctx, t, z, u)
     ey = np.asarray(ey, dtype=float)
     if project is not None:
         offset = project(np.broadcast_to(offset, ey.shape))
+        if np.ndim(slope):
+            slope = project(np.broadcast_to(slope, ey.shape))
     y = ey + dt * offset
     y /= 1.0 - dt * (float(slope) if np.ndim(slope) == 0 else np.asarray(slope, dtype=float))
     return y
@@ -829,6 +843,32 @@ def test_in_place_step_is_bitwise_the_fresh_step(problem):
     g, ctx, t, dt, ey, z, u = problem
     for spec in (g, plain_copy(g)):
         assert_in_place_step_is_the_fresh_step(spec, ctx, t, dt, ey, z, u, 0)
+
+
+ALIASING_EVALS = {  # plain evals that return one of their inputs itself
+    "y": lambda ctx, t, y, z, u: y,
+    "z": lambda ctx, t, y, z, u: z,
+    "x": lambda ctx, t, y, z, u: ctx.x,
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(closed_form_steps())
+def test_plain_evals_returning_their_inputs_are_solved_as_copies(problem):
+    # the fixed point accumulates ey + dt f in place, so it must own f: an aliased input would be overwritten
+    _, ctx, t, dt, ey, z, u = problem
+    dt = min(dt, 0.5)  # the y eval contracts by dt
+    inputs = (ey, z, u, ctx.x)
+    before = [a.tobytes() for a in inputs]
+    for name, ev in ALIASING_EVALS.items():
+        aliasing = GeneratorSpec(name=name, eval=ev)
+        copying = GeneratorSpec(name=name, eval=lambda *args, ev=ev: np.array(ev(*args)))
+        for project in (None, lambda v: np.full(np.shape(v), np.mean(v))):
+            want, iterations = implicit_step(copying, ctx, t, dt, ey, z, u, 0, project)
+            for out in (None, np.full(ey.shape, np.nan)):
+                got, got_iterations = implicit_step(aliasing, ctx, t, dt, ey, z, u, 0, project, out=out)
+                assert got_iterations == iterations and got.tobytes() == want.tobytes(), name
+                assert [a.tobytes() for a in inputs] == before, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1064,6 +1104,19 @@ def test_only_tree_reads_the_lattice_layout():
                if path.name != "tree.py" for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in ("bit_prob", "children", "kids")]
     assert readers == []
+
+
+def test_only_the_driver_module_and_the_implicit_step_name_affine():
+    """Affine is named in src by generators.py, which defines it, and tree.py, whose implicit_step solves it in
+    closed form; no module calls a y-curried form (.affine( or .curry()."""
+    named, curried = set(), []
+    for path in sorted(Path(jumpbsde.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "Affine" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                named.add(path.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("affine", "curry"):
+                curried.append(f"{path.name}:{node.lineno}")
+    assert named == {"generators.py", "tree.py"} and curried == []
 
 
 # ---------------------------------------------------------------------------
