@@ -217,7 +217,11 @@ def solve_mc(
     basis: RegressionBasis = RegressionBasis(),
     seed: int = 0,
 ) -> McSolution:
-    """Simulate paths and run the regression backward recursion."""
+    """Simulate paths and run the regression backward recursion.
+
+    The paths come from simulate_paths, so a bootstrap_y0 on the same model,
+    grid, paths and seed reuses this draw.
+    """
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
     _, degrees, iterations, (y, z, u) = _backward_pass(bundle, g, xi, basis, np.ones((1, paths)), keep=True)

@@ -570,6 +570,26 @@ WRONG_TYPE_CASES = [
 ]
 
 
+CONVERGENCE = experiments.default_convergence_config()
+NEGATIVE_SEED_CASES = [
+    pytest.param("simulate", {**DEMO, "count": 10, "seed": -1}, id="simulate"),
+    pytest.param("solve-mc", {**MC_CONFIG, "seed": -1}, id="solve-mc"),
+    pytest.param("convergence", {**CONVERGENCE, "mc": {**CONVERGENCE["mc"], "seed": -1}}, id="convergence-mc"),
+]
+
+
+@pytest.mark.parametrize("command, cfg", NEGATIVE_SEED_CASES)
+def test_negative_seed_is_one_line_and_exit_3(tmp_path, capsys, command, cfg):
+    # numpy's "expected non-negative integer" used to end these with a traceback and exit 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"jumpbsde {command}: error: 'seed' must be a nonnegative integer, got -1"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, cfg, key, value, want", WRONG_TYPE_CASES)
 def test_config_value_of_wrong_type_is_one_line_and_exit_3(tmp_path, capsys, command, cfg, key, value, want):
     path = tmp_path / "cfg.json"

@@ -1,7 +1,12 @@
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from jumpbsde import LevyModel, ModelError, TimeGrid, levy_norm, simulate_paths
+from jumpbsde import levy
 from jumpbsde.levy import PATH_BLOCK, kept_marks_mask
 from jumpbsde.tree import build_tree
 
@@ -72,7 +77,9 @@ def test_simulation_is_deterministic_and_count_stable():
     model = LevyModel(0.1, 1.0, ((0.5, 0.8),))
     grid = TimeGrid(1.0, 6)
     a = simulate_paths(model, grid, count=40, seed=123)
+    simulate_paths(model, grid, count=40, seed=124)  # another key, so b is a second draw
     b = simulate_paths(model, grid, count=40, seed=123)
+    assert a is not b
     assert np.array_equal(a.dw, b.dw) and np.array_equal(a.dn, b.dn)
     # path i does not depend on how many paths were requested
     c = simulate_paths(model, grid, count=10, seed=123)
@@ -92,6 +99,86 @@ def test_path_prefix_identity_across_block_edges():
     block = slice(PATH_BLOCK, 2 * PATH_BLOCK)
     assert np.array_equal(full.dw[block], rng.standard_normal((PATH_BLOCK, 3)) * np.sqrt(grid.dt))
     assert np.array_equal(full.dn[block], rng.poisson(model.intensities * grid.dt, size=(PATH_BLOCK, 3, 2)))
+
+
+def test_equal_inputs_return_the_same_bundle():
+    a = simulate_paths(LevyModel(0.1, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 6), count=40, seed=3)
+    b = simulate_paths(LevyModel(0.1, 1.0, ((0.5, 0.8),)), TimeGrid(1, 6), count=40, seed=3)
+    assert b is a
+    assert a.states() is a.states() and a.brownian() is a.brownian() and a.jump_counts() is a.jump_counts()
+
+
+def test_signed_zero_drift_gets_its_own_bundle():
+    grid = TimeGrid(1.0, 4)
+    pos = simulate_paths(LevyModel(0.0, 0.0), grid, count=50, seed=1)
+    neg = simulate_paths(LevyModel(-0.0, 0.0), grid, count=50, seed=1)
+    assert neg is not pos
+    # equal values, but -0.0 * dt + 0.0 * dW is -0.0 wherever dW < 0
+    assert np.array_equal(neg.states(), pos.states())
+    assert np.signbit(neg.states()).any() and not np.signbit(pos.states()).any()
+
+
+def test_bundle_arrays_are_read_only():
+    bundle = simulate_paths(LevyModel(0.1, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 3), count=20, seed=5)
+    for arr in (bundle.dw, bundle.dn, bundle.states(), bundle.brownian(), bundle.jump_counts()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
+def test_cached_paths_are_fresh_cumsums_byte_for_byte():
+    model, grid = LevyModel(0.1, 0.7, ((0.5, 0.8), (-1.5, 0.3))), TimeGrid(1.0, 5)
+    bundle = simulate_paths(model, grid, count=PATH_BLOCK + 3, seed=8)
+    zero = np.zeros((bundle.n_paths, 1))
+    inc = model.state_increment(grid.dt, bundle.dw, bundle.dn)
+    assert bundle.states().tobytes() == np.concatenate([zero, np.cumsum(inc, axis=1)], axis=1).tobytes()
+    assert bundle.brownian().tobytes() == np.concatenate([zero, np.cumsum(bundle.dw, axis=1)], axis=1).tobytes()
+    counts = np.concatenate([np.zeros((bundle.n_paths, 1, 2)), np.cumsum(bundle.dn, axis=1)], axis=1)
+    assert bundle.jump_counts().tobytes() == counts.tobytes()
+
+
+def test_a_miss_drops_the_previous_bundle():
+    model, grid = LevyModel(0.0, 1.0), TimeGrid(1.0, 3)
+    a = simulate_paths(model, grid, count=30, seed=1)
+    a.states()
+    ref = weakref.ref(a)
+    del a
+    assert ref() is not None  # still the kept bundle
+    simulate_paths(model, grid, count=30, seed=2)
+    assert ref() is None
+
+
+def test_concurrent_draws_keep_one_bundle_and_their_bits():
+    model, grid = LevyModel(0.1, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 3)
+    want = {}
+    for seed in range(4):
+        bundle = simulate_paths(model, grid, count=64, seed=seed)
+        want[seed] = bundle.dw.tobytes() + bundle.dn.tobytes()
+    wrong = []
+
+    def draw(seed):
+        for _ in range(40):
+            bundle = simulate_paths(model, grid, count=64, seed=seed)
+            if bundle.dw.tobytes() + bundle.dn.tobytes() != want[seed]:
+                wrong.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k % 4,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+    assert len(levy._last_draw) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ModelError, match=f"^'seed' must be a nonnegative integer, got {seed!r}$"):
+        simulate_paths(LevyModel(0.0, 1.0), TimeGrid(1.0, 2), count=5, seed=seed)
 
 
 def test_simulate_rejects_zero_paths_but_allows_large_lambda_dt():

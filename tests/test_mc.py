@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -76,8 +77,42 @@ def test_seed_determinism():
     grid = TimeGrid(1.0, 5)
     g = linear_driver(0.2, 0.2, -0.4)
     a = solve_mc(model, grid, g, XI_X, paths=3000, seed=9)
+    paths_a = simulate_paths(model, grid, 3000, 9)  # the kept bundle a was solved on
+    simulate_paths(model, grid, 3000, 10)  # another key, so b solves on a second draw
     b = solve_mc(model, grid, g, XI_X, paths=3000, seed=9)
+    assert simulate_paths(model, grid, 3000, 9) is not paths_a
     assert np.array_equal(a.Y, b.Y) and np.array_equal(a.Z, b.Z) and np.array_equal(a.U, b.U)
+
+
+def _mc_digest(model, grid, g, xi, paths, seed, evict_between):
+    sol = solve_mc(model, grid, g, xi, paths=paths, seed=seed)
+    if evict_between:
+        simulate_paths(model, grid, paths, seed + 1)
+    est = bootstrap_y0(model, grid, g, xi, paths=paths, seed=seed)
+    h = hashlib.sha256()
+    for a in (sol.Y, sol.Z, sol.U, sol.degrees_used, sol.fp_iterations, [est.y0, est.se], est.samples,
+              est.fp_iterations):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("inst", default_mc_suite(), ids=lambda inst: inst["name"])
+def test_mc_outputs_do_not_depend_on_the_kept_draw(inst):
+    model, g = model_from_config(inst["model"]), generator_from_config(inst["generator"])
+    grid, paths, seed = TimeGrid(1.0, inst["steps"]), 1001, 5
+    # each solver on its own draw, as before paths were kept
+    simulate_paths(model, grid, paths, seed + 1)
+    separate = _mc_digest(model, grid, g, XI_X, paths, seed, evict_between=True)
+    # cold: solve_mc draws and bootstrap_y0 reuses the draw
+    simulate_paths(model, grid, paths, seed + 1)
+    cold = _mc_digest(model, grid, g, XI_X, paths, seed, evict_between=False)
+    # warm: the draw and its cumulative paths exist before either solver runs
+    bundle = simulate_paths(model, grid, paths, seed)
+    bundle.states(), bundle.brownian(), bundle.jump_counts()
+    warm = _mc_digest(model, grid, g, XI_X, paths, seed, evict_between=False)
+    assert simulate_paths(model, grid, paths, seed) is bundle
+    assert cold == separate and warm == separate
+
 
 
 def test_degree_reduction_on_degenerate_state():
