@@ -11,7 +11,9 @@ evaluates the driver once on all of them. A driver has one of two forms: the
 catalog writes each driver once, as its slope and offset in y (Affine), from
 which the solvers solve the implicit step in closed form, in the truncated
 sweep too; any other driver is a plain eval, which the solvers' fixed point
-iterates in y.
+iterates in y. An Affine driver that is linear in (y, z, u) with constant
+coefficients also declares them (LinearCoefficients); the LSMC pass reads
+the declaration to solve its bootstrap rows without calling the driver.
 """
 
 from __future__ import annotations
@@ -122,6 +124,26 @@ def constant_coeff(c: float) -> Callable:
     return coeff
 
 
+@dataclass(frozen=True)
+class LinearCoefficients:
+    """Constant coefficients of a driver linear in (y, z, u): f = a y + b z + sum_j c_j lambda_j u_j.
+
+    c holds one coefficient for every mark or one per mark.
+    """
+
+    a: float
+    b: float = 0.0
+    c: tuple[float, ...] = (0.0,)
+
+    def jump_coefficients(self, model: LevyModel) -> np.ndarray:
+        """c_j for each of the model's marks."""
+        if len(self.c) == 1:
+            return np.full(model.n_marks, self.c[0])
+        if len(self.c) != model.n_marks:
+            raise ModelError(f"driver has {len(self.c)} jump coefficients, model has {model.n_marks} marks")
+        return np.array(self.c)
+
+
 class Affine:
     """A driver affine in y, written once as its slope and offset.
 
@@ -130,12 +152,16 @@ class Affine:
     one value per point, offset a scalar or one value per point, and neither
     may be changed afterwards. Called as an eval, it computes slope * y +
     offset; the solvers solve the implicit step from bind in closed form.
+    linear, when given, declares that bind is f = a y + b z + sum_j c_j
+    lambda_j u_j with those constant coefficients; bind keeps its own
+    arithmetic, and only the LSMC pass reads the declaration.
     """
 
-    __slots__ = ("bind",)
+    __slots__ = ("bind", "linear")
 
-    def __init__(self, bind: Callable):
+    def __init__(self, bind: Callable, linear: LinearCoefficients | None = None):
         self.bind = bind
+        self.linear = linear
 
     def __call__(self, ctx, t, y, z, u):
         slope, offset = self.bind(ctx, t, z, u)
@@ -162,6 +188,11 @@ class GeneratorSpec:
     beta: Callable = _zero_coeff
     alpha: Callable = lambda t: 0.0
     rho: RhoFunction = RHO_CATALOG["identity"]
+
+    @property
+    def linear(self) -> LinearCoefficients | None:
+        """The coefficients the eval declares when it is linear in (y, z, u), None otherwise."""
+        return self.eval.linear if isinstance(self.eval, Affine) else None
 
     def growth_bound(self, ctx, t, y, z, u):
         """Declared bound F + K1|y| + K2(|z| + ||u||) at a point."""
@@ -213,7 +244,8 @@ def truncate_generator(g: GeneratorSpec, n: int) -> GeneratorSpec:
 def shift_generator(g: GeneratorSpec, delta: float) -> GeneratorSpec:
     """Driver g + delta; the growth level F absorbs |delta|, everything else is unchanged.
 
-    The shift of an Affine driver is Affine, with delta added to its offset.
+    The shift of an Affine driver is Affine, with delta added to its offset,
+    and declares no linear coefficients.
     """
     d = float(delta)
 
@@ -418,7 +450,7 @@ def check_ordering(
 
 
 def zero_generator() -> GeneratorSpec:
-    return GeneratorSpec(name="zero", eval=Affine(lambda ctx, t, z, u: (0.0, 0.0)))
+    return GeneratorSpec(name="zero", eval=Affine(lambda ctx, t, z, u: (0.0, 0.0), LinearCoefficients(0.0)))
 
 
 def linear_y(k: float = 1.0) -> GeneratorSpec:
@@ -427,7 +459,7 @@ def linear_y(k: float = 1.0) -> GeneratorSpec:
 
     return GeneratorSpec(
         name=f"linear_y(k={kf:g})",
-        eval=Affine(lambda ctx, t, z, u: (kf, 0.0)),
+        eval=Affine(lambda ctx, t, z, u: (kf, 0.0), LinearCoefficients(kf)),
         K1=constant_coeff(abs(kf)),
         alpha=lambda t: max(kf, 0.0),
     )
@@ -440,19 +472,12 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
     scalar (broadcast over marks) or a per-mark tuple.
     """
     af, bf = float(a), float(b)
-    c_arr = np.atleast_1d(np.asarray(c, dtype=float))
-
-    def c_for(model: LevyModel) -> np.ndarray:
-        if c_arr.size == 1:
-            return np.full(model.n_marks, c_arr[0])
-        if c_arr.size != model.n_marks:
-            raise ModelError(f"driver has {c_arr.size} jump coefficients, model has {model.n_marks} marks")
-        return c_arr
+    lin = LinearCoefficients(af, bf, tuple(np.atleast_1d(np.asarray(c, dtype=float)).tolist()))
 
     @lru_cache(maxsize=8)
     def jump_weights(model: LevyModel) -> np.ndarray:
         """c_j * lambda_j, made once per model and read-only."""
-        cl = c_for(model) * model.intensities
+        cl = lin.jump_coefficients(model) * model.intensities
         cl.flags.writeable = False
         return cl
 
@@ -460,15 +485,15 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
         return af, bf * np.asarray(z, dtype=float) + mark_sum(u, jump_weights(ctx.model))
 
     def k2(ctx, t):
-        cs = c_for(ctx.model)
+        cs = lin.jump_coefficients(ctx.model)
         # Cauchy-Schwarz in the weighted norm: |sum c lam u| <= sqrt(sum c^2 lam) ||u||
         level = max(abs(bf), float(np.sqrt(mark_sum(cs * cs, ctx.model.intensities))))
         return np.full_like(np.asarray(ctx.x, dtype=float), level)
 
-    cname = ",".join(f"{v:g}" for v in c_arr)
+    cname = ",".join(f"{v:g}" for v in lin.c)
     return GeneratorSpec(
         name=f"linear(a={af:g},b={bf:g},c=[{cname}])",
-        eval=Affine(bind_lin),
+        eval=Affine(bind_lin, lin),
         K1=constant_coeff(abs(af)),
         K2=k2,
         beta=k2,

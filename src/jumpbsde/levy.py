@@ -7,6 +7,7 @@ larger marks through raw counts.
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 from dataclasses import dataclass
@@ -45,6 +46,13 @@ class LevyModel:
 
     def __post_init__(self):
         object.__setattr__(self, "marks", tuple((float(x), float(lam)) for x, lam in self.marks))
+        # NaN passes every comparison below as false, so non-finite values are refused first
+        fields = [("drift", self.drift), ("sigma", self.sigma)]
+        for k, (x, lam) in enumerate(self.marks):
+            fields += [(f"jump size of mark {k}", x), (f"jump intensity of mark {k}", lam)]
+        for field, value in fields:
+            if not math.isfinite(value):
+                raise ModelError(f"{field} must be finite, got {value!r}")
         if self.sigma < 0:
             raise ModelError("sigma must be nonnegative")
         sizes = [x for x, _ in self.marks]

@@ -7,6 +7,14 @@ Each step solves the tree's implicit equation y = E[y'] + dt f(t, y, z, u)
 with tree.implicit_step: in closed form for a driver affine in y, by
 fixed-point iteration otherwise. Z and U come from the regressions of y' dW
 and y' dN~ scaled by the variances dt and lambda*dt of the increments.
+
+A driver that declares constant coefficients, f = a y + b z + sum_j c_j
+lambda_j u_j (GeneratorSpec.linear), needs no Z or U on the rows whose Z and
+U are not returned: with z = fitted_1 / dt and u_j = fitted_(2+j) / (lambda_j
+dt), E[y'] + dt (b z + sum_j c_j lambda_j u_j) is the fitted values times (1,
+b, c_1, .., c_J), so such rows are solved together, one product per step from
+their regression coefficients. The row whose Z and U solve_mc returns keeps
+the per-row step, and so keeps its bits.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from .generators import GeneratorSpec, StepContext
 from .levy import PATH_BLOCK, LevyModel, ModelError, PathBundle, TimeGrid, simulate_paths
-from .tree import implicit_step
+from .tree import affine_solution, implicit_step
 
 
 class RegressionError(ModelError):
@@ -140,6 +148,11 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     the Gram matrix and right-hand sides are weighted sums over it, and the
     degree drops where that row's Gram matrix is rank deficient.
 
+    For a driver that declares linear coefficients (a, b, c), every row but a
+    kept row 0 is solved together per step as y = (coef @ v) @ q.T / (1 - dt
+    a), v = (1, b or 0 when sigma = 0, c_1, .., c_J), in one iteration; the
+    other rows take implicit_step one row at a time.
+
     Returns the Y0 of every row, the degree and the fixed-point iterations of
     every row at every step and, when `keep`, the (Y, Z, U) path arrays of row 0.
     """
@@ -176,6 +189,11 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     cols_buf = np.empty(m * (2 + j) * basis.dimension)
     z = np.empty(m) if model.sigma > 0 else np.zeros(m)
     u = np.empty((m, j))
+    # rows [0, per_row) take the per-row step; the rest are solved together from the declared coefficients
+    lin = g.linear
+    per_row = rows if lin is None else int(keep)
+    if per_row < rows:
+        v = np.concatenate(([1.0, lin.b if model.sigma > 0 else 0.0], lin.jump_coefficients(model)))
 
     for i in range(n - 1, -1, -1):
         q = _orthonormal_design(x_path[:, i], basis.degree)
@@ -190,7 +208,10 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
         degrees[:, i] = kept - 1
         ctx = context(i)
         t = float(times[i])
-        for b in range(rows):
+        if per_row < rows:
+            affine_solution(np.matmul(coef[per_row:] @ v, q.T, out=y[per_row:]), dt, lin.a, i)
+            iterations[per_row:, i] = 1
+        for b in range(per_row):
             np.matmul(q, coef[b], out=fitted)
             if model.sigma > 0:
                 np.divide(fitted[:, 1], dt, out=z)

@@ -373,6 +373,28 @@ def l2_distance(sol_a, sol_b) -> L2Distance:
     raise ModelError("l2_distance needs two tree solutions")
 
 
+def affine_solution(y: np.ndarray, dt: float, slope, step: int) -> np.ndarray:
+    """Divide y = ey + dt offset in place by 1 - dt slope and return it: the closed-form step.
+
+    slope is a scalar or one value per point. Where 1 - dt slope <= 0 the
+    step has no unique solution, and FixedPointError names the step and the
+    smallest 1 - dt slope; a solution that is not finite (from a NaN or
+    infinite ey or offset) raises FixedPointError naming the step.
+    """
+    if np.ndim(slope) == 0:
+        denom = low = 1.0 - dt * float(slope)
+    else:
+        denom = 1.0 - dt * np.asarray(slope, dtype=float)
+        low = float(np.min(denom, initial=np.inf))
+    if not low > 0:
+        raise FixedPointError(f"implicit step has no unique solution at step {step}: "
+                              f"1 - dt*slope = {low:.3g} <= 0")
+    y /= denom
+    if not np.isfinite(y).all():
+        raise FixedPointError(f"implicit step has a non-finite solution at step {step}")
+    return y
+
+
 def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int,
                   project=None, tol: float = DEFAULT_FP_TOL, out: np.ndarray | None = None):
     """Solve y = ey + dt f(t, y, z, u) at one step; returns (y, iterations).
@@ -380,12 +402,9 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
     y is `out` when given (an array of the solution's shape that aliases
     none of the inputs), a fresh array otherwise; the values are the same.
     An Affine eval is solved in closed form, y = (ey + dt offset) / (1 - dt
-    slope), in one iteration. With `project`, offset and a per-point slope
-    are projected first: for y measurable, the projection of slope y +
-    offset is project(slope) y + project(offset). Where 1 - dt slope <= 0
-    the step has no unique solution, and FixedPointError names the step and
-    the smallest 1 - dt slope; a solution that is not finite (from a NaN or
-    infinite ey or offset) raises FixedPointError naming the step.
+    slope), in one iteration, with affine_solution's errors. With `project`,
+    offset and a per-point slope are projected first: for y measurable, the
+    projection of slope y + offset is project(slope) y + project(offset).
 
     A plain eval is iterated from y = ey, each update copying f (projected
     when `project` is given) into a fresh array that accumulates ey + dt f.
@@ -404,20 +423,9 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
             offset = project(np.broadcast_to(offset, ey.shape))
             if np.ndim(slope):
                 slope = project(np.broadcast_to(slope, ey.shape))
-        if np.ndim(slope) == 0:
-            denom = low = 1.0 - dt * float(slope)
-        else:
-            denom = 1.0 - dt * np.asarray(slope, dtype=float)
-            low = float(np.min(denom, initial=np.inf))
-        if not low > 0:
-            raise FixedPointError(f"implicit step has no unique solution at step {step}: "
-                                  f"1 - dt*slope = {low:.3g} <= 0")
         y = np.multiply(offset, dt, out=out)  # then + ey: IEEE + and * commute, so this is ey + dt * offset
         y += ey  # a scalar offset gives a new array here, of ey's shape
-        y /= denom
-        if not np.isfinite(y).all():
-            raise FixedPointError(f"implicit step has a non-finite solution at step {step}")
-        return y, 1
+        return affine_solution(y, dt, slope, step), 1
     ey = np.ascontiguousarray(ey, dtype=float)
     gap = np.empty(ey.shape)
     y = ey

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from jumpbsde import (
     GeneratorSpec,
     LevyModel,
+    ModelError,
     SamplerConfig,
     StepContext,
     jump_ordering_violator,
@@ -469,3 +470,44 @@ def test_replaced_eval_never_keeps_the_curried_form():
     assert restored.eval(ctx, t, y, z, u).tobytes() == g.eval(ctx, t, y, z, u).tobytes()
     got, want = (implicit_step(h, ctx, t, 0.1, y, z, u, 0) for h in (restored, g))
     assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1] == 1
+
+
+DECLARING = {
+    "zero": lambda model: zero_generator(),
+    "linear_y": lambda model: linear_y(-1.3),
+    "linear_driver_scalar_c": lambda model: linear_driver(0.3, -0.4, 0.7),
+    "linear_driver_per_mark_c": lambda model: linear_driver(0.2, 0.6, tuple(0.5 - 0.8 * k for k in range(model.n_marks))
+                                                            or 0.5),
+    "jump_ordering_violator": lambda model: jump_ordering_violator(),
+}
+
+
+@pytest.mark.parametrize("name", list(DECLARING))
+@pytest.mark.parametrize("marks", [(), ((0.5, 0.8),), ((0.5, 0.8), (-0.3, 0.4))], ids=["0", "1", "2"])
+def test_declared_linear_coefficients_are_the_bind(name, marks):
+    # the LSMC pass solves from the declaration what the tree and the conditions compute from bind
+    model = LevyModel(0.1, 1.0, marks)
+    g = DECLARING[name](model)
+    lin = g.linear
+    for seed, per_point_t in ((1, False), (2, True)):
+        ctx, t, _, z, u = sample_points(model, 64, seed)
+        if per_point_t:
+            t = np.random.default_rng(seed).uniform(0.0, 1.0, 64)
+        slope, offset = g.eval.bind(ctx, t, z, u)
+        declared = lin.b * z + sum_in_mark_order(u, lin.jump_coefficients(model) * model.intensities)
+        assert np.ndim(slope) == 0 and float(slope) == lin.a
+        np.testing.assert_allclose(np.broadcast_to(offset, z.shape), declared, rtol=1e-15, atol=0.0)
+
+
+def test_only_the_catalog_linear_drivers_declare_coefficients():
+    assert tanh_jump_integral().linear is None
+    for make in DECLARING.values():
+        g = make(MODEL)
+        assert g.linear is not None, g.name
+        # a shifted or truncated driver is not linear, so it declares nothing, and no stale declaration survives
+        replaced = replace(g, eval=lambda ctx, t, y, z, u: g.eval(ctx, t, y, z, u))
+        for derived in (shift_generator(g, 0.25), truncate_generator(g, 2), replaced):
+            assert derived.linear is None, derived.name
+    assert jump_ordering_violator().linear == linear_driver(0.0, 0.0, -2.0).linear
+    with pytest.raises(ModelError, match="driver has 2 jump coefficients, model has 1 marks"):
+        linear_driver(0.1, 0.2, (0.3, 0.4)).linear.jump_coefficients(LevyModel(0.0, 1.0, ((0.5, 1.0),)))

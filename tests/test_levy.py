@@ -22,6 +22,25 @@ def test_model_validation():
         LevyModel(marks=((0.5, 1.0), (0.5, 2.0)))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, NAN), "sigma must be finite, got nan"),
+    ((0.0, INF), "sigma must be finite, got inf"),
+    ((INF, 1.0), "drift must be finite, got inf"),
+    ((NAN, 1.0), "drift must be finite, got nan"),
+    ((0.0, 1.0, ((0.5, NAN),)), "jump intensity of mark 0 must be finite, got nan"),
+    ((0.0, 1.0, ((0.5, INF),)), "jump intensity of mark 0 must be finite, got inf"),
+    ((0.0, 1.0, ((0.5, 1.0), (NAN, 1.0))), "jump size of mark 1 must be finite, got nan"),
+    ((0.0, 1.0, ((-INF, 1.0),)), "jump size of mark 0 must be finite, got -inf"),
+])
+def test_non_finite_model_parameters_are_named(args, message):
+    # NaN fails every comparison, so these were accepted and failed later inside numpy or the tree
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        LevyModel(*args)
+
+
 def test_grid_validation():
     with pytest.raises(ModelError):
         TimeGrid(horizon=0.0, steps=4)

@@ -262,10 +262,13 @@ def _plain_solve_nested(gram, rhs):
     return coef, kept
 
 
-def _plain_backward_pass(bundle, g, xi, degree, weights):
+def _plain_backward_pass(bundle, g, xi, degree, weights, fold=True):
     """_backward_pass(..., keep=True) written plainly: np.vander designs, broadcast Gram products,
-    concatenated regressor columns, fresh arrays for every product and the nested rank test."""
+    concatenated regressor columns, fresh arrays for every product and the nested rank test; rows after
+    the first of a driver that declares linear coefficients are solved from them, unless not `fold`, when
+    every row takes the per-row step."""
     model, grid = bundle.model, bundle.grid
+    lin = g.linear if fold else None
     n, j, dt = grid.steps, model.n_marks, grid.dt
     x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
     dw, dnt = bundle.dw, bundle.dn - model.intensities * dt
@@ -288,13 +291,18 @@ def _plain_backward_pass(bundle, g, xi, degree, weights):
         rhs = _weighted_sums(weights * y, cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
         coef, kept = _plain_solve_nested(gram, rhs)
         degrees[:, i] = kept - 1
-        for b in range(rows):
+        for b in range(rows if lin is None else 1):
             fitted = q @ coef[b]
             z = fitted[:, 1] / dt if model.sigma > 0 else np.zeros(m)
             u = fitted[:, 2:] / (model.intensities * dt)
             y[b], iterations[b, i] = implicit_step(g, context(i), float(grid.times[i]), dt, fitted[:, 0], z, u, i)
             if b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
+        if lin is not None:
+            # fitted @ (1, b, c) is E[y'] + dt (b z + sum_j c_j lambda_j u_j)
+            v = np.array([1.0, lin.b if model.sigma > 0 else 0.0, *lin.jump_coefficients(model)])
+            y[1:] = (coef[1:] @ v) @ q.T / (1.0 - dt * lin.a)
+            iterations[1:, i] = 1
     return (weights * y).sum(axis=1) / m, degrees, iterations, (y_keep, z_keep, u_keep)
 
 
@@ -340,12 +348,12 @@ def _assert_pass_matches_plain_copy(bundle, g, xi, weights):
 
 
 @st.composite
-def backward_passes(draw):
+def backward_passes(draw, drivers=tuple(sorted(PASS_DRIVERS))):
     n_marks = draw(st.integers(0, 2))
     sizes = [draw(st.sampled_from([0.5, -0.5])), draw(st.sampled_from([1.5, -0.3]))][:n_marks]
     return (draw(st.sampled_from([0.0, 1.0])), sizes, draw(st.integers(1, 6)), draw(st.integers(30, 300)),
             draw(st.integers(0, 2**16)), draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.1, 0.5])),
-            draw(st.sampled_from(sorted(PASS_DRIVERS))), draw(st.sampled_from(["x", "tanh_x", "clip_x"])))
+            draw(st.sampled_from(drivers)), draw(st.sampled_from(["x", "tanh_x", "clip_x"])))
 
 
 PURE_JUMP_PASS = (0.0, [0.5], 4, 203, 3, 5, 0.5, "linear_driver", "x")
@@ -364,6 +372,35 @@ def test_plain_copy_check_covers_a_pure_jump_state_that_drops_degree():
     assert degrees.min() == 0  # the state is deterministic at step 0
     # at some step, some rows keep the whole basis and the others search their leading blocks
     assert ((degrees == 3).any(axis=0) & (degrees < 3).any(axis=0)).any()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(backward_passes(("jump_ordering_violator", "linear_driver", "linear_y", "zero")))
+@example(PURE_JUMP_PASS)
+def test_folded_rows_are_the_per_row_step(case):
+    """Every row of a bootstrap pass of a declaring driver is folded; its Y0 is that of the per-row step
+    up to rounding, with the same degrees and one iteration."""
+    bundle, g, xi, weights = _pass_inputs(*case)
+    assert g.linear is not None
+    y0, degrees, iterations, _ = _backward_pass(bundle, g, xi, RegressionBasis(), weights)
+    want_y0, want_degrees, want_iterations, _ = _plain_backward_pass(bundle, g, xi, 3, weights, fold=False)
+    assert np.all(np.abs(y0 - want_y0) <= 1e-12 * np.maximum(1.0, np.abs(want_y0))), (y0 - want_y0)
+    assert np.array_equal(degrees, want_degrees) and np.array_equal(iterations, want_iterations)
+
+
+def test_folded_step_without_a_unique_solution_names_the_step():
+    # dt * a = 2, as in test_implicit_step_failure_names_the_step, here raised by the folded rows
+    with pytest.raises(FixedPointError, match=r"^implicit step has no unique solution at step 1: "
+                                              r"1 - dt\*slope = -1 <= 0$"):
+        bootstrap_y0(LevyModel(0.0, 1.0), TimeGrid(1.0, 2), linear_y(4.0), XI_X, paths=200, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_folded_step_with_a_non_finite_solution_names_the_step():
+    infinite = lambda ctx: np.full(np.shape(ctx.x), np.inf)  # noqa: E731
+    with pytest.raises(FixedPointError, match=r"^implicit step has a non-finite solution at step 2$"):
+        bootstrap_y0(LevyModel(0.0, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 3), linear_driver(0.2, 0.3, -0.5), infinite,
+                     paths=200, seed=0)
 
 
 @st.composite
