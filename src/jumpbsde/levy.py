@@ -26,6 +26,11 @@ class ModelError(ValueError):
     """Invalid model, grid, driver or terminal parameter, or solve or simulation request."""
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool or anything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _read_only(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
@@ -259,9 +264,11 @@ def simulate_paths(model: LevyModel, grid: TimeGrid, count: int, seed: int) -> P
     An input that changes the draw, such as a choice of path law, must join
     the key.
     """
+    if not is_integer(count):
+        raise ModelError(f"'count' must be an integer, got {count!r}")
     if count < 1:
         raise ModelError("path count must be at least 1")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ModelError(f"'seed' must be a nonnegative integer, got {seed!r}")
     key = (float(model.drift).hex(), float(model.sigma).hex(), tuple((x.hex(), lam.hex()) for x, lam in model.marks),
            float(grid.horizon).hex(), float(grid.steps).hex(), int(count), int(seed))

@@ -2,7 +2,11 @@
 
 The regression state is the current value of the driving process; the basis
 is polynomial and its degree drops automatically when the design matrix is
-rank deficient on the sampled paths (pure-jump models take few values).
+rank deficient on the sampled paths (pure-jump models take few values). The
+state is one variable, so the orthonormal basis of its polynomials is the
+family of discrete orthogonal polynomials of the paths' empirical measure;
+each step builds it by a recurrence, as rows (basis function, path), with
+no factorisation and no BLAS.
 Each step solves the tree's implicit equation y = E[y'] + dt f(t, y, z, u)
 with tree.implicit_step: in closed form for a driver affine in y, by
 fixed-point iteration otherwise. Z and U come from the regressions of y' dW
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import GeneratorSpec, StepContext
-from .levy import PATH_BLOCK, LevyModel, ModelError, PathBundle, TimeGrid, simulate_paths
+from .levy import PATH_BLOCK, LevyModel, ModelError, PathBundle, TimeGrid, is_integer, simulate_paths
 from .tree import affine_solution, implicit_step
 
 
@@ -39,6 +43,8 @@ class RegressionBasis:
     degree: int = 3
 
     def __post_init__(self):
+        if not is_integer(self.degree):
+            raise RegressionError(f"'degree' must be an integer, got {self.degree!r}")
         if self.degree < 0:
             raise RegressionError("basis degree must be nonnegative")
 
@@ -62,37 +68,43 @@ class McSolution:
         return float(self.Y[:, 0].mean())
 
 
-def _design(x: np.ndarray, degree: int) -> np.ndarray:
-    """Standardized polynomial columns 1, x~, x~^2, ..; constant-only when x is degenerate."""
-    x = np.asarray(x, dtype=float)
-    s = x.std()
-    if s == 0.0 or degree == 0:
-        return np.ones((x.size, 1))
-    xt = (x - x.mean()) / s
-    phi = np.empty((x.size, degree + 1))
-    phi[:, 0] = 1.0
-    phi[:, 1] = xt
-    for c in range(2, degree + 1):
-        np.multiply(phi[:, c - 1], xt, out=phi[:, c])  # the products np.vander takes
-    return phi
+def _orthonormal_rows(x: np.ndarray, degree: int, out: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the polynomials in the state up to the highest full-rank degree.
 
-
-def _orthonormal_design(x: np.ndarray, degree: int) -> np.ndarray:
-    """Orthonormal columns spanning the polynomial design of the highest full-rank degree.
-
-    Columns are nested, so leading columns span the lower degrees. The rank
-    test is that of np.linalg.lstsq: singular values above eps * max(m, d)
-    times the largest.
+    Returns q, a (k, m) view of the flat buffer `out`, k <= degree + 1; out
+    holds (degree + 2) * m values, the last m the standardized state x~ =
+    (x - mean) / std. Row 0 is the constant 1/sqrt(m); row c is x~ times row
+    c-1, orthogonalised against rows 0..c-1 twice by classical Gram-Schmidt,
+    then normalised: the discrete orthogonal polynomials of the paths'
+    empirical measure (the Stieltjes procedure). The rows are nested, so
+    leading rows span the lower degrees. x~ times a unit row has norm at most
+    max|x~|, and the first row whose norm after orthogonalisation is at most
+    eps * max(m, degree + 1) * max|x~| ends the basis: the analogue of
+    np.linalg.lstsq's rank rule, singular values above eps * max(m, d) times
+    the largest. Degree 0 or a degenerate state (std 0) gives the constant
+    row alone. Only ufuncs and np.einsum run here, so the rows do not depend
+    on the BLAS kernel.
     """
-    phi = _design(x, degree)
-    q, r = np.linalg.qr(phi)
-    k = phi.shape[1]
-    while k > 1:
-        s = np.linalg.svd(r[:k, :k], compute_uv=False)
-        if s[-1] > np.finfo(float).eps * max(phi.shape[0], k) * s[0]:
-            break
-        k -= 1
-    return q[:, :k]
+    m = x.size
+    q = out[:(degree + 1) * m].reshape(degree + 1, m)
+    q[0] = 1.0 / np.sqrt(m)
+    if degree == 0:
+        return q[:1]
+    xt = np.subtract(x, x.mean(), out=out[(degree + 1) * m:(degree + 2) * m])
+    s = np.sqrt(np.einsum("m,m->", xt, xt) / m)
+    if s == 0.0:
+        return q[:1]
+    xt /= s
+    tol = np.finfo(float).eps * max(m, degree + 1) * np.abs(xt).max()
+    for c in range(1, degree + 1):
+        row = np.multiply(xt, q[c - 1], out=q[c])
+        for _ in range(2):
+            row -= np.einsum("k,km->m", np.einsum("km,m->k", q[:c], row), q[:c])
+        norm = np.sqrt(np.einsum("m,m->", row, row))
+        if norm <= tol:
+            return q[:c]
+        row /= norm
+    return q
 
 
 # Under unit weights the Gram matrix of the orthonormal design is the identity;
@@ -102,13 +114,13 @@ _GRAM_RANK_TOL = 1e-10
 
 
 def _weighted_sums(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """weights @ a, accumulated over blocks of paths.
+    """weights @ a.T, path axis last in both, accumulated over blocks of paths.
 
     A single matrix product over all paths sums them in one running total
     when weights has one row, and loses digits at large path counts; blocks
     keep the plain solve as accurate as the bootstrap rows.
     """
-    return sum(weights[:, s:s + PATH_BLOCK] @ a[s:s + PATH_BLOCK] for s in range(0, a.shape[0], PATH_BLOCK))
+    return sum(weights[:, s:s + PATH_BLOCK] @ a[:, s:s + PATH_BLOCK].T for s in range(0, a.shape[1], PATH_BLOCK))
 
 
 def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,14 +156,17 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
 
     Row b fits every conditional expectation by least squares with path
     weights weights[b]: all ones for the plain solve, resample counts for a
-    bootstrap replicate. Each step builds one design on all paths; per row
-    the Gram matrix and right-hand sides are weighted sums over it, and the
-    degree drops where that row's Gram matrix is rank deficient.
+    bootstrap replicate. Each step builds one design q on all paths, as rows
+    (k, paths); per row the Gram matrix and right-hand sides are weighted
+    sums over the products of q's rows with each other and with the rows of
+    increments 1, dW and dN~_j, path axis last, and the degree drops where
+    that row's Gram matrix is rank deficient.
 
     For a driver that declares linear coefficients (a, b, c), every row but a
-    kept row 0 is solved together per step as y = (coef @ v) @ q.T / (1 - dt
+    kept row 0 is solved together per step as y = (coef @ v) @ q / (1 - dt
     a), v = (1, b or 0 when sigma = 0, c_1, .., c_J), in one iteration; the
-    other rows take implicit_step one row at a time.
+    other rows take implicit_step one row at a time, their fitted E[y'], z
+    and u read from coef[b].T @ q.
 
     Returns the Y0 of every row, the degree and the fixed-point iterations of
     every row at every step and, when `keep`, the (Y, Z, U) path arrays of row 0.
@@ -178,13 +193,15 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
         z_keep = np.zeros((m, n))
         u_keep = np.zeros((m, n, j))
         y_keep[:, n] = y[0]
-    # the step's increments 1, dW and dN~_j: the design times each gives the
-    # regressors of E[y'], E[y' dW] and E[y' dN~_j], side by side
-    incs = np.empty((m, 2 + j))
-    incs[:, 0] = 1.0
+    # the step's increments 1, dW and dN~_j as rows: the design times each gives
+    # the regressors of E[y'], E[y' dW] and E[y' dN~_j]
+    incs = np.empty((2 + j, m))
+    incs[0] = 1.0
     wy = np.empty((rows, m))
-    fitted = np.empty((m, 2 + j))
-    # flat buffers for the step's Gram products and regressor columns, viewed at the step's design width k
+    fitted = np.empty((2 + j, m))
+    # flat buffers for the step's design rows, Gram products and regressor columns, viewed at the step's
+    # design width k
+    design_buf = np.empty(m * (basis.dimension + 1))
     gram_buf = np.empty(m * basis.dimension ** 2)
     cols_buf = np.empty(m * (2 + j) * basis.dimension)
     z = np.empty(m) if model.sigma > 0 else np.zeros(m)
@@ -196,27 +213,27 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
         v = np.concatenate(([1.0, lin.b if model.sigma > 0 else 0.0], lin.jump_coefficients(model)))
 
     for i in range(n - 1, -1, -1):
-        q = _orthonormal_design(x_path[:, i], basis.degree)
-        k = q.shape[1]
-        products = np.einsum("mi,mj->mij", q, q, out=gram_buf[:m * k * k].reshape(m, k, k))
-        gram = _weighted_sums(weights, products.reshape(m, k * k)).reshape(rows, k, k)
-        incs[:, 1] = bundle.dw[:, i]
-        np.subtract(bundle.dn[:, i], lam_dt, out=incs[:, 2:])
-        cols = np.einsum("ma,mi->mai", incs, q, out=cols_buf[:m * (2 + j) * k].reshape(m, 2 + j, k))
-        rhs = _weighted_sums(np.multiply(weights, y, out=wy), cols.reshape(m, (2 + j) * k)).reshape(rows, 2 + j, k)
+        q = _orthonormal_rows(x_path[:, i], basis.degree, design_buf)
+        k = q.shape[0]
+        products = np.multiply(q[:, None, :], q[None, :, :], out=gram_buf[:k * k * m].reshape(k, k, m))
+        gram = _weighted_sums(weights, products.reshape(k * k, m)).reshape(rows, k, k)
+        incs[1] = bundle.dw[:, i]
+        np.subtract(bundle.dn[:, i].T, lam_dt[:, None], out=incs[2:])
+        cols = np.multiply(incs[:, None, :], q[None, :, :], out=cols_buf[:(2 + j) * k * m].reshape(2 + j, k, m))
+        rhs = _weighted_sums(np.multiply(weights, y, out=wy), cols.reshape((2 + j) * k, m)).reshape(rows, 2 + j, k)
         coef, kept = _solve_nested(gram, rhs.transpose(0, 2, 1))
         degrees[:, i] = kept - 1
         ctx = context(i)
         t = float(times[i])
         if per_row < rows:
-            affine_solution(np.matmul(coef[per_row:] @ v, q.T, out=y[per_row:]), dt, lin.a, i)
+            affine_solution(np.matmul(coef[per_row:] @ v, q, out=y[per_row:]), dt, lin.a, i)
             iterations[per_row:, i] = 1
         for b in range(per_row):
-            np.matmul(q, coef[b], out=fitted)
+            np.matmul(coef[b].T, q, out=fitted)
             if model.sigma > 0:
-                np.divide(fitted[:, 1], dt, out=z)
-            np.divide(fitted[:, 2:], lam_dt, out=u)
-            _, iterations[b, i] = implicit_step(g, ctx, t, dt, fitted[:, 0], z, u, i, out=y[b])
+                np.divide(fitted[1], dt, out=z)
+            np.divide(fitted[2:].T, lam_dt, out=u)
+            _, iterations[b, i] = implicit_step(g, ctx, t, dt, fitted[0], z, u, i, out=y[b])
             if keep and b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
 
@@ -225,6 +242,8 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
 
 
 def _check_paths(paths: int, basis: RegressionBasis) -> None:
+    if not is_integer(paths):
+        raise RegressionError(f"'paths' must be an integer, got {paths!r}")
     if paths < 10 * basis.dimension:
         raise RegressionError(f"need at least {10 * basis.dimension} paths for a degree-{basis.degree} basis")
 
@@ -274,6 +293,8 @@ def bootstrap_y0(
     run through one weighted backward pass beside the unweighted base row.
     The standard error needs n_boot >= 2 resamples.
     """
+    if not is_integer(n_boot):
+        raise RegressionError(f"'n_boot' must be an integer, got {n_boot!r}")
     if n_boot < 2:
         raise RegressionError(f"n_boot must be at least 2 for a bootstrap standard error, got {n_boot}")
     _check_paths(paths, basis)

@@ -413,6 +413,25 @@ def test_digests_record_their_platform():
     assert sorted(recorded["platform"]) == sorted(numeric_platform())
 
 
+def run_under_every_openblas_kernel(script, args):
+    """kernel -> the stdout lines of `python -c script tests_dir *args(kernel)` run with each OpenBLAS kernel the
+    CPU can run forced through OPENBLAS_CORETYPE; the script prints openblas_core() on its first line."""
+    if openblas_core() is None:
+        pytest.skip("numpy does not run on OpenBLAS here")
+    features, _ = numpy_cpu()
+    kernels = [k for k, need in KERNEL_FEATURES.items() if all(features.get(f) for f in need)]
+    env = {**os.environ, "PYTHONPATH": str(Path(jumpbsde.__file__).parents[1])}
+    lines = {}
+    for kernel in kernels:
+        proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent), *args(kernel)],
+                              capture_output=True, text=True, timeout=300, env={**env, "OPENBLAS_CORETYPE": kernel})
+        assert proc.returncode == 0, (kernel, proc.stderr)
+        lines[kernel] = proc.stdout.splitlines()
+    cores = {kernel: out[0] for kernel, out in lines.items()}
+    assert len(set(cores.values())) == len(kernels), f"a kernel was not forced: {cores}"
+    return lines
+
+
 RUN_TREE_COMMANDS = """
 import sys
 from jumpbsde.cli import main
@@ -428,22 +447,37 @@ for command in sys.argv[3:]:
 def test_tree_subcommands_give_the_same_bytes_under_every_openblas_kernel(tmp_path):
     """The tree oracle sums in a fixed order and uses no BLAS, so its default outputs do not depend
     on the OpenBLAS kernel; each kernel the CPU can run is forced through OPENBLAS_CORETYPE."""
-    if openblas_core() is None:
-        pytest.skip("numpy does not run on OpenBLAS here")
-    features, _ = numpy_cpu()
-    kernels = [k for k, need in KERNEL_FEATURES.items() if all(features.get(f) for f in need)]
-    env = {**os.environ, "PYTHONPATH": str(Path(jumpbsde.__file__).parents[1])}
-    runs, cores = {}, {}
-    for kernel in kernels:
-        out = tmp_path / kernel
-        proc = subprocess.run([sys.executable, "-c", RUN_TREE_COMMANDS, str(Path(__file__).parent), str(out),
-                               *TREE_COMMANDS], capture_output=True, text=True, timeout=300,
-                              env={**env, "OPENBLAS_CORETYPE": kernel})
-        assert proc.returncode == 0, (kernel, proc.stderr)
-        cores[kernel] = proc.stdout.splitlines()[0]
-        runs[kernel] = {c: default_output_digests(out / c) for c in TREE_COMMANDS}
-    assert len(set(cores.values())) == len(kernels), f"a kernel was not forced: {cores}"
-    assert len({json.dumps(r, sort_keys=True) for r in runs.values()}) == 1, (cores, runs)
+    kernels = run_under_every_openblas_kernel(RUN_TREE_COMMANDS, lambda kernel: [str(tmp_path / kernel),
+                                                                                 *TREE_COMMANDS])
+    runs = {kernel: {c: default_output_digests(tmp_path / kernel / c) for c in TREE_COMMANDS} for kernel in kernels}
+    assert len({json.dumps(r, sort_keys=True) for r in runs.values()}) == 1, runs
+
+
+HASH_LSMC_DESIGNS = """
+import hashlib, sys
+import numpy as np
+from jumpbsde import LevyModel, TimeGrid, simulate_paths
+from jumpbsde.mc import _orthonormal_rows
+sys.path.insert(0, sys.argv[1])
+from test_cli import openblas_core
+print(openblas_core())
+digest = hashlib.sha256()
+# a Brownian state with a small mark, a pure-jump lattice state with two marks; step 0 is a constant state
+for model in (LevyModel(0.1, 1.0, ((0.5, 1.0),)), LevyModel(0.0, 0.0, ((0.5, 2.0), (-0.3, 1.0)))):
+    x = simulate_paths(model, TimeGrid(1.0, 6), 5000, 11).states()
+    for i in range(x.shape[1]):
+        for degree in (1, 3):
+            digest.update(_orthonormal_rows(x[:, i], degree, np.empty((degree + 2) * x.shape[0])).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_lsmc_design_gives_the_same_bytes_under_every_openblas_kernel():
+    """The LSMC design rows come from ufuncs and np.einsum only, so they do not depend on the OpenBLAS
+    kernel. The Gram and regressor GEMMs, eigvalsh and solve still do, and so do the LSMC digests."""
+    hashes = {kernel: out[1] for kernel, out in run_under_every_openblas_kernel(HASH_LSMC_DESIGNS,
+                                                                                  lambda kernel: []).items()}
+    assert len(set(hashes.values())) == 1, hashes
 
 
 def test_usage_error_exits_3_with_argparse_message(capsys):

@@ -29,7 +29,8 @@ from jumpbsde import (
 from jumpbsde.config import generator_from_config, model_from_config
 from jumpbsde.experiments import default_mc_suite
 from jumpbsde.generators import StepContext
-from jumpbsde.mc import _GRAM_RANK_TOL, RegressionError, _backward_pass, _design, _solve_nested, _weighted_sums
+from jumpbsde.mc import (_GRAM_RANK_TOL, RegressionError, _backward_pass, _orthonormal_rows, _solve_nested,
+                         _weighted_sums)
 from jumpbsde.terminals import make_terminal
 from jumpbsde.tree import implicit_step
 
@@ -128,6 +129,35 @@ def test_path_count_validation():
                  paths=20, basis=RegressionBasis(degree=3), seed=0)
 
 
+BM = LevyModel(0.0, 1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RegressionBasis(2.5), RegressionError, "'degree' must be an integer, got 2.5"),
+    (lambda: RegressionBasis(True), RegressionError, "'degree' must be an integer, got True"),
+    (lambda: bootstrap_y0(BM, TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200, n_boot=2.5), RegressionError,
+     "'n_boot' must be an integer, got 2.5"),
+    (lambda: solve_mc(BM, TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200.0), RegressionError,
+     "'paths' must be an integer, got 200.0"),
+    (lambda: bootstrap_y0(BM, TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200.0), RegressionError,
+     "'paths' must be an integer, got 200.0"),
+    (lambda: simulate_paths(BM, TimeGrid(1.0, 3), 200.0, 0), ModelError, "'count' must be an integer, got 200.0"),
+], ids=["degree", "bool_degree", "n_boot", "solve_paths", "bootstrap_paths", "count"])
+def test_non_integer_sizes_are_named(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    grid, g = TimeGrid(1.0, 3), zero_generator()
+    basis = RegressionBasis(np.int64(2))
+    est = bootstrap_y0(BM, grid, g, XI_X, paths=np.int64(200), basis=basis, n_boot=np.int32(3))
+    want = bootstrap_y0(BM, grid, g, XI_X, paths=200, basis=RegressionBasis(2), n_boot=3)
+    assert (est.y0, est.se) == (want.y0, want.se)
+    assert solve_mc(BM, grid, g, XI_X, paths=np.int16(200), basis=basis).y0 == solve_mc(BM, grid, g, XI_X, paths=200,
+                                                                                        basis=basis).y0
+
+
 def test_mc_rejects_fast_marks():
     model = LevyModel(0.0, 0.0, ((1.0, 3.0),))
     with pytest.raises(RegressionError):
@@ -151,7 +181,7 @@ def test_implicit_step_failure_names_the_step():
 def _reference_fit(x, targets, degree):
     deg = degree
     while True:
-        phi = _design(x, deg)
+        phi = _plain_design(x, deg)
         coef, _, rank, _ = np.linalg.lstsq(phi, targets, rcond=None)
         if rank == phi.shape[1]:
             return phi @ coef, deg if phi.shape[1] > 1 else 0
@@ -238,16 +268,26 @@ def _plain_design(x, degree):
     return np.vander((x - x.mean()) / s, degree + 1, increasing=True)
 
 
-def _plain_orthonormal_design(x, degree):
-    phi = _plain_design(x, degree)
-    q, r = np.linalg.qr(phi)
-    k = phi.shape[1]
-    while k > 1:
-        s = np.linalg.svd(r[:k, :k], compute_uv=False)
-        if s[-1] > np.finfo(float).eps * max(phi.shape[0], k) * s[0]:
+def _plain_orthonormal_rows(x, degree):
+    """The Stieltjes recurrence on the standardized state, with a fresh array for every product."""
+    m = x.size
+    rows = [np.full(m, 1.0 / np.sqrt(m))]
+    xt = x - x.mean()
+    s = np.sqrt(np.einsum("m,m->", xt, xt) / m)
+    if s == 0.0 or degree == 0:
+        return np.array(rows)
+    xt = xt / s
+    tol = np.finfo(float).eps * max(m, degree + 1) * np.abs(xt).max()
+    for _ in range(degree):
+        q = np.array(rows)
+        row = xt * rows[-1]
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            row = row - np.einsum("k,km->m", np.einsum("km,m->k", q, row), q)
+        norm = np.sqrt(np.einsum("m,m->", row, row))
+        if norm <= tol:
             break
-        k -= 1
-    return q[:, :k]
+        rows.append(row / norm)
+    return np.array(rows)
 
 
 def _plain_solve_nested(gram, rhs):
@@ -263,8 +303,8 @@ def _plain_solve_nested(gram, rhs):
 
 
 def _plain_backward_pass(bundle, g, xi, degree, weights, fold=True):
-    """_backward_pass(..., keep=True) written plainly: np.vander designs, broadcast Gram products,
-    concatenated regressor columns, fresh arrays for every product and the nested rank test; rows after
+    """_backward_pass(..., keep=True) written plainly: the design rows by the recurrence, broadcast Gram
+    products, concatenated regressor rows, fresh arrays for every product and the nested rank test; rows after
     the first of a driver that declares linear coefficients are solved from them, unless not `fold`, when
     every row takes the per-row step."""
     model, grid = bundle.model, bundle.grid
@@ -284,24 +324,24 @@ def _plain_backward_pass(bundle, g, xi, degree, weights, fold=True):
     y_keep, z_keep, u_keep = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, j))
     y_keep[:, n] = y[0]
     for i in range(n - 1, -1, -1):
-        q = _plain_orthonormal_design(x_path[:, i], degree)
-        k = q.shape[1]
-        gram = _weighted_sums(weights, (q[:, :, None] * q[:, None, :]).reshape(m, k * k)).reshape(rows, k, k)
-        cols = np.concatenate([q, q * dw[:, i, None]] + [q * dnt[:, i, mk, None] for mk in range(j)], axis=1)
+        q = _plain_orthonormal_rows(x_path[:, i], degree)
+        k = q.shape[0]
+        gram = _weighted_sums(weights, (q[:, None, :] * q[None, :, :]).reshape(k * k, m)).reshape(rows, k, k)
+        cols = np.concatenate([q, q * dw[:, i]] + [q * dnt[:, i, mk] for mk in range(j)])
         rhs = _weighted_sums(weights * y, cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
         coef, kept = _plain_solve_nested(gram, rhs)
         degrees[:, i] = kept - 1
         for b in range(rows if lin is None else 1):
-            fitted = q @ coef[b]
-            z = fitted[:, 1] / dt if model.sigma > 0 else np.zeros(m)
-            u = fitted[:, 2:] / (model.intensities * dt)
-            y[b], iterations[b, i] = implicit_step(g, context(i), float(grid.times[i]), dt, fitted[:, 0], z, u, i)
+            fitted = coef[b].T @ q
+            z = fitted[1] / dt if model.sigma > 0 else np.zeros(m)
+            u = fitted[2:].T / (model.intensities * dt)
+            y[b], iterations[b, i] = implicit_step(g, context(i), float(grid.times[i]), dt, fitted[0], z, u, i)
             if b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
         if lin is not None:
             # fitted @ (1, b, c) is E[y'] + dt (b z + sum_j c_j lambda_j u_j)
             v = np.array([1.0, lin.b if model.sigma > 0 else 0.0, *lin.jump_coefficients(model)])
-            y[1:] = (coef[1:] @ v) @ q.T / (1.0 - dt * lin.a)
+            y[1:] = (coef[1:] @ v) @ q / (1.0 - dt * lin.a)
             iterations[1:, i] = 1
     return (weights * y).sum(axis=1) / m, degrees, iterations, (y_keep, z_keep, u_keep)
 
@@ -401,6 +441,40 @@ def test_folded_step_with_a_non_finite_solution_names_the_step():
     with pytest.raises(FixedPointError, match=r"^implicit step has a non-finite solution at step 2$"):
         bootstrap_y0(LevyModel(0.0, 1.0, ((0.5, 0.8),)), TimeGrid(1.0, 3), linear_driver(0.2, 0.3, -0.5), infinite,
                      paths=200, seed=0)
+
+
+@st.composite
+def regression_states(draw):
+    """A state on 20-4000 paths with a basis degree: continuous (Gaussian at some level and scale),
+    lattice-valued (few distinct values, rare ones too, as pure-jump states take) or constant."""
+    kind = draw(st.sampled_from(["lattice", "continuous", "constant"]))
+    degree = draw(st.sampled_from([3, 4, 2, 1, 0]))
+    m = draw(st.sampled_from([4000, 20, 203, 1024]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    level = draw(st.sampled_from([0.3, 0.0, -2.5, 40.0]))
+    if kind == "continuous":
+        x = level + draw(st.sampled_from([1e-3, 1.0, 30.0])) * rng.standard_normal(m)
+    elif kind == "lattice":
+        rate_up, rate_down = draw(st.sampled_from([0.3, 0.01, 2.0])), draw(st.sampled_from([0.0, 0.05, 1.0]))
+        x = level + 0.5 * rng.poisson(rate_up, m) - 0.3 * rng.poisson(rate_down, m)
+    else:
+        x = np.full(m, level)
+    return x, degree
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(regression_states())
+@example((0.5 * (np.arange(1000) == 7), 4))  # two values, one of them on a single path
+@example((np.repeat([0.0, 0.5, 1.0, -0.3], [900, 60, 3, 37]), 4))
+def test_design_rows_are_an_orthonormal_basis_of_the_full_rank_vandermonde(state):
+    x, degree = state
+    q = _orthonormal_rows(x, degree, np.empty((degree + 2) * x.size))
+    k = q.shape[0]
+    assert np.abs(q @ q.T - np.eye(k)).max() <= 1e-13
+    vander = _plain_design(x, degree)
+    for col in vander.T[:k]:
+        assert np.linalg.norm(q.T @ (q @ col) - col) <= 1e-10 * np.linalg.norm(col)
+    assert k == np.linalg.lstsq(vander, np.zeros(x.size), rcond=None)[2]
 
 
 @st.composite
