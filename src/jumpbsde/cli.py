@@ -138,7 +138,7 @@ def _solve_mc(cfg):
     meta = {"fp_iterations": {"base": list(sol.fp_iterations),
                               "bootstrap_max": list(est.fp_iterations) if est else None},
             "bootstrap": {"replicates": est.samples.size, "min": float(est.samples.min()),
-                          "max": float(est.samples.max())} if est else None}
+                          "max": float(est.samples.max()), "degree_drops": list(est.degree_drops)} if est else None}
     return Report("solve-mc", cfg, [case], meta=meta), header, rows, summary
 
 

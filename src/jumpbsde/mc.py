@@ -12,6 +12,12 @@ with tree.implicit_step: in closed form for a driver affine in y, by
 fixed-point iteration otherwise. Z and U come from the regressions of y' dW
 and y' dN~ scaled by the variances dt and lambda*dt of the increments.
 
+The design is orthonormal under the paths' empirical measure, so the
+normal equations of solve_mc's unit-weight row are the identity and its
+regression coefficients are the projections q @ (y' increments), with no
+Gram matrix and no solve. The weighted rows of the bootstrap form the
+distinct products of the symmetric Gram matrix only, and solve it.
+
 A driver that declares constant coefficients, f = a y + b z + sum_j c_j
 lambda_j u_j (GeneratorSpec.linear), needs no Z or U on the rows whose Z and
 U are not returned: with z = fitted_1 / dt and u_j = fitted_(2+j) / (lambda_j
@@ -23,6 +29,7 @@ the per-row step, and so keeps its bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +130,17 @@ def _weighted_sums(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
     return sum(weights[:, s:s + PATH_BLOCK] @ a[:, s:s + PATH_BLOCK].T for s in range(0, a.shape[1], PATH_BLOCK))
 
 
+@functools.cache
+def _symmetric_index(k: int) -> np.ndarray:
+    """Flat (k * k) index into the k(k+1)/2 products q[a] * q[a:], a < k, taken row by row: entry (a, b)
+    reads the product of rows min(a, b) and max(a, b)."""
+    tri = np.zeros((k, k), dtype=np.intp)
+    tri[np.triu_indices(k)] = np.arange(k * (k + 1) // 2)
+    index = np.maximum(tri, tri.T).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve each row's normal equations on its largest full-rank leading block.
 
@@ -150,17 +168,21 @@ def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
     return coef, kept
 
 
-def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis, weights: np.ndarray,
+def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis, weights: np.ndarray | None,
                    keep: bool = False):
     """Implicit-in-y regression recursion, one weighted replicate per row of `weights`.
 
     Row b fits every conditional expectation by least squares with path
-    weights weights[b]: all ones for the plain solve, resample counts for a
-    bootstrap replicate. Each step builds one design q on all paths, as rows
-    (k, paths); per row the Gram matrix and right-hand sides are weighted
-    sums over the products of q's rows with each other and with the rows of
-    increments 1, dW and dN~_j, path axis last, and the degree drops where
-    that row's Gram matrix is rank deficient.
+    weights weights[b], resample counts for a bootstrap replicate; weights
+    None is one row with every weight 1, the plain solve. Each step builds
+    one design q on all paths, as rows (k, paths), orthonormal under the
+    paths' empirical measure. Under unit weights the normal equations are
+    then the identity, and the coefficients are the projections q @ (y *
+    increments)ᵀ of y times the rows of increments 1, dW and dN~_j, with
+    the full basis kept. Per weighted row, the Gram matrix is a weighted sum
+    over the k(k+1)/2 distinct products of q's rows, the right-hand sides
+    over the products of q's rows with the increments, path axis last, and
+    the degree drops where that row's Gram matrix is rank deficient.
 
     For a driver that declares linear coefficients (a, b, c), every row but a
     kept row 0 is solved together per step as y = (coef @ v) @ q / (1 - dt
@@ -179,7 +201,8 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
         raise RegressionError("solve_mc needs lambda*dt < 1 for the jump-coefficient normalization")
 
     x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
-    rows, m = weights.shape
+    m = bundle.dw.shape[0]
+    rows = 1 if weights is None else weights.shape[0]
 
     def context(i):
         return StepContext(model=model, x=x_path[:, i], w=w_path[:, i], counts=c_path[:, i])
@@ -197,13 +220,14 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     # the regressors of E[y'], E[y' dW] and E[y' dN~_j]
     incs = np.empty((2 + j, m))
     incs[0] = 1.0
-    wy = np.empty((rows, m))
     fitted = np.empty((2 + j, m))
-    # flat buffers for the step's design rows, Gram products and regressor columns, viewed at the step's
-    # design width k
+    # flat buffers for the step's design rows, Gram products and regressor rows, viewed at the step's design
+    # width k; the unit row needs no Gram products, and its regressor rows are y times the increments
     design_buf = np.empty(m * (basis.dimension + 1))
-    gram_buf = np.empty(m * basis.dimension ** 2)
-    cols_buf = np.empty(m * (2 + j) * basis.dimension)
+    cols_buf = np.empty(m * (2 + j) * (1 if weights is None else basis.dimension))
+    if weights is not None:
+        gram_buf = np.empty(m * basis.dimension * (basis.dimension + 1) // 2)
+        wy = np.empty((rows, m))
     z = np.empty(m) if model.sigma > 0 else np.zeros(m)
     u = np.empty((m, j))
     # rows [0, per_row) take the per-row step; the rest are solved together from the declared coefficients
@@ -215,14 +239,22 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     for i in range(n - 1, -1, -1):
         q = _orthonormal_rows(x_path[:, i], basis.degree, design_buf)
         k = q.shape[0]
-        products = np.multiply(q[:, None, :], q[None, :, :], out=gram_buf[:k * k * m].reshape(k, k, m))
-        gram = _weighted_sums(weights, products.reshape(k * k, m)).reshape(rows, k, k)
         incs[1] = bundle.dw[:, i]
         np.subtract(bundle.dn[:, i].T, lam_dt[:, None], out=incs[2:])
-        cols = np.multiply(incs[:, None, :], q[None, :, :], out=cols_buf[:(2 + j) * k * m].reshape(2 + j, k, m))
-        rhs = _weighted_sums(np.multiply(weights, y, out=wy), cols.reshape((2 + j) * k, m)).reshape(rows, 2 + j, k)
-        coef, kept = _solve_nested(gram, rhs.transpose(0, 2, 1))
-        degrees[:, i] = kept - 1
+        if weights is None:
+            coef = _weighted_sums(q, np.multiply(incs, y[0], out=cols_buf.reshape(2 + j, m)))[None]
+            degrees[0, i] = k - 1
+        else:
+            products = gram_buf[:k * (k + 1) // 2 * m].reshape(k * (k + 1) // 2, m)
+            start = 0
+            for a in range(k):
+                np.multiply(q[a], q[a:], out=products[start:start + k - a])
+                start += k - a
+            gram = np.take(_weighted_sums(weights, products), _symmetric_index(k), axis=1).reshape(rows, k, k)
+            cols = np.multiply(incs[:, None, :], q[None, :, :], out=cols_buf[:(2 + j) * k * m].reshape(2 + j, k, m))
+            rhs = _weighted_sums(np.multiply(weights, y, out=wy), cols.reshape((2 + j) * k, m))
+            coef, kept = _solve_nested(gram, rhs.reshape(rows, 2 + j, k).transpose(0, 2, 1))
+            degrees[:, i] = kept - 1
         ctx = context(i)
         t = float(times[i])
         if per_row < rows:
@@ -237,7 +269,7 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
             if keep and b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
 
-    y0 = np.multiply(weights, y, out=wy).sum(axis=1) / m
+    y0 = (y if weights is None else np.multiply(weights, y, out=wy)).sum(axis=1) / m
     return y0, degrees, iterations, ((y_keep, z_keep, u_keep) if keep else None)
 
 
@@ -264,7 +296,7 @@ def solve_mc(
     """
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
-    _, degrees, iterations, (y, z, u) = _backward_pass(bundle, g, xi, basis, np.ones((1, paths)), keep=True)
+    _, degrees, iterations, (y, z, u) = _backward_pass(bundle, g, xi, basis, None, keep=True)
     return McSolution(Y=y, Z=z, U=u, degrees_used=tuple(int(d) for d in degrees[0]),
                       fp_iterations=tuple(int(k) for k in iterations[0]))
 
@@ -275,6 +307,7 @@ class BootstrapEstimate:
     se: float
     samples: np.ndarray
     fp_iterations: tuple = ()  # per step, the most fixed-point iterations of any resample
+    degree_drops: tuple = ()  # per step, how many resamples kept a lower basis degree than the base row
 
 
 def bootstrap_y0(
@@ -304,7 +337,8 @@ def bootstrap_y0(
     weights[0] = 1.0
     for b in range(1, n_boot + 1):
         weights[b] = np.bincount(rng.integers(0, paths, size=paths), minlength=paths)
-    y0, _, iterations, _ = _backward_pass(bundle, g, xi, basis, weights)
+    y0, degrees, iterations, _ = _backward_pass(bundle, g, xi, basis, weights)
     samples = y0[1:]
     return BootstrapEstimate(y0=float(y0[0]), se=float(samples.std(ddof=1)), samples=samples,
-                             fp_iterations=tuple(int(k) for k in iterations[1:].max(axis=0, initial=0)))
+                             fp_iterations=tuple(int(k) for k in iterations[1:].max(axis=0, initial=0)),
+                             degree_drops=tuple(int(d) for d in (degrees[1:] < degrees[0]).sum(axis=0)))

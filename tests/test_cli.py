@@ -126,8 +126,9 @@ def test_solve_mc_writes_fixed_point_iterations_in_meta(tmp_path, bootstrap):
     spread = read_report(tmp_path / "out")["meta"]["bootstrap"]
     if bootstrap:
         assert fp["bootstrap_max"] == [1, 1, 1]
-        assert sorted(spread) == ["max", "min", "replicates"]
+        assert sorted(spread) == ["degree_drops", "max", "min", "replicates"]
         assert spread["replicates"] == 4 and spread["min"] <= spread["max"]
+        assert spread["degree_drops"] == [0, 0, 0]  # a Brownian state keeps the full basis in every resample
     else:
         assert fp["bootstrap_max"] is None and spread is None
 

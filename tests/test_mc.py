@@ -29,6 +29,7 @@ from jumpbsde import (
 from jumpbsde.config import generator_from_config, model_from_config
 from jumpbsde.experiments import default_mc_suite
 from jumpbsde.generators import StepContext
+from jumpbsde.levy import PATH_BLOCK
 from jumpbsde.mc import (_GRAM_RANK_TOL, RegressionError, _backward_pass, _orthonormal_rows, _solve_nested,
                          _weighted_sums)
 from jumpbsde.terminals import make_terminal
@@ -238,6 +239,20 @@ def test_weighted_bootstrap_matches_resampled_passes(inst):
         assert np.count_nonzero(degrees[1:] < degrees[0]) == 11
 
 
+@pytest.mark.parametrize("inst", default_mc_suite(), ids=lambda inst: inst["name"])
+def test_solve_mc_y0_is_the_bootstrap_base_row(inst):
+    """solve_mc fits its unit-weight row by projection and the bootstrap fits its base row by the normal
+    equations: the two Y0 agree to the benchmark's exact gate. The bootstrap reports its degree drops per
+    step: the 11 of test_weighted_bootstrap_matches_resampled_passes on two_jumps, none elsewhere."""
+    model, g = model_from_config(inst["model"]), generator_from_config(inst["generator"])
+    grid = TimeGrid(1.0, inst["steps"])
+    y0 = solve_mc(model, grid, g, XI_X, paths=4000, seed=3).y0
+    est = bootstrap_y0(model, grid, g, XI_X, paths=4000, seed=3)
+    assert abs(y0 - est.y0) <= 1e-12 * (1.0 + abs(est.y0)), (y0, est.y0)
+    assert len(est.degree_drops) == grid.steps
+    assert sum(est.degree_drops) == (11 if inst["name"] == "two_jumps" else 0)
+
+
 def test_l2_distance_rejects_mixed_kinds():
     model = LevyModel(0.0, 1.0)
     grid = TimeGrid(1.0, 3)
@@ -303,16 +318,19 @@ def _plain_solve_nested(gram, rhs):
 
 
 def _plain_backward_pass(bundle, g, xi, degree, weights, fold=True):
-    """_backward_pass(..., keep=True) written plainly: the design rows by the recurrence, broadcast Gram
-    products, concatenated regressor rows, fresh arrays for every product and the nested rank test; rows after
-    the first of a driver that declares linear coefficients are solved from them, unless not `fold`, when
-    every row takes the per-row step."""
+    """_backward_pass(..., keep=True) written plainly: the design rows by the recurrence; with weights None,
+    one unit row fitted by the projections (incs * y) @ q.T summed over blocks of PATH_BLOCK paths, with the
+    full basis kept; otherwise the Gram matrix from the triangle of products q[a] * q[b], a <= b, mirrored,
+    concatenated regressor rows, fresh arrays for every product and the nested rank test; rows after the
+    first of a driver that declares linear coefficients are solved from them, unless not `fold`, when every
+    row takes the per-row step."""
     model, grid = bundle.model, bundle.grid
     lin = g.linear if fold else None
     n, j, dt = grid.steps, model.n_marks, grid.dt
     x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
     dw, dnt = bundle.dw, bundle.dn - model.intensities * dt
-    rows, m = weights.shape
+    m = dw.shape[0]
+    rows = 1 if weights is None else weights.shape[0]
 
     def context(i):
         return StepContext(model=model, x=x_path[:, i], w=w_path[:, i], counts=c_path[:, i])
@@ -326,10 +344,20 @@ def _plain_backward_pass(bundle, g, xi, degree, weights, fold=True):
     for i in range(n - 1, -1, -1):
         q = _plain_orthonormal_rows(x_path[:, i], degree)
         k = q.shape[0]
-        gram = _weighted_sums(weights, (q[:, None, :] * q[None, :, :]).reshape(k * k, m)).reshape(rows, k, k)
-        cols = np.concatenate([q, q * dw[:, i]] + [q * dnt[:, i, mk] for mk in range(j)])
-        rhs = _weighted_sums(weights * y, cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
-        coef, kept = _plain_solve_nested(gram, rhs)
+        if weights is None:
+            incs = np.array([np.ones(m), dw[:, i], *dnt[:, i].T])
+            coef = sum((incs * y[0])[:, s:s + PATH_BLOCK] @ q[:, s:s + PATH_BLOCK].T
+                       for s in range(0, m, PATH_BLOCK)).T[None]
+            kept = np.array([k])
+        else:
+            pairs = [(a, b) for a in range(k) for b in range(a, k)]
+            sums = _weighted_sums(weights, np.array([q[a] * q[b] for a, b in pairs]))
+            gram = np.empty((rows, k, k))
+            for p, (a, b) in enumerate(pairs):
+                gram[:, a, b] = gram[:, b, a] = sums[:, p]
+            cols = np.concatenate([q, q * dw[:, i]] + [q * dnt[:, i, mk] for mk in range(j)])
+            rhs = _weighted_sums(weights * y, cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
+            coef, kept = _plain_solve_nested(gram, rhs)
         degrees[:, i] = kept - 1
         for b in range(rows if lin is None else 1):
             fitted = coef[b].T @ q
@@ -343,7 +371,8 @@ def _plain_backward_pass(bundle, g, xi, degree, weights, fold=True):
             v = np.array([1.0, lin.b if model.sigma > 0 else 0.0, *lin.jump_coefficients(model)])
             y[1:] = (coef[1:] @ v) @ q / (1.0 - dt * lin.a)
             iterations[1:, i] = 1
-    return (weights * y).sum(axis=1) / m, degrees, iterations, (y_keep, z_keep, u_keep)
+    y0 = (y if weights is None else weights * y).sum(axis=1) / m
+    return y0, degrees, iterations, (y_keep, z_keep, u_keep)
 
 
 def _plain_eval(g):
@@ -400,11 +429,29 @@ PURE_JUMP_PASS = (0.0, [0.5], 4, 203, 3, 5, 0.5, "linear_driver", "x")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(backward_passes(), st.booleans())
+@example(PURE_JUMP_PASS, False)
+@example(PURE_JUMP_PASS, True)
+@example((1.0, [0.5, -0.3], 6, 301, 2, 4, 0.1, "plain_eval", "tanh_x"), False)
+@example((1.0, [0.5, -0.3], 6, 301, 2, 4, 0.1, "plain_eval", "tanh_x"), True)
+def test_backward_pass_is_bitwise_its_plain_copy(case, unit):
+    """Weighted rows, or with `unit` the one unit-weight row solve_mc fits (weights None)."""
+    bundle, g, xi, weights = _pass_inputs(*case)
+    _assert_pass_matches_plain_copy(bundle, g, xi, None if unit else weights)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(backward_passes())
 @example(PURE_JUMP_PASS)
-@example((1.0, [0.5, -0.3], 6, 301, 2, 4, 0.1, "plain_eval", "tanh_x"))
-def test_backward_pass_is_bitwise_its_plain_copy(case):
-    _assert_pass_matches_plain_copy(*_pass_inputs(*case))
+def test_projection_fit_is_the_normal_equations(case):
+    """The unit-weight row fitted by projection onto the orthonormal design is the row that solves the
+    normal equations of unit weights, up to rounding, with the same degrees and iterations."""
+    bundle, g, xi, _ = _pass_inputs(*case)
+    got = _backward_pass(bundle, g, xi, RegressionBasis(), None, keep=True)
+    want = _plain_backward_pass(bundle, g, xi, 3, np.ones((1, bundle.dw.shape[0])))
+    for name, a, b in zip(("y0", *"YZU"), (got[0], *got[3]), (want[0], *want[3])):
+        assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))), name
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_plain_copy_check_covers_a_pure_jump_state_that_drops_degree():
@@ -470,7 +517,10 @@ def test_design_rows_are_an_orthonormal_basis_of_the_full_rank_vandermonde(state
     x, degree = state
     q = _orthonormal_rows(x, degree, np.empty((degree + 2) * x.size))
     k = q.shape[0]
+    # the premise of solve_mc's projection fit: under unit weights the normal equations are the identity,
+    # and the rank test keeps every row
     assert np.abs(q @ q.T - np.eye(k)).max() <= 1e-13
+    assert _solve_nested((q @ q.T)[None], np.zeros((1, k, 1)))[1].tolist() == [k]
     vander = _plain_design(x, degree)
     for col in vander.T[:k]:
         assert np.linalg.norm(q.T @ (q @ col) - col) <= 1e-10 * np.linalg.norm(col)
@@ -528,3 +578,26 @@ def test_bootstrap_peak_memory_holds_no_per_step_regressors():
         tracemalloc.stop()
     assert np.isfinite(est.y0)
     assert peak <= 1.1 * 7.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_solve_mc_peak_memory_holds_no_gram_products(monkeypatch):
+    """solve_mc fits its one unit-weight row by projection, so the pass solves no normal equations and
+    allocates no Gram products and no weight row; the k(k+1)/2 * paths Gram buffer and the k-wide regressor
+    rows (0.7 MiB here) break the guard."""
+    model = LevyModel(0.0, 1.0, ((0.6, 0.25), (-0.4, 0.2)))
+    grid, g = TimeGrid(1.0, 16), linear_driver(0.2, 0.3, [0.4, -0.6])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the unit-weight row solved normal equations")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    solve_mc(model, grid, g, XI_X, paths=400, seed=1)  # first-call allocations outside the trace
+    tracemalloc.start()
+    try:
+        sol = solve_mc(model, grid, g, XI_X, paths=4000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(sol.y0)
+    assert peak <= 1.1 * 6.3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
