@@ -124,7 +124,10 @@ def _solve_mc(cfg):
     j = model.n_marks
     rows = []
     for i in range(grid.steps):
-        row = [i, float(sol.Y[:, i].mean()), float(sol.Y[:, i].std(ddof=1) / math.sqrt(m)), float(sol.Z[:, i].mean())]
+        y = sol.Y[:, i]
+        # a column of one value has se 0; np.std would read the rounding of its mean
+        se = 0.0 if (y == y[0]).all() else float(y.std(ddof=1) / math.sqrt(m))
+        row = [i, float(y.mean()), se, float(sol.Z[:, i].mean())]
         row += [float(sol.U[:, i, k].mean()) for k in range(j)]
         rows.append(row)
     est = None

@@ -19,12 +19,12 @@ Gram matrix and no solve. The weighted rows of the bootstrap form the
 distinct products of the symmetric Gram matrix only, and solve it.
 
 A driver that declares constant coefficients, f = a y + b z + sum_j c_j
-lambda_j u_j (GeneratorSpec.linear), needs no Z or U on the rows whose Z and
-U are not returned: with z = fitted_1 / dt and u_j = fitted_(2+j) / (lambda_j
-dt), E[y'] + dt (b z + sum_j c_j lambda_j u_j) is the fitted values times (1,
-b, c_1, .., c_J), so such rows are solved together, one product per step from
-their regression coefficients. The row whose Z and U solve_mc returns keeps
-the per-row step, and so keeps its bits.
+lambda_j u_j (GeneratorSpec.linear), makes each step a linear BSDE step with
+one-step density gamma = 1 + b dW + sum_j c_j dN~_j, so every bootstrap row's
+y is the step's design times k coefficients, computed from the next step's
+coefficients with no array of y over the paths (_linear_rows). solve_mc's
+row, which returns Z and U, and the rows of every other driver take the
+per-row step.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorSpec, StepContext
+from .generators import GeneratorSpec, LinearCoefficients, StepContext
 from .levy import PATH_BLOCK, LevyModel, ModelError, PathBundle, TimeGrid, is_integer, simulate_paths
 from .tree import affine_solution, implicit_step
 
@@ -141,6 +141,16 @@ def _symmetric_index(k: int) -> np.ndarray:
     return index
 
 
+def _triangle_products(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the k(k+1)/2 distinct products q[a] * q[a:] of the design rows, a < k, into out's leading rows,
+    in _symmetric_index's order, and return out."""
+    start, k = 0, q.shape[0]
+    for a in range(k):
+        np.multiply(q[a], q[a:], out=out[start:start + k - a])
+        start += k - a
+    return out
+
+
 def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve each row's normal equations on its largest full-rank leading block.
 
@@ -168,6 +178,14 @@ def _solve_nested(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
     return coef, kept
 
 
+def _jump_variances(model: LevyModel, dt: float) -> np.ndarray:
+    """lambda_j * dt per mark, the variances that normalize the jump coefficients; each must be below 1."""
+    lam_dt = model.intensities * dt
+    if model.n_marks and np.any(lam_dt >= 1.0):
+        raise RegressionError("solve_mc needs lambda*dt < 1 for the jump-coefficient normalization")
+    return lam_dt
+
+
 def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis, weights: np.ndarray | None,
                    keep: bool = False):
     """Implicit-in-y regression recursion, one weighted replicate per row of `weights`.
@@ -184,11 +202,9 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     over the products of q's rows with the increments, path axis last, and
     the degree drops where that row's Gram matrix is rank deficient.
 
-    For a driver that declares linear coefficients (a, b, c), every row but a
-    kept row 0 is solved together per step as y = (coef @ v) @ q / (1 - dt
-    a), v = (1, b or 0 when sigma = 0, c_1, .., c_J), in one iteration; the
-    other rows take implicit_step one row at a time, their fitted E[y'], z
-    and u read from coef[b].T @ q.
+    Every row takes implicit_step one row at a time, its fitted E[y'], z and
+    u read from coef[b].T @ q; bootstrap_y0 of a driver that declares linear
+    coefficients runs _linear_rows instead.
 
     Returns the Y0 of every row, the degree and the fixed-point iterations of
     every row at every step and, when `keep`, the (Y, Z, U) path arrays of row 0.
@@ -196,10 +212,7 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     model, grid = bundle.model, bundle.grid
     n, j, dt = grid.steps, model.n_marks, grid.dt
     times = grid.times
-    lam_dt = model.intensities * dt
-    if j and np.any(lam_dt >= 1.0):
-        raise RegressionError("solve_mc needs lambda*dt < 1 for the jump-coefficient normalization")
-
+    lam_dt = _jump_variances(model, dt)
     x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
     m = bundle.dw.shape[0]
     rows = 1 if weights is None else weights.shape[0]
@@ -230,11 +243,6 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
         wy = np.empty((rows, m))
     z = np.empty(m) if model.sigma > 0 else np.zeros(m)
     u = np.empty((m, j))
-    # rows [0, per_row) take the per-row step; the rest are solved together from the declared coefficients
-    lin = g.linear
-    per_row = rows if lin is None else int(keep)
-    if per_row < rows:
-        v = np.concatenate(([1.0, lin.b if model.sigma > 0 else 0.0], lin.jump_coefficients(model)))
 
     for i in range(n - 1, -1, -1):
         q = _orthonormal_rows(x_path[:, i], basis.degree, design_buf)
@@ -245,11 +253,7 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
             coef = _weighted_sums(q, np.multiply(incs, y[0], out=cols_buf.reshape(2 + j, m)))[None]
             degrees[0, i] = k - 1
         else:
-            products = gram_buf[:k * (k + 1) // 2 * m].reshape(k * (k + 1) // 2, m)
-            start = 0
-            for a in range(k):
-                np.multiply(q[a], q[a:], out=products[start:start + k - a])
-                start += k - a
+            products = _triangle_products(q, gram_buf[:k * (k + 1) // 2 * m].reshape(k * (k + 1) // 2, m))
             gram = np.take(_weighted_sums(weights, products), _symmetric_index(k), axis=1).reshape(rows, k, k)
             cols = np.multiply(incs[:, None, :], q[None, :, :], out=cols_buf[:(2 + j) * k * m].reshape(2 + j, k, m))
             rhs = _weighted_sums(np.multiply(weights, y, out=wy), cols.reshape((2 + j) * k, m))
@@ -257,10 +261,7 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
             degrees[:, i] = kept - 1
         ctx = context(i)
         t = float(times[i])
-        if per_row < rows:
-            affine_solution(np.matmul(coef[per_row:] @ v, q, out=y[per_row:]), dt, lin.a, i)
-            iterations[per_row:, i] = 1
-        for b in range(per_row):
+        for b in range(rows):
             np.matmul(coef[b].T, q, out=fitted)
             if model.sigma > 0:
                 np.divide(fitted[1], dt, out=z)
@@ -271,6 +272,65 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
 
     y0 = (y if weights is None else np.multiply(weights, y, out=wy)).sum(axis=1) / m
     return y0, degrees, iterations, ((y_keep, z_keep, u_keep) if keep else None)
+
+
+def _linear_rows(bundle: PathBundle, lin: LinearCoefficients, xi, basis: RegressionBasis, weights: np.ndarray):
+    """The weighted rows of a driver with declared linear coefficients (a, b, c), carried backward as coefficients.
+
+    With D = 1 - a dt and the one-step density gamma_i = 1 + b dW_i + sum_j
+    c_j dN~_(i,j) (b read as 0 when sigma = 0, where z is 0), the per-row
+    step's y of row b is q_i^T d_b^(i), d_b^(i) = G_(b,i)^-1 s_b^(i) / D,
+    where G_(b,i) is the Gram matrix of the step's design q_i and s_b^(i) the
+    weighted sums of gamma_i y_b^(i+1) q_i. Substituting y_b^(i+1) = q_(i+1)^T
+    d_b^(i+1) gives s_b^(i) = M_(b,i) d_b^(i+1), M_(b,i) the weighted sums of
+    gamma_i q_i q_(i+1)^T. So per step the paths see only the design and the
+    k(k+1)/2 Gram products and k_i k_(i+1) products gamma q_(i,a) q_(i+1,c),
+    summed in one blocked product; every row's y is its k coefficients. The
+    terminal is the one-row design xi with coefficient 1, and Y0_b = (sum_p
+    w_bp q_0)^T d_b^(0) / m.
+
+    The degree drops by _solve_nested's rank rule, so d is zero beyond each
+    row's kept columns. tree.affine_solution's checks apply to d: every row
+    of q is a unit vector, so |y| <= |d|_1 on every path, and a finite d
+    gives a finite y. Returns the Y0 and the degree at every step of every
+    row; each step is solved in one iteration.
+    """
+    model, grid = bundle.model, bundle.grid
+    n, dt = grid.steps, grid.dt
+    lam_dt = _jump_variances(model, dt)
+    jumps = lin.jump_coefficients(model)
+    b = lin.b if model.sigma > 0 else 0.0
+    x_path = bundle.states()
+    m = bundle.dw.shape[0]
+    rows, k0 = weights.shape[0], basis.dimension
+    degrees = np.zeros((rows, n), dtype=int)
+    # two design buffers, steps alternating between them, and the step's Gram and gamma products
+    designs = np.empty((2, m * (k0 + 1)))
+    products_buf = np.empty(m * (k0 * (k0 + 1) // 2 + k0 * k0))
+    gamma = np.empty(m)
+    q_next = designs[n % 2, :m].reshape(1, m)
+    q_next[0] = xi(StepContext(model=model, x=x_path[:, n], w=bundle.brownian()[:, n],
+                               counts=bundle.jump_counts()[:, n]))
+    d = np.ones((rows, 1))
+    for i in range(n - 1, -1, -1):
+        q = _orthonormal_rows(x_path[:, i], basis.degree, designs[i % 2])
+        k, k_next = q.shape[0], q_next.shape[0]
+        np.matmul(bundle.dn[:, i], jumps, out=gamma)
+        gamma += 1.0 - jumps @ lam_dt
+        gamma += b * bundle.dw[:, i]
+        q_next *= gamma  # q_(i+1) is not read again
+        tri = k * (k + 1) // 2
+        products = _triangle_products(q, products_buf[:(tri + k * k_next) * m].reshape(tri + k * k_next, m))
+        for a in range(k):
+            np.multiply(q[a], q_next, out=products[tri + a * k_next:tri + (a + 1) * k_next])
+        sums = _weighted_sums(weights, products)
+        gram = np.take(sums, _symmetric_index(k), axis=1).reshape(rows, k, k)
+        coef, kept = _solve_nested(gram, sums[:, tri:].reshape(rows, k, k_next) @ d[:, :, None])
+        degrees[:, i] = kept - 1
+        d = affine_solution(coef[:, :, 0], dt, lin.a, i)
+        q_next = q
+    # q_next is now step 0's design (the terminal's row when there are no steps)
+    return np.einsum("bk,bk->b", _weighted_sums(weights, q_next), d) / m, degrees
 
 
 def _check_paths(paths: int, basis: RegressionBasis) -> None:
@@ -323,8 +383,9 @@ def bootstrap_y0(
     """Bootstrap the initial value over path resamples.
 
     Each resample becomes a row of multinomial path weights, and all rows
-    run through one weighted backward pass beside the unweighted base row.
-    The standard error needs n_boot >= 2 resamples.
+    run through one weighted backward pass beside the unweighted base row:
+    _linear_rows for a driver that declares linear coefficients,
+    _backward_pass otherwise. The standard error needs n_boot >= 2 resamples.
     """
     if not is_integer(n_boot):
         raise RegressionError(f"'n_boot' must be an integer, got {n_boot!r}")
@@ -337,7 +398,11 @@ def bootstrap_y0(
     weights[0] = 1.0
     for b in range(1, n_boot + 1):
         weights[b] = np.bincount(rng.integers(0, paths, size=paths), minlength=paths)
-    y0, degrees, iterations, _ = _backward_pass(bundle, g, xi, basis, weights)
+    if g.linear is None:
+        y0, degrees, iterations, _ = _backward_pass(bundle, g, xi, basis, weights)
+    else:
+        y0, degrees = _linear_rows(bundle, g.linear, xi, basis, weights)
+        iterations = np.ones_like(degrees)
     samples = y0[1:]
     return BootstrapEstimate(y0=float(y0[0]), se=float(samples.std(ddof=1)), samples=samples,
                              fp_iterations=tuple(int(k) for k in iterations[1:].max(axis=0, initial=0)),

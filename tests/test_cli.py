@@ -352,6 +352,15 @@ def test_reports_byte_identical_modulo_meta(tmp_path, default_run, command):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_solve_mc_step0_se_of_one_value_is_zero(default_run):
+    """Every path starts at x0, so step 0's Y is one value and its se is exactly 0, not np.std's rounding of
+    the column's mean."""
+    with open(default_run("solve-mc") / "mc_summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["step"] == "0" and rows[0]["Y_se"] == "0.0"
+    assert all(float(row["Y_se"]) > 0 for row in rows[1:])
+
+
 DIGESTS = Path(__file__).with_name("default_digests.json")
 TREE_COMMANDS = ("solve-lattice", "compare", "counterexample", "truncate-study", "apriori")
 # The CPU features an OpenBLAS kernel needs, by OPENBLAS_CORETYPE name, as numpy reports them.

@@ -19,6 +19,7 @@ from jumpbsde import (
     l2_distance,
     linear_driver,
     linear_y,
+    mc,
     simulate_paths,
     solve_backward,
     solve_mc,
@@ -30,8 +31,8 @@ from jumpbsde.config import generator_from_config, model_from_config
 from jumpbsde.experiments import default_mc_suite
 from jumpbsde.generators import StepContext
 from jumpbsde.levy import PATH_BLOCK
-from jumpbsde.mc import (_GRAM_RANK_TOL, RegressionError, _backward_pass, _orthonormal_rows, _solve_nested,
-                         _weighted_sums)
+from jumpbsde.mc import (_GRAM_RANK_TOL, RegressionError, _backward_pass, _linear_rows, _orthonormal_rows,
+                         _solve_nested, _weighted_sums)
 from jumpbsde.terminals import make_terminal
 from jumpbsde.tree import implicit_step
 
@@ -317,15 +318,13 @@ def _plain_solve_nested(gram, rhs):
     return coef, kept
 
 
-def _plain_backward_pass(bundle, g, xi, degree, weights, fold=True):
+def _plain_backward_pass(bundle, g, xi, degree, weights):
     """_backward_pass(..., keep=True) written plainly: the design rows by the recurrence; with weights None,
     one unit row fitted by the projections (incs * y) @ q.T summed over blocks of PATH_BLOCK paths, with the
     full basis kept; otherwise the Gram matrix from the triangle of products q[a] * q[b], a <= b, mirrored,
-    concatenated regressor rows, fresh arrays for every product and the nested rank test; rows after the
-    first of a driver that declares linear coefficients are solved from them, unless not `fold`, when every
-    row takes the per-row step."""
+    concatenated regressor rows, fresh arrays for every product and the nested rank test. Every row takes
+    the per-row step."""
     model, grid = bundle.model, bundle.grid
-    lin = g.linear if fold else None
     n, j, dt = grid.steps, model.n_marks, grid.dt
     x_path, w_path, c_path = bundle.states(), bundle.brownian(), bundle.jump_counts()
     dw, dnt = bundle.dw, bundle.dn - model.intensities * dt
@@ -359,18 +358,13 @@ def _plain_backward_pass(bundle, g, xi, degree, weights, fold=True):
             rhs = _weighted_sums(weights * y, cols).reshape(rows, 2 + j, k).transpose(0, 2, 1)
             coef, kept = _plain_solve_nested(gram, rhs)
         degrees[:, i] = kept - 1
-        for b in range(rows if lin is None else 1):
+        for b in range(rows):
             fitted = coef[b].T @ q
             z = fitted[1] / dt if model.sigma > 0 else np.zeros(m)
             u = fitted[2:].T / (model.intensities * dt)
             y[b], iterations[b, i] = implicit_step(g, context(i), float(grid.times[i]), dt, fitted[0], z, u, i)
             if b == 0:
                 y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y[0], z, u
-        if lin is not None:
-            # fitted @ (1, b, c) is E[y'] + dt (b z + sum_j c_j lambda_j u_j)
-            v = np.array([1.0, lin.b if model.sigma > 0 else 0.0, *lin.jump_coefficients(model)])
-            y[1:] = (coef[1:] @ v) @ q / (1.0 - dt * lin.a)
-            iterations[1:, i] = 1
     y0 = (y if weights is None else weights * y).sum(axis=1) / m
     return y0, degrees, iterations, (y_keep, z_keep, u_keep)
 
@@ -465,14 +459,14 @@ def test_plain_copy_check_covers_a_pure_jump_state_that_drops_degree():
 @given(backward_passes(("jump_ordering_violator", "linear_driver", "linear_y", "zero")))
 @example(PURE_JUMP_PASS)
 def test_folded_rows_are_the_per_row_step(case):
-    """Every row of a bootstrap pass of a declaring driver is folded; its Y0 is that of the per-row step
-    up to rounding, with the same degrees and one iteration."""
+    """Every row of a declaring driver carried backward as its regression coefficients (_linear_rows) has
+    the Y0 of the per-row step up to rounding, with the same degrees; the per-row step takes one iteration."""
     bundle, g, xi, weights = _pass_inputs(*case)
     assert g.linear is not None
-    y0, degrees, iterations, _ = _backward_pass(bundle, g, xi, RegressionBasis(), weights)
-    want_y0, want_degrees, want_iterations, _ = _plain_backward_pass(bundle, g, xi, 3, weights, fold=False)
+    y0, degrees = _linear_rows(bundle, g.linear, xi, RegressionBasis(), weights)
+    want_y0, want_degrees, want_iterations, _ = _plain_backward_pass(bundle, g, xi, 3, weights)
     assert np.all(np.abs(y0 - want_y0) <= 1e-12 * np.maximum(1.0, np.abs(want_y0))), (y0 - want_y0)
-    assert np.array_equal(degrees, want_degrees) and np.array_equal(iterations, want_iterations)
+    assert np.array_equal(degrees, want_degrees) and np.all(want_iterations == 1)
 
 
 def test_folded_step_without_a_unique_solution_names_the_step():
@@ -578,6 +572,29 @@ def test_bootstrap_peak_memory_holds_no_per_step_regressors():
         tracemalloc.stop()
     assert np.isfinite(est.y0)
     assert peak <= 1.1 * 7.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_declaring_bootstrap_holds_no_per_row_arrays(monkeypatch):
+    """bootstrap_y0 of a driver that declares linear coefficients never takes the per-row step, and carries
+    each row as its coefficients: a (rows, paths) array of y, or of weights times y, adds 0.76 MiB here and
+    breaks the guard. The measured peak is 5.51 MiB, against 7.23 MiB when every row held its y on the
+    paths."""
+    model = LevyModel(0.0, 1.0, ((0.6, 0.25), (-0.4, 0.2)))
+    grid, g = TimeGrid(1.0, 16), linear_driver(0.2, 0.3, [0.4, -0.6])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a declaring driver's bootstrap took the per-row step")
+
+    monkeypatch.setattr(mc, "_backward_pass", refuse)
+    bootstrap_y0(model, grid, g, XI_X, paths=400, seed=1)  # first-call allocations outside the trace
+    tracemalloc.start()
+    try:
+        est = bootstrap_y0(model, grid, g, XI_X, paths=4000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(est.y0) and est.fp_iterations == (1,) * grid.steps
+    assert peak <= 1.1 * 5.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_solve_mc_peak_memory_holds_no_gram_products(monkeypatch):
