@@ -31,7 +31,7 @@ from .experiments import Case, Report
 from .levy import ModelError, simulate_paths
 from .mc import bootstrap_y0, solve_mc
 from .terminals import make_terminal
-from .tree import DEFAULT_FP_TOL, build_tree, solve_backward, solve_truncated
+from .tree import build_tree, solve_backward, solve_truncated
 
 
 def _exit_code(report: Report) -> int:
@@ -97,13 +97,12 @@ def _solution_rows(sol) -> list:
 
 def _solve_lattice(cfg):
     cfg = cfg or _demo_model_config()
-    model, grid = _model_grid("solve-lattice", cfg, "fixed_point_tol", "truncation_level")
+    model, grid = _model_grid("solve-lattice", cfg, "truncation_level")
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
-    tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     tree = build_tree(model, grid)
     level = config_value(cfg, "truncation_level", int, None)
-    sol = solve_truncated(tree, g, xi, level, tol=tol) if level is not None else solve_backward(tree, g, xi, tol=tol)
+    sol = solve_truncated(tree, g, xi, level) if level is not None else solve_backward(tree, g, xi)
     case = Case(name="solve-lattice", data={"y0": sol.y0, "levels": tree.n_steps + 1,
                                             "max_fixed_point_iterations": max(sol.fp_iterations, default=0)})
     header = ["level", "node", "Y", "Z"] + [f"U_{k + 1}" for k in range(model.n_marks)]
@@ -119,6 +118,7 @@ def _solve_mc(cfg):
     xi = make_terminal(cfg["terminal"])
     basis = basis_from_config(cfg)
     paths, seed = config_value(cfg, "paths", int), config_value(cfg, "seed", int, 0)
+    bootstrap = config_value(cfg, "bootstrap", bool, True)
     sol = solve_mc(model, grid, g, xi, paths=paths, basis=basis, seed=seed)
     m = sol.Y.shape[0]
     j = model.n_marks
@@ -131,7 +131,7 @@ def _solve_mc(cfg):
         row += [float(sol.U[:, i, k].mean()) for k in range(j)]
         rows.append(row)
     est = None
-    if cfg.get("bootstrap", True):
+    if bootstrap:
         est = bootstrap_y0(model, grid, g, xi, paths=paths, basis=basis, seed=seed,
                            n_boot=config_value(cfg, "n_boot", int, 24))
     case = Case(name="solve-mc", data={"y0": sol.y0, "paths": m, "degrees_used": list(sol.degrees_used),
@@ -186,7 +186,7 @@ def _convergence(cfg):
     y0s = ref_case.data.get("y0", [])
     errs = ref_case.data.get("errors", [None] * len(steps))
     order = ref_case.data.get("fitted_order")
-    summary = f"fitted order {order}" if order is not None else "gaps reported"
+    summary = f"fitted order {order}" if order is not None else "no order fitted"
     return report, ["steps", "y0", "error_vs_reference"], list(zip(steps, y0s, errs)), summary
 
 

@@ -27,7 +27,9 @@ _REQUIRED = object()
 
 
 def _number(value, kind: type):
-    """value as kind (float or int), or None when it is not a number kind can take."""
+    """value as kind (float, int or bool), or None when it is not a value kind can take."""
+    if kind is bool:
+        return value if isinstance(value, bool) else None
     if not isinstance(value, Real) or isinstance(value, bool):
         return None
     if kind is float:
@@ -36,12 +38,13 @@ def _number(value, kind: type):
 
 
 def config_value(cfg: dict, key: str, kind=float, default=_REQUIRED):
-    """cfg[key] as a number: kind float or int, or [float] or [int] for a list of them.
+    """cfg[key] as kind: float, int or bool, or [float] or [int] for a list of numbers.
 
     An absent key, or one set to null, gives `default`; without a default it
-    raises ConfigError. A value of the wrong type (a string, a bool, a number
-    that is not whole where an int is wanted) raises ConfigError naming the
-    key, never the bare ValueError or TypeError of float() and int().
+    raises ConfigError. A value of the wrong type (a string or a bool where a
+    number is wanted, a number that is not whole where an int is wanted,
+    anything but true or false where a bool is wanted) raises ConfigError
+    naming the key, never the bare ValueError or TypeError of float() and int().
     """
     if default is not _REQUIRED and cfg.get(key) is None:
         return default
@@ -53,7 +56,7 @@ def config_value(cfg: dict, key: str, kind=float, default=_REQUIRED):
         want = f"a list of {'integers' if kind[0] is int else 'numbers'}"
     else:
         got = [_number(value, kind)]
-        want = "an integer" if kind is int else "a number"
+        want = {int: "an integer", bool: "true or false"}.get(kind, "a number")
     if None in got:
         raise ConfigError(f"config key {key!r} must be {want}, got {value!r:.60}")
     return got if isinstance(kind, list) else got[0]

@@ -278,7 +278,6 @@ def default_comparison_pairs() -> list:
 def default_comparison_config() -> dict:
     return {
         "horizon": 1.0,
-        "fixed_point_tol": DEFAULT_FP_TOL,
         "refine": True,
         "pairs": default_comparison_pairs(),
     }
@@ -298,8 +297,8 @@ def run_comparison(cfg: dict | None = None) -> Report:
     _check_keys("comparison", cfg, default_comparison_config(), "pairs")
     if not cfg["pairs"]:
         raise ConfigError("compare needs at least one pair in 'pairs'")
-    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     horizon = config_value(cfg, "horizon", float, 1.0)
+    refine = config_value(cfg, "refine", bool, True)
     cases, checks = [], []
     for pair in cfg["pairs"]:
         case = Case(name=pair["name"])
@@ -332,15 +331,15 @@ def run_comparison(cfg: dict | None = None) -> Report:
             cases.append(case)
             continue
 
-        sol = solve_backward(tree, g, xi, tol=fp_tol)
-        sol_p = solve_backward(tree, gp, xip, tol=fp_tol)
+        sol = solve_backward(tree, g, xi)
+        sol_p = solve_backward(tree, gp, xip)
         viol = max_ordering_violation(sol, sol_p)
         case.data.update({"y0": sol.y0, "y0_prime": sol_p.y0, "max_violation": viol, "steps": grid.steps})
-        case.assert_leq("ordering", viol, 0.0, tolerance=10.0 * fp_tol)
-        if cfg.get("refine", True):
+        case.assert_leq("ordering", viol, 0.0, tolerance=10.0 * DEFAULT_FP_TOL)
+        if refine:
             grid2 = TimeGrid(horizon=grid.horizon, steps=2 * grid.steps)
             tree2 = build_tree(model, grid2)
-            viol2 = max_ordering_violation(solve_backward(tree2, g, xi, tol=fp_tol), solve_backward(tree2, gp, xip, tol=fp_tol))
+            viol2 = max_ordering_violation(solve_backward(tree2, g, xi), solve_backward(tree2, gp, xip))
             case.data["max_violation_refined"] = viol2
             case.assert_leq("violation_nonincreasing_under_refinement", viol2, max(viol, 0.0), tolerance=1e-15)
         cases.append(case)
@@ -357,7 +356,6 @@ def default_counterexample_config() -> dict:
     1, 2, 4 or 8 steps with lambda dt < 1. Every scanned instance breaks the ordering; the one kept,
     lambda = 1 with 4 steps (margin 1.44), is not the largest margin (lambda = 2 with 8 steps, 4.96)."""
     return {
-        "fixed_point_tol": DEFAULT_FP_TOL,
         "margin_factor": 100.0,
         "model": {"drift": 0.0, "sigma": 0.0, "marks": [{"x": 1.0, "lambda": 1.0}]},
         "grid": {"T": 1.0, "steps": 4},
@@ -384,8 +382,7 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     ordered-jump condition is dropped, and re-run with the boundary driver."""
     cfg = cfg or default_counterexample_config()
     _check_keys("counterexample", cfg, default_counterexample_config())
-    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
-    threshold = config_value(cfg, "margin_factor", float, 100.0) * fp_tol
+    threshold = config_value(cfg, "margin_factor", float, 100.0) * DEFAULT_FP_TOL
     model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
     g = generator_from_config(cfg["generator"])
@@ -400,8 +397,8 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     if term_gap > 1e-12:
         case.unmet("terminal ordering fails node-wise")
     if case.status != "preconditions-unmet":
-        sol = solve_backward(tree, g, xi, tol=fp_tol)
-        sol_p = solve_backward(tree, g, xip, tol=fp_tol)
+        sol = solve_backward(tree, g, xi)
+        sol_p = solve_backward(tree, g, xip)
         margin = max_ordering_violation(sol, sol_p)
         case.data.update({"y0": sol.y0, "y0_prime": sol_p.y0, "max_margin": margin, "threshold": threshold})
         case.witnesses = _violation_witnesses(sol, sol_p, threshold)
@@ -414,11 +411,11 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     if not gamma_b.passed:
         boundary.unmet("the boundary driver fails the ordered-jump condition")
     else:
-        sol = solve_backward(tree, gb, xi, tol=fp_tol)
-        sol_p = solve_backward(tree, gb, xip, tol=fp_tol)
+        sol = solve_backward(tree, gb, xi)
+        sol_p = solve_backward(tree, gb, xip)
         margin = max_ordering_violation(sol, sol_p)
         boundary.data.update({"max_margin": margin})
-        boundary.assert_leq("no_violation", margin, 0.0, tolerance=10.0 * fp_tol)
+        boundary.assert_leq("no_violation", margin, 0.0, tolerance=10.0 * DEFAULT_FP_TOL)
 
     return Report("counterexample", cfg, [case, boundary], meta={"checks": _checks_meta([gamma, gamma_b])})
 
@@ -430,7 +427,6 @@ def run_counterexample(cfg: dict | None = None) -> Report:
 
 def default_truncation_config() -> dict:
     return {
-        "fixed_point_tol": DEFAULT_FP_TOL,
         "tolerance": 1e-8,
         "model": {"drift": 0.1, "sigma": 1.0, "marks": [{"x": 0.05, "lambda": 2.0}, {"x": 0.5, "lambda": 0.8}]},
         "grid": {"T": 1.0, "steps": 4},
@@ -447,7 +443,6 @@ def run_truncation_study(cfg: dict | None = None) -> Report:
     every mark is retained."""
     cfg = cfg or default_truncation_config()
     _check_keys("truncate-study", cfg, default_truncation_config())
-    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     tol = config_value(cfg, "tolerance", float, 1e-8)
     model, grid = resolve_model_grid(cfg)
     levels = sorted(config_value(cfg, "levels", [int]))
@@ -467,11 +462,11 @@ def run_truncation_study(cfg: dict | None = None) -> Report:
     tree = build_tree(model, grid)
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
-    full = solve_backward(tree, g, xi, tol=fp_tol)
+    full = solve_backward(tree, g, xi)
     rows = []
     dists = []
     for n in levels:
-        sol_n = solve_truncated(tree, g, xi, n, tol=fp_tol)
+        sol_n = solve_truncated(tree, g, xi, n)
         d = l2_distance(sol_n, full)
         dists.append(d)
         rows.append({"n": n, "kept_marks": int(kept_marks_mask(model, n).sum()), "dY": d.dY, "dZ": d.dZ, "dU": d.dU,
@@ -500,7 +495,6 @@ def default_apriori_config() -> dict:
     model = {"drift": 0.1, "sigma": 1.0, "marks": [{"x": 0.5, "lambda": 0.5}, {"x": -0.3, "lambda": 0.4}]}
     gens = ["zero", {"name": "linear_y", "k": 0.8}, "linear_driver", "tanh_jump_integral", "jump_ordering_violator"]
     return {
-        "fixed_point_tol": DEFAULT_FP_TOL,
         "model": model,
         "grid": {"T": 1.0, "steps": 4},
         "instances": [{"generator": g, "terminal": t} for g in gens for t in ("x", "tanh_x")],
@@ -514,7 +508,6 @@ def run_apriori_check(cfg: dict | None = None) -> Report:
     _check_keys("apriori", cfg, default_apriori_config(), "instances")
     if not cfg["instances"]:
         raise ConfigError("apriori needs at least one instance in 'instances'")
-    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
     sampler = SamplerConfig(horizon=grid.horizon)
@@ -533,7 +526,7 @@ def run_apriori_check(cfg: dict | None = None) -> Report:
         if case.status == "preconditions-unmet":
             cases.append(case)
             continue
-        sol = solve_backward(tree, g, xi, tol=fp_tol)
+        sol = solve_backward(tree, g, xi)
         ck = measure_ck(tree, g)
         e_xi2 = tree.expectation(sol.Y[-1] ** 2, tree.n_steps)
         e_if2 = measure_e_if2(tree, g)
@@ -555,7 +548,6 @@ def run_apriori_check(cfg: dict | None = None) -> Report:
 
 def default_convergence_config() -> dict:
     return {
-        "fixed_point_tol": DEFAULT_FP_TOL,
         "model": {"drift": 0.0, "sigma": 0.0, "marks": []},
         "T": 1.0,
         "steps_list": [25, 50, 100, 200],
@@ -606,12 +598,10 @@ def default_mc_suite() -> list:
 
 
 def fit_order(ns, errs) -> float:
-    """Slope of -log err against log N, ignoring zero errors."""
+    """Slope of -log err against log N, ignoring zero errors; at least two errors must be nonzero."""
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(errs, dtype=float)
     mask = errs > 0
-    if mask.sum() < 2:
-        return math.inf
     slope = np.polyfit(np.log(ns[mask]), np.log(errs[mask]), 1)[0]
     return float(-slope)
 
@@ -626,7 +616,6 @@ def run_convergence(cfg: dict | None = None) -> Report:
     """dt-refinement of the lattice value plus Monte-Carlo versus lattice gaps."""
     cfg = cfg or default_convergence_config()
     _check_keys("convergence", cfg, default_convergence_config(), "mc")
-    fp_tol = config_value(cfg, "fixed_point_tol", float, DEFAULT_FP_TOL)
     model = model_from_config(cfg["model"])
     horizon = config_value(cfg, "T", float, 1.0)
     g = generator_from_config(cfg["generator"])
@@ -641,17 +630,21 @@ def run_convergence(cfg: dict | None = None) -> Report:
     y0s = []
     for n in steps_list:
         tree = build_tree(model, TimeGrid(horizon=horizon, steps=n))
-        y0s.append(solve_backward(tree, g, xi, tol=fp_tol).y0)
+        y0s.append(solve_backward(tree, g, xi).y0)
     gaps = [abs(a - b) for a, b in zip(y0s[:-1], y0s[1:])]
     case.data.update({"steps": steps_list, "y0": y0s, "gaps": gaps})
     reference = config_value(cfg, "reference", float, None)
     if reference is not None:
         errs = [abs(y - reference) for y in y0s]
-        order = fit_order(steps_list, errs)
-        case.data.update({"reference": reference, "errors": errs, "fitted_order": order})
+        case.data.update({"reference": reference, "errors": errs})
         target = config_value(cfg, "order_target", float, 1.0)
         tol = config_value(cfg, "order_tol", float, 0.3)
-        case.assert_leq("order_within_band", abs(order - target), tol)
+        if sum(e > 0 for e in errs) < 2:
+            case.unmet("fewer than two nonzero errors against 'reference': no order can be fitted")
+        else:
+            order = fit_order(steps_list, errs)
+            case.data["fitted_order"] = order
+            case.assert_leq("order_within_band", abs(order - target), tol)
     else:
         case.data["fitted_order_from_gaps"] = gap_orders(gaps)
         case.unmet("no 'reference': refinement gaps are reported, not checked")
@@ -665,7 +658,7 @@ def run_convergence(cfg: dict | None = None) -> Report:
         mc_g = generator_from_config(mc_cfg["generator"])
         mc_xi = make_terminal(mc_cfg["terminal"])
         tree = build_tree(mc_model, mc_grid)
-        y0_tree = solve_backward(tree, mc_g, mc_xi, tol=fp_tol).y0
+        y0_tree = solve_backward(tree, mc_g, mc_xi).y0
         est = bootstrap_y0(
             mc_model, mc_grid, mc_g, mc_xi,
             paths=config_value(mc_cfg, "paths", int),

@@ -482,9 +482,11 @@ def _sweep(tree: ScenarioTree, g: GeneratorSpec, xi, n: int | None, tol: float) 
 def solve_backward(tree: ScenarioTree, g: GeneratorSpec, xi, tol: float = DEFAULT_FP_TOL) -> TreeSolution:
     """Implicit backward sweep: at each node solve Y = E[Y_next] + dt f(t, Y, Z, U).
 
-    Z and U come from exact correlations with the step increments; the
-    implicit y-equation is solved by fixed-point iteration to `tol`.
-    The driver is evaluated at the left endpoint with the pre-jump state.
+    Z and U come from exact correlations with the step increments. The
+    implicit y-equation of an Affine driver is solved in closed form, and
+    `tol` is only checked to be positive; a plain eval is solved by
+    fixed-point iteration to `tol` (see implicit_step). The driver is
+    evaluated at the left endpoint with the pre-jump state.
     """
     return _sweep(tree, g, xi, None, tol)
 

@@ -26,7 +26,11 @@ def run_cli(args):
 
 
 def read_report(out_dir):
-    return json.loads((out_dir / "report.json").read_text())
+    """report.json parsed by a JSON parser that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{out_dir / 'report.json'} holds {constant}, which is not JSON")
+
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=refuse)
 
 
 def test_simulate_writes_paths_and_report(tmp_path):
@@ -601,8 +605,6 @@ WRONG_TYPE_CASES = [
     pytest.param("solve-mc", {**MC_CONFIG, "paths": "many"}, "paths", "many", "an integer", id="paths"),
     pytest.param("solve-mc", {**MC_CONFIG, "seed": True}, "seed", True, "an integer", id="seed"),
     pytest.param("solve-mc", {**MC_CONFIG, "n_boot": 2.5}, "n_boot", 2.5, "an integer", id="n_boot"),
-    pytest.param("solve-lattice", {**_demo_model_config(), "fixed_point_tol": "tight"}, "fixed_point_tol", "tight",
-                 "a number", id="fixed_point_tol"),
     pytest.param("compare", {**experiments.default_comparison_config(), "horizon": "1"}, "horizon", "1",
                  "a number", id="horizon"),
     pytest.param("compare", {**experiments.default_comparison_config(), "pairs": ["zero_shift"]}, "pairs",
@@ -611,6 +613,10 @@ WRONG_TYPE_CASES = [
                  "a list of objects", id="instances"),
     pytest.param("convergence", {**experiments.default_convergence_config(), "mc": [1]}, "mc", [1], "an object",
                  id="mc"),
+    pytest.param("compare", {**experiments.default_comparison_config(), "refine": "no"}, "refine", "no",
+                 "true or false", id="refine"),
+    pytest.param("solve-mc", {**MC_CONFIG, "bootstrap": "false"}, "bootstrap", "false", "true or false",
+                 id="bootstrap"),
 ]
 
 
@@ -671,7 +677,6 @@ def test_bootstrap_of_fewer_than_two_resamples_is_one_line_and_exit_3(tmp_path, 
 
 
 INPUT_ERROR_CASES = [
-    pytest.param({**DEMO, "fixed_point_tol": 0}, "fixed-point tolerance must be positive, got 0.0", id="tol-zero"),
     pytest.param({**DEMO, "generator": {"name": "linear_driver", "c": [1, 2]}},
                  "driver has 2 jump coefficients, model has 1 marks", id="c-per-mark"),
     pytest.param({**DEMO, "terminal": {"name": "jump_indicator", "mark": 3}}, "mark index 3 out of range for 1 marks",
@@ -739,3 +744,51 @@ def test_runner_config_with_unknown_key_is_one_line_and_exit_3(tmp_path, capsys,
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"jumpbsde {command}: error: unknown {kind} keys ['{key}']; valid: ")
     assert not (tmp_path / "out").exists()
+
+
+FIXED_POINT_TOL_CASES = [
+    pytest.param("compare", experiments.default_comparison_config(), "comparison config", id="compare"),
+    pytest.param("counterexample", experiments.default_counterexample_config(), "counterexample config",
+                 id="counterexample"),
+    pytest.param("truncate-study", experiments.default_truncation_config(), "truncate-study config",
+                 id="truncate-study"),
+    pytest.param("apriori", experiments.default_apriori_config(), "apriori config", id="apriori"),
+    pytest.param("convergence", experiments.default_convergence_config(), "convergence config", id="convergence"),
+    pytest.param("solve-lattice", {**_demo_model_config(), "truncation_level": None}, "solve-lattice config",
+                 id="solve-lattice"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, kind", FIXED_POINT_TOL_CASES)
+def test_fixed_point_tol_is_an_unknown_key(tmp_path, capsys, command, cfg, kind):
+    # every catalog driver's step is solved in closed form, so no config sets a fixed-point tolerance
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "fixed_point_tol": 1e-12}))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"jumpbsde {command}: error: unknown {kind} keys ['fixed_point_tol']; valid: {list(cfg)}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_default_reports_are_strict_json(default_run, command):
+    assert read_report(default_run(command))["experiment"]
+
+
+UNFITTABLE_CONVERGENCE_CASES = [
+    pytest.param({**CONVERGENCE, "steps_list": [25]}, id="one-step-count"),
+    pytest.param({**CONVERGENCE, "generator": "zero", "reference": 1.0, "mc": None}, id="exact-at-every-n"),
+]
+
+
+@pytest.mark.parametrize("cfg", UNFITTABLE_CONVERGENCE_CASES)
+def test_convergence_order_that_cannot_be_fitted_is_unmet(tmp_path, cfg):
+    # fewer than two nonzero errors used to write "fitted_order": Infinity, which is not JSON, and exit 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["convergence", "--config", path, "--out", tmp_path / "out"]) == 2
+    case = read_report(tmp_path / "out")["cases"][0]
+    assert case["status"] == "preconditions-unmet" and case["verdicts"] == []
+    assert case["data"]["unmet_reasons"] == ["fewer than two nonzero errors against 'reference': no order can be fitted"]
+    assert "fitted_order" not in case["data"]

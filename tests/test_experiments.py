@@ -45,7 +45,7 @@ from jumpbsde.terminals import make_terminal
 
 
 def small_comparison_config(pairs):
-    return {"fixed_point_tol": 1e-12, "refine": True, "pairs": pairs}
+    return {"refine": True, "pairs": pairs}
 
 
 def test_equal_pair_gives_identical_solutions():
