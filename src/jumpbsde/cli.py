@@ -48,7 +48,6 @@ def _demo_model_config() -> dict:
         "grid": {"T": 1.0, "steps": 8},
         "generator": {"name": "linear_driver", "a": 0.2, "b": 0.2, "c": -0.5},
         "terminal": "x",
-        "seed": 0,
     }
 
 
@@ -64,8 +63,8 @@ def _model_grid(command: str, cfg: dict, *keys: str):
 
 
 def _simulate(cfg):
-    cfg = cfg or {**_demo_model_config(), "count": 1000}
-    model, grid = _model_grid("simulate", cfg, "count")
+    cfg = cfg or {**_demo_model_config(), "seed": 0, "count": 1000}
+    model, grid = _model_grid("simulate", cfg, "seed", "count")
     bundle = simulate_paths(model, grid, config_value(cfg, "count", int, 1000), config_value(cfg, "seed", int, 0))
     x = bundle.states()
     case = Case(name="simulate", data={
@@ -112,8 +111,8 @@ def _solve_lattice(cfg):
 
 
 def _solve_mc(cfg):
-    cfg = cfg or {**_demo_model_config(), "paths": 20000, "basis_degree": 3}
-    model, grid = _model_grid("solve-mc", cfg, "paths", "basis_degree", "bootstrap", "n_boot")
+    cfg = cfg or {**_demo_model_config(), "seed": 0, "paths": 20000, "basis_degree": 3}
+    model, grid = _model_grid("solve-mc", cfg, "seed", "paths", "basis_degree", "bootstrap", "n_boot")
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     basis = basis_from_config(cfg)
@@ -138,10 +137,9 @@ def _solve_mc(cfg):
                                        "y0_se_bootstrap": est.se if est else None})
     header = ["step", "Y_mean", "Y_se", "Z_mean"] + [f"U_{k + 1}_mean" for k in range(j)]
     summary = f"Y0 = {sol.y0:.6g}" + (f" (bootstrap se {est.se:.3g})" if est else "")
-    meta = {"fp_iterations": {"base": list(sol.fp_iterations),
-                              "bootstrap_max": list(est.fp_iterations) if est else None},
+    meta = {"fp_iterations": list(sol.fp_iterations),
             "bootstrap": {"replicates": est.samples.size, "min": float(est.samples.min()),
-                          "max": float(est.samples.max()), "degree_drops": list(est.degree_drops)} if est else None}
+                          "max": float(est.samples.max())} if est else None}
     return Report("solve-mc", cfg, [case], meta=meta), header, rows, summary
 
 

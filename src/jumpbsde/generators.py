@@ -12,8 +12,9 @@ catalog writes each driver once, as its slope and offset in y (Affine), from
 which the solvers solve the implicit step in closed form, in the truncated
 sweep too; any other driver is a plain eval, which the solvers' fixed point
 iterates in y. An Affine driver that is linear in (y, z, u) with constant
-coefficients also declares them (LinearCoefficients); the LSMC pass reads
-the declaration to solve its bootstrap rows without calling the driver.
+coefficients also declares them (LinearCoefficients); the LSMC bootstrap
+reads the declaration as its tangent row, where it differences any other
+driver.
 """
 
 from __future__ import annotations

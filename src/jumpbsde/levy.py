@@ -114,8 +114,13 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        # NaN passes the comparison below as false, and a bool or a float step count gives no grid
+        if not math.isfinite(self.horizon):
+            raise ModelError(f"horizon must be finite, got {self.horizon!r}")
         if self.horizon <= 0:
             raise ModelError("horizon must be positive")
+        if not is_integer(self.steps):
+            raise ModelError(f"'steps' must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ModelError("steps must be at least 1")
 

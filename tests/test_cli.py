@@ -125,16 +125,14 @@ def test_solve_mc_writes_fixed_point_iterations_in_meta(tmp_path, bootstrap):
         "bootstrap": bootstrap,
     }))
     assert run_cli(["solve-mc", "--config", cfg, "--out", tmp_path / "out"]) == 0
-    fp = read_report(tmp_path / "out")["meta"]["fp_iterations"]
-    assert fp["base"] == [1, 1, 1]  # linear_driver is affine in y: each step is solved in closed form
-    spread = read_report(tmp_path / "out")["meta"]["bootstrap"]
-    if bootstrap:
-        assert fp["bootstrap_max"] == [1, 1, 1]
-        assert sorted(spread) == ["degree_drops", "max", "min", "replicates"]
+    meta = read_report(tmp_path / "out")["meta"]
+    assert meta["fp_iterations"] == [1, 1, 1]  # linear_driver is affine in y: each step is solved in closed form
+    spread = meta["bootstrap"]
+    if bootstrap:  # the resamples run no fit and no fixed point, so only their spread is reported
+        assert sorted(spread) == ["max", "min", "replicates"]
         assert spread["replicates"] == 4 and spread["min"] <= spread["max"]
-        assert spread["degree_drops"] == [0, 0, 0]  # a Brownian state keeps the full basis in every resample
     else:
-        assert fp["bootstrap_max"] is None and spread is None
+        assert spread is None
 
 
 def test_failed_verdict_outranks_unmet_preconditions():
@@ -488,7 +486,7 @@ print(digest.hexdigest())
 
 def test_lsmc_design_gives_the_same_bytes_under_every_openblas_kernel():
     """The LSMC design rows come from ufuncs and np.einsum only, so they do not depend on the OpenBLAS
-    kernel. The Gram and regressor GEMMs, eigvalsh and solve still do, and so do the LSMC digests."""
+    kernel. The projection GEMM and coefᵀ @ q still do, and so do the LSMC digests."""
     hashes = {kernel: out[1] for kernel, out in run_under_every_openblas_kernel(HASH_LSMC_DESIGNS,
                                                                                   lambda kernel: []).items()}
     assert len(set(hashes.values())) == 1, hashes
@@ -731,6 +729,8 @@ UNKNOWN_KEY_CASES = [
                  id="convergence-mc"),
     pytest.param("simulate", {**_demo_model_config(), "count": 10}, None, "cuont", "simulate config", id="simulate"),
     pytest.param("solve-lattice", _demo_model_config(), None, "cuont", "solve-lattice config", id="solve-lattice"),
+    pytest.param("solve-lattice", _demo_model_config(), None, "seed", "solve-lattice config",
+                 id="solve-lattice-seed"),
     pytest.param("solve-mc", {**_demo_model_config(), "paths": 100}, None, "cuont", "solve-mc config", id="solve-mc"),
 ]
 

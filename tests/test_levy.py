@@ -49,6 +49,18 @@ def test_grid_validation():
     assert TimeGrid(1.0, 4).dt == 0.25
 
 
+@pytest.mark.parametrize("args, message", [
+    ((NAN, 4), "horizon must be finite, got nan"),
+    ((INF, 4), "horizon must be finite, got inf"),
+    ((1.0, 2.5), "'steps' must be an integer, got 2.5"),
+    ((1.0, True), "'steps' must be an integer, got True"),
+], ids=["nan_horizon", "inf_horizon", "float_steps", "bool_steps"])
+def test_bad_grid_inputs_are_named(args, message):
+    # these were accepted and failed later: in the implicit step (NaN, inf), in build_tree (2.5), or as one step
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        TimeGrid(*args)
+
+
 def test_grid_times_are_made_once_and_read_only():
     grid = TimeGrid(1.5, 6)
     times = grid.times
