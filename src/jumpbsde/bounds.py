@@ -131,7 +131,7 @@ def bihari_transform(x: float, rho: RhoFunction) -> float:
     """G(x): signed integral of 1/rho from 1 to x; needs x > 0.
 
     One adaptive quadrature per factor TRANSFORM_PIECE_RATIO away from 1, as a
-    single quadrature over many decades misplaces its samples (G(1e12) for
+    single quadrature over many decades misplaces its nodes (G(1e12) for
     sqrt came out 2000000.000000015, not 1999998).
     """
     with _quiet_quadrature():

@@ -52,9 +52,9 @@ def _demo_model_config() -> dict:
 
 
 def _model_grid(command: str, cfg: dict, *keys: str):
-    """resolve_model_grid, then reject a top-level key that is neither the demo config's nor one of keys."""
+    """resolve_model_grid, then reject a top-level key that is neither 'model', 'grid' nor one of keys."""
     model, grid = resolve_model_grid(cfg)
-    _check_keys(command, cfg, dict.fromkeys([*_demo_model_config(), *keys]))
+    _check_keys(command, cfg, dict.fromkeys(["model", "grid", *keys]))
     return model, grid
 
 
@@ -63,7 +63,8 @@ def _model_grid(command: str, cfg: dict, *keys: str):
 
 
 def _simulate(cfg):
-    cfg = cfg or {**_demo_model_config(), "seed": 0, "count": 1000}
+    demo = _demo_model_config()
+    cfg = cfg or {"model": demo["model"], "grid": demo["grid"], "seed": 0, "count": 1000}
     model, grid = _model_grid("simulate", cfg, "seed", "count")
     bundle = simulate_paths(model, grid, config_value(cfg, "count", int, 1000), config_value(cfg, "seed", int, 0))
     x = bundle.states()
@@ -96,7 +97,7 @@ def _solution_rows(sol) -> list:
 
 def _solve_lattice(cfg):
     cfg = cfg or _demo_model_config()
-    model, grid = _model_grid("solve-lattice", cfg, "truncation_level")
+    model, grid = _model_grid("solve-lattice", cfg, "generator", "terminal", "truncation_level")
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     tree = build_tree(model, grid)
@@ -112,7 +113,7 @@ def _solve_lattice(cfg):
 
 def _solve_mc(cfg):
     cfg = cfg or {**_demo_model_config(), "seed": 0, "paths": 20000, "basis_degree": 3}
-    model, grid = _model_grid("solve-mc", cfg, "seed", "paths", "basis_degree", "bootstrap", "n_boot")
+    model, grid = _model_grid("solve-mc", cfg, "generator", "terminal", "seed", "paths", "basis_degree", "bootstrap")
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     basis = basis_from_config(cfg)
@@ -131,16 +132,12 @@ def _solve_mc(cfg):
         rows.append(row)
     est = None
     if bootstrap:
-        est = bootstrap_y0(model, grid, g, xi, paths=paths, basis=basis, seed=seed,
-                           n_boot=config_value(cfg, "n_boot", int, 24))
+        est = bootstrap_y0(model, grid, g, xi, paths=paths, basis=basis, seed=seed)
     case = Case(name="solve-mc", data={"y0": sol.y0, "paths": m, "degrees_used": list(sol.degrees_used),
                                        "y0_se_bootstrap": est.se if est else None})
     header = ["step", "Y_mean", "Y_se", "Z_mean"] + [f"U_{k + 1}_mean" for k in range(j)]
     summary = f"Y0 = {sol.y0:.6g}" + (f" (bootstrap se {est.se:.3g})" if est else "")
-    meta = {"fp_iterations": list(sol.fp_iterations),
-            "bootstrap": {"replicates": est.samples.size, "min": float(est.samples.min()),
-                          "max": float(est.samples.max())} if est else None}
-    return Report("solve-mc", cfg, [case], meta=meta), header, rows, summary
+    return Report("solve-mc", cfg, [case], meta={"fp_iterations": list(sol.fp_iterations)}), header, rows, summary
 
 
 def _per_case(report: Report, key: str, fields: list, verdict: str):

@@ -17,14 +17,16 @@ normal equations of every fit are the identity and its regression
 coefficients are the projections q @ (y' increments), with no Gram matrix
 and no solve.
 
-bootstrap_y0 resamples to first order. Y0 is a function of the path
+bootstrap_y0 bootstraps to first order. Y0 is a function of the path
 weights (each fit a weighted least squares), and the replicate of a
 resample is Y0 plus the sum over the paths of its weight change times the
 influence function IF_p = dY0/dw_p at unit weights (the infinitesimal
 jackknife). IF comes from one forward adjoint pass over the coefficients
 of the unit-weight pass: a mass over the paths, the path form of the
 linear BSDE's one-step density, carried through each step's linearised
-implicit step and projection.
+implicit step and projection. Under multinomial resampling the variance of
+that replicate is exactly sum_p (IF_p - mean IF)^2, so the standard error is
+computed in closed form, with no resample drawn.
 """
 
 from __future__ import annotations
@@ -299,7 +301,6 @@ def solve_mc(
 class BootstrapEstimate:
     y0: float
     se: float
-    samples: np.ndarray
 
 
 def bootstrap_y0(
@@ -310,28 +311,23 @@ def bootstrap_y0(
     paths: int,
     basis: RegressionBasis = RegressionBasis(),
     seed: int = 0,
-    n_boot: int = 24,
+    n_boot=None,
 ) -> BootstrapEstimate:
-    """Bootstrap the initial value over path resamples, to first order in the resample weights.
+    """Y0 and its bootstrap standard error over path resampling, to first order in the resample weights.
 
     The backward pass is solve_mc's, so y0 is solve_mc's Y0 on the same
-    inputs, and _influence gives IF_p = dY0/dw_p at unit weights. Each
-    resample draws the paths with replacement, w_p times path p, and its
-    replicate is y0 + sum_p (w_p - 1) IF_p: the infinitesimal jackknife
-    (Efron 1982), with no refit. The standard error needs n_boot >= 2
-    resamples.
+    inputs, and _influence gives IF_p = dY0/dw_p at unit weights. A resample
+    draws the paths with replacement, w_p times path p, and its replicate is
+    y0 + sum_p (w_p - 1) IF_p: the infinitesimal jackknife (Efron 1982), with
+    no refit. The multinomial weights have covariance I - 11ᵀ/m, so the
+    replicates' standard deviation under the resampling law is exactly
+    se = sqrt(sum_p (IF_p - mean IF)^2); it is computed so, with no draw,
+    and only ufuncs and np.einsum, no BLAS. n_boot is accepted and unused:
+    it was the number of resample draws when se was their spread.
     """
-    if not is_integer(n_boot):
-        raise RegressionError(f"'n_boot' must be an integer, got {n_boot!r}")
-    if n_boot < 2:
-        raise RegressionError(f"n_boot must be at least 2 for a bootstrap standard error, got {n_boot}")
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
     y0, coefs, _, _, _ = _backward_pass(bundle, g, xi, basis)
-    influence = _influence(bundle, g, xi, basis, coefs)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(987,))))
-    samples = np.empty(n_boot)
-    for b in range(n_boot):
-        counts = np.bincount(rng.integers(0, paths, size=paths), minlength=paths)
-        samples[b] = y0 + np.einsum("p,p->", counts - 1.0, influence)
-    return BootstrapEstimate(y0=y0, se=float(samples.std(ddof=1)), samples=samples)
+    centred = _influence(bundle, g, xi, basis, coefs)
+    centred -= centred.mean()
+    return BootstrapEstimate(y0=y0, se=float(np.sqrt(np.einsum("p,p->", centred, centred))))

@@ -121,18 +121,11 @@ def test_solve_mc_writes_fixed_point_iterations_in_meta(tmp_path, bootstrap):
         "generator": {"name": "linear_driver", "a": 0.4, "b": 0.2, "c": -0.5},
         "terminal": "x",
         "paths": 500,
-        "n_boot": 4,
         "bootstrap": bootstrap,
     }))
     assert run_cli(["solve-mc", "--config", cfg, "--out", tmp_path / "out"]) == 0
     meta = read_report(tmp_path / "out")["meta"]
     assert meta["fp_iterations"] == [1, 1, 1]  # linear_driver is affine in y: each step is solved in closed form
-    spread = meta["bootstrap"]
-    if bootstrap:  # the resamples run no fit and no fixed point, so only their spread is reported
-        assert sorted(spread) == ["max", "min", "replicates"]
-        assert spread["replicates"] == 4 and spread["min"] <= spread["max"]
-    else:
-        assert spread is None
 
 
 def test_failed_verdict_outranks_unmet_preconditions():
@@ -306,7 +299,7 @@ model, grid = resolve_model_grid(cfg)
 g, xi = generator_from_config(cfg["generator"]), make_terminal(cfg["terminal"])
 solve_backward(build_tree(model, grid), g, xi)
 solve_mc(model, grid, g, xi, paths=500)
-bootstrap_y0(model, grid, g, xi, paths=500, n_boot=4)
+bootstrap_y0(model, grid, g, xi, paths=500)
 comparison = default_comparison_config()
 assert run_comparison({**comparison, "pairs": comparison["pairs"][:1]}).passed
 assert "scipy.integrate" not in sys.modules, "loaded before any quadrature"
@@ -593,6 +586,7 @@ def test_non_finite_number_is_one_line_and_exit_3(tmp_path, capsys, command, tex
 
 
 MC_CONFIG = {**_demo_model_config(), "paths": 1000}
+SIMULATE_CONFIG = {"model": DEMO["model"], "grid": DEMO["grid"], "count": 10}
 WRONG_TYPE_CASES = [
     pytest.param("bihari", {**BIHARI_CONFIG, "t": "zero"}, "t", "zero", "a number", id="t"),
     pytest.param("bihari", {**BIHARI_CONFIG, "c": [1.0]}, "c", [1.0], "a number", id="c"),
@@ -602,7 +596,6 @@ WRONG_TYPE_CASES = [
                  "an integer", id="steps"),
     pytest.param("solve-mc", {**MC_CONFIG, "paths": "many"}, "paths", "many", "an integer", id="paths"),
     pytest.param("solve-mc", {**MC_CONFIG, "seed": True}, "seed", True, "an integer", id="seed"),
-    pytest.param("solve-mc", {**MC_CONFIG, "n_boot": 2.5}, "n_boot", 2.5, "an integer", id="n_boot"),
     pytest.param("compare", {**experiments.default_comparison_config(), "horizon": "1"}, "horizon", "1",
                  "a number", id="horizon"),
     pytest.param("compare", {**experiments.default_comparison_config(), "pairs": ["zero_shift"]}, "pairs",
@@ -620,7 +613,7 @@ WRONG_TYPE_CASES = [
 
 CONVERGENCE = experiments.default_convergence_config()
 NEGATIVE_SEED_CASES = [
-    pytest.param("simulate", {**DEMO, "count": 10, "seed": -1}, id="simulate"),
+    pytest.param("simulate", {**SIMULATE_CONFIG, "seed": -1}, id="simulate"),
     pytest.param("solve-mc", {**MC_CONFIG, "seed": -1}, id="solve-mc"),
     pytest.param("convergence", {**CONVERGENCE, "mc": {**CONVERGENCE["mc"], "seed": -1}}, id="convergence-mc"),
 ]
@@ -656,22 +649,6 @@ def test_check_counts_in_meta_only(tmp_path):
     assert '"checks"' not in json.dumps({k: v for k, v in report.items() if k != "meta"})
     assert run_cli(["counterexample", "--out", tmp_path / "ce"]) == 0
     assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 2  # the two jump-ordering checks
-
-
-@pytest.mark.parametrize("n_boot", [0, 1])
-@pytest.mark.parametrize("command", ["solve-mc", "convergence"])
-def test_bootstrap_of_fewer_than_two_resamples_is_one_line_and_exit_3(tmp_path, capsys, command, n_boot):
-    if command == "solve-mc":
-        cfg = {**MC_CONFIG, "n_boot": n_boot}
-    else:
-        default = experiments.default_convergence_config()
-        cfg = {**default, "steps_list": [4, 8], "mc": {**default["mc"], "paths": 1000, "n_boot": n_boot}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line == f"jumpbsde {command}: error: n_boot must be at least 2 for a bootstrap standard error, got {n_boot}"
-    assert not (tmp_path / "out" / "report.json").exists()
 
 
 INPUT_ERROR_CASES = [
@@ -727,11 +704,19 @@ UNKNOWN_KEY_CASES = [
                  id="convergence"),
     pytest.param("convergence", experiments.default_convergence_config(), "mc", "T", "convergence 'mc'",
                  id="convergence-mc"),
-    pytest.param("simulate", {**_demo_model_config(), "count": 10}, None, "cuont", "simulate config", id="simulate"),
+    pytest.param("simulate", SIMULATE_CONFIG, None, "cuont", "simulate config", id="simulate"),
+    pytest.param("simulate", SIMULATE_CONFIG, None, "generator", "simulate config", id="simulate-generator"),
+    pytest.param("simulate", SIMULATE_CONFIG, None, "terminal", "simulate config", id="simulate-terminal"),
     pytest.param("solve-lattice", _demo_model_config(), None, "cuont", "solve-lattice config", id="solve-lattice"),
     pytest.param("solve-lattice", _demo_model_config(), None, "seed", "solve-lattice config",
                  id="solve-lattice-seed"),
     pytest.param("solve-mc", {**_demo_model_config(), "paths": 100}, None, "cuont", "solve-mc config", id="solve-mc"),
+    pytest.param("solve-mc", {**_demo_model_config(), "paths": 100}, None, "n_boot", "solve-mc config",
+                 id="solve-mc-n_boot"),
+    pytest.param("convergence", experiments.default_convergence_config(), "mc", "n_boot", "convergence 'mc'",
+                 id="convergence-mc-n_boot"),
+    pytest.param("truncate-study", experiments.default_truncation_config(), None, "tolerance",
+                 "truncate-study config", id="truncate-study-tolerance"),
 ]
 
 

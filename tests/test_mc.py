@@ -68,7 +68,7 @@ def test_bootstrap_se_shrinks_like_inverse_sqrt_paths():
     model = LevyModel(0.05, 1.0)
     grid = TimeGrid(1.0, 6)
     counts = [2500, 10000, 40000]
-    ses = [bootstrap_y0(model, grid, zero_generator(), XI_X, paths=m, seed=77, n_boot=40).se for m in counts]
+    ses = [bootstrap_y0(model, grid, zero_generator(), XI_X, paths=m, seed=77).se for m in counts]
     slope = np.polyfit(np.log(counts), np.log(ses), 1)[0]
     assert abs(slope + 0.5) <= 0.1
 
@@ -91,7 +91,7 @@ def _mc_digest(model, grid, g, xi, paths, seed, evict_between):
         simulate_paths(model, grid, paths, seed + 1)
     est = bootstrap_y0(model, grid, g, xi, paths=paths, seed=seed)
     h = hashlib.sha256()
-    for a in (sol.Y, sol.Z, sol.U, sol.degrees_used, sol.fp_iterations, [est.y0, est.se], est.samples):
+    for a in (sol.Y, sol.Z, sol.U, sol.degrees_used, sol.fp_iterations, [est.y0, est.se]):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     return h.hexdigest()
 
@@ -134,14 +134,12 @@ BM = LevyModel(0.0, 1.0)
 @pytest.mark.parametrize("call, error, message", [
     (lambda: RegressionBasis(2.5), RegressionError, "'degree' must be an integer, got 2.5"),
     (lambda: RegressionBasis(True), RegressionError, "'degree' must be an integer, got True"),
-    (lambda: bootstrap_y0(BM, TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200, n_boot=2.5), RegressionError,
-     "'n_boot' must be an integer, got 2.5"),
     (lambda: solve_mc(BM, TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200.0), RegressionError,
      "'paths' must be an integer, got 200.0"),
     (lambda: bootstrap_y0(BM, TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200.0), RegressionError,
      "'paths' must be an integer, got 200.0"),
     (lambda: simulate_paths(BM, TimeGrid(1.0, 3), 200.0, 0), ModelError, "'count' must be an integer, got 200.0"),
-], ids=["degree", "bool_degree", "n_boot", "solve_paths", "bootstrap_paths", "count"])
+], ids=["degree", "bool_degree", "solve_paths", "bootstrap_paths", "count"])
 def test_non_integer_sizes_are_named(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
@@ -150,8 +148,8 @@ def test_non_integer_sizes_are_named(call, error, message):
 def test_numpy_integer_sizes_are_accepted():
     grid, g = TimeGrid(1.0, 3), zero_generator()
     basis = RegressionBasis(np.int64(2))
-    est = bootstrap_y0(BM, grid, g, XI_X, paths=np.int64(200), basis=basis, n_boot=np.int32(3))
-    want = bootstrap_y0(BM, grid, g, XI_X, paths=200, basis=RegressionBasis(2), n_boot=3)
+    est = bootstrap_y0(BM, grid, g, XI_X, paths=np.int64(200), basis=basis)
+    want = bootstrap_y0(BM, grid, g, XI_X, paths=200, basis=RegressionBasis(2))
     assert (est.y0, est.se) == (want.y0, want.se)
     assert solve_mc(BM, grid, g, XI_X, paths=np.int16(200), basis=basis).y0 == solve_mc(BM, grid, g, XI_X, paths=200,
                                                                                         basis=basis).y0
@@ -213,21 +211,45 @@ def _reference_y0(bundle, g, xi, degree, idx):
 
 @pytest.mark.parametrize("inst", default_mc_suite(), ids=lambda inst: inst["name"])
 def test_weighted_bootstrap_matches_resampled_passes(inst):
-    """Each replicate, Y0 plus the resample's weight changes times IF, lies within 0.1 se of a pass refitted on
-    the resampled paths (0.029 se at most on these inputs), and Y0 is the pass on all paths."""
+    """The first-order replicate of a resample, Y0 plus its weight changes times IF, lies within 0.1 se of a
+    pass refitted on the resampled paths; Y0 is the pass on all paths, and se is the closed-form spread of the
+    replicates, sqrt(sum_p (IF_p - mean IF)^2), bit for bit."""
     model = model_from_config(inst["model"])
     g = generator_from_config(inst["generator"])
     grid = TimeGrid(1.0, inst["steps"])
-    paths, seed, n_boot = 4000, 3, 24
-    est = bootstrap_y0(model, grid, g, XI_X, paths=paths, seed=seed, n_boot=n_boot)
+    paths, seed = 4000, 3
+    est = bootstrap_y0(model, grid, g, XI_X, paths=paths, seed=seed)
 
     bundle = simulate_paths(model, grid, paths, seed)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(987,))))
-    resamples = [np.arange(paths)] + [rng.integers(0, paths, size=paths) for _ in range(n_boot)]
+    y0, coefs, _, _, _ = _backward_pass(bundle, g, XI_X, RegressionBasis())
+    influence = _influence(bundle, g, XI_X, RegressionBasis(), coefs)
+    centred = influence - influence.mean()
+    assert est.se.hex() == float(np.sqrt(np.einsum("p,p->", centred, centred))).hex()
+
+    rng = np.random.default_rng(seed)
+    resamples = [np.arange(paths)] + [rng.integers(0, paths, size=paths) for _ in range(24)]
     ref_y0 = np.array([_reference_y0(bundle, g, XI_X, 3, idx) for idx in resamples])
-    assert est.y0 == pytest.approx(ref_y0[0], abs=1e-10)
-    gaps = np.abs(est.samples - ref_y0[1:])
+    assert est.y0 == y0 == pytest.approx(ref_y0[0], abs=1e-10)
+    replicates = [y0 + np.einsum("p,p->", np.bincount(idx, minlength=paths) - 1.0, influence) for idx in resamples[1:]]
+    gaps = np.abs(replicates - ref_y0[1:])
     assert gaps.max() <= 0.1 * est.se, gaps.max() / est.se
+
+
+COVERAGE_INSTANCES = [inst for inst in default_mc_suite() if inst["name"] in ("bm_zdep", "jump_small")]
+
+
+@pytest.mark.parametrize("inst", COVERAGE_INSTANCES, ids=lambda inst: inst["name"])
+def test_bootstrap_se_covers_the_tree_oracle(inst):
+    """Over 200 seeds at 2,000 paths the z-scores (Y0 - tree Y0) / se have sd within 1 +- 0.15: se is the
+    standard deviation of Y0 across independent draws, neither too small for the 3-se gate nor too large."""
+    model, g = model_from_config(inst["model"]), generator_from_config(inst["generator"])
+    grid = TimeGrid(1.0, inst["steps"])
+    y0_tree = solve_backward(build_tree(model, grid), g, XI_X).y0
+    z = []
+    for seed in range(10_000, 10_200):
+        est = bootstrap_y0(model, grid, g, XI_X, paths=2000, seed=seed)
+        z.append((est.y0 - y0_tree) / est.se)
+    assert abs(np.std(z, ddof=1) - 1.0) <= 0.15, np.std(z, ddof=1)
 
 
 @pytest.mark.parametrize("inst", default_mc_suite(), ids=lambda inst: inst["name"])
@@ -248,13 +270,6 @@ def test_l2_distance_rejects_mixed_kinds():
     for pair in ((mc, tree_sol), (mc, mc)):  # tree solutions only
         with pytest.raises(ModelError, match="needs two tree solutions"):
             l2_distance(*pair)
-
-
-@pytest.mark.parametrize("n_boot", [0, 1])
-def test_bootstrap_needs_two_resamples(n_boot):
-    # the standard error of fewer than two replicates is undefined (n_boot = 1 gave NaN)
-    with pytest.raises(RegressionError, match=f"^n_boot must be at least 2 .*, got {n_boot}$"):
-        bootstrap_y0(LevyModel(0.0, 1.0), TimeGrid(1.0, 3), zero_generator(), XI_X, paths=200, n_boot=n_boot)
 
 
 # ---------------------------------------------------------------------------
