@@ -6,7 +6,8 @@ rank deficient on the sampled paths (pure-jump models take few values). The
 state is one variable, so the orthonormal basis of its polynomials is the
 family of discrete orthogonal polynomials of the paths' empirical measure;
 each step builds it by a recurrence, as rows (basis function, path), with
-no factorisation and no BLAS.
+no factorisation and no BLAS. The fits and the adjoint are np.einsum
+contractions too, so no LSMC result depends on the BLAS kernel.
 Each step solves the tree's implicit equation y = E[y'] + dt f(t, y, z, u)
 with tree.implicit_step: in closed form for a driver affine in y, by
 fixed-point iteration otherwise. Z and U come from the regressions of y' dW
@@ -123,10 +124,13 @@ def _weighted_sums(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
     """weights @ a.T, path axis last in both, accumulated over blocks of PATH_BLOCK paths.
 
     The pass calls it with the design q as weights: the projections of its
-    regressor rows. A single matrix product over all paths sums each entry
-    in one running total and loses digits at large path counts.
+    regressor rows. A single sum over all paths keeps each entry in one
+    running total and loses digits at large path counts. Each block is an
+    np.einsum, not a matrix product, so the sums do not depend on the BLAS
+    kernel.
     """
-    return sum(weights[:, s:s + PATH_BLOCK] @ a[:, s:s + PATH_BLOCK].T for s in range(0, a.shape[1], PATH_BLOCK))
+    return sum(np.einsum("km,rm->kr", weights[:, s:s + PATH_BLOCK], a[:, s:s + PATH_BLOCK])
+               for s in range(0, a.shape[1], PATH_BLOCK))
 
 
 def _jump_variances(model: LevyModel, dt: float) -> np.ndarray:
@@ -155,7 +159,7 @@ def _fitted_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, i: int
     """Solve step i from its fit: fitted = coefᵀ q holds E[y'], E[y' dW] and E[y' dN~_j], read as
     z = fitted[1] / dt (left as it is when sigma = 0) and u_j = fitted[2 + j] / (lambda_j dt); implicit_step
     then writes y. Returns its iterations."""
-    np.matmul(coef.T, q, out=fitted)
+    np.einsum("kr,km->rm", coef, q, out=fitted)
     if ctx.model.sigma > 0:
         np.divide(fitted[1], dt, out=z)
     np.divide(fitted[2:].T, lam_dt, out=u)

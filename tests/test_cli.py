@@ -479,8 +479,38 @@ print(digest.hexdigest())
 
 def test_lsmc_design_gives_the_same_bytes_under_every_openblas_kernel():
     """The LSMC design rows come from ufuncs and np.einsum only, so they do not depend on the OpenBLAS
-    kernel. The projection GEMM and coefᵀ @ q still do, and so do the LSMC digests."""
+    kernel."""
     hashes = {kernel: out[1] for kernel, out in run_under_every_openblas_kernel(HASH_LSMC_DESIGNS,
+                                                                                  lambda kernel: []).items()}
+    assert len(set(hashes.values())) == 1, hashes
+
+
+HASH_LSMC_SOLUTIONS = """
+import hashlib, sys
+import numpy as np
+from jumpbsde import LevyModel, TimeGrid, bootstrap_y0, linear_driver, solve_mc, tanh_jump_integral
+from jumpbsde.terminals import make_terminal
+sys.path.insert(0, sys.argv[1])
+from test_cli import openblas_core
+print(openblas_core())
+digest = hashlib.sha256()
+# a declaring driver on BM + one mark (more paths than one PATH_BLOCK), a tangent driver on two pure-jump marks
+for model, g, paths in ((LevyModel(0.1, 1.0, ((0.5, 1.0),)), linear_driver(0.2, 0.3, -0.5), 5000),
+                        (LevyModel(0.0, 0.0, ((0.5, 2.0), (-0.3, 1.0))), tanh_jump_integral(), 3001)):
+    grid, xi = TimeGrid(1.0, 6), make_terminal("tanh_x")
+    sol = solve_mc(model, grid, g, xi, paths=paths, seed=11)
+    est = bootstrap_y0(model, grid, g, xi, paths=paths, seed=11)
+    for a in (sol.Y, sol.Z, sol.U, [est.y0, est.se]):
+        digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_lsmc_solution_gives_the_same_bytes_under_every_openblas_kernel():
+    """The LSMC fits, the implicit step and the adjoint use ufuncs and np.einsum only, so solve_mc's Y, Z, U
+    and bootstrap_y0's (y0, se) do not depend on the OpenBLAS kernel, and neither do the solve-mc and
+    convergence digests."""
+    hashes = {kernel: out[1] for kernel, out in run_under_every_openblas_kernel(HASH_LSMC_SOLUTIONS,
                                                                                   lambda kernel: []).items()}
     assert len(set(hashes.values())) == 1, hashes
 

@@ -326,7 +326,7 @@ def _plain_solve_nested(gram, rhs):
 
 def _plain_backward_pass(bundle, g, xi, degree, weights):
     """_backward_pass(..., keep=True) written plainly: the design rows by the recurrence; with weights None,
-    one unit row fitted by the projections (incs * y) @ q.T summed over blocks of PATH_BLOCK paths, with the
+    one unit row fitted by the projections of incs * y onto q summed over blocks of PATH_BLOCK paths, with the
     full basis kept. Otherwise every row of weights refits each step by its weighted normal equations: the
     Gram matrix from the triangle of products q[a] * q[b], a <= b, mirrored, concatenated regressor rows,
     fresh arrays for every product and the nested rank test. Every row takes the per-row step."""
@@ -351,8 +351,8 @@ def _plain_backward_pass(bundle, g, xi, degree, weights):
         k = q.shape[0]
         if weights is None:
             incs = np.array([np.ones(m), dw[:, i], *dnt[:, i].T])
-            coef = sum((incs * y[0])[:, s:s + PATH_BLOCK] @ q[:, s:s + PATH_BLOCK].T
-                       for s in range(0, m, PATH_BLOCK)).T[None]
+            coef = sum(np.einsum("km,rm->kr", q[:, s:s + PATH_BLOCK], (incs * y[0])[:, s:s + PATH_BLOCK])
+                       for s in range(0, m, PATH_BLOCK))[None]
             kept = np.array([k])
         else:
             pairs = [(a, b) for a in range(k) for b in range(a, k)]
@@ -365,7 +365,7 @@ def _plain_backward_pass(bundle, g, xi, degree, weights):
             coef, kept = _plain_solve_nested(gram, rhs)
         degrees[:, i] = kept - 1
         for b in range(rows):
-            fitted = coef[b].T @ q
+            fitted = np.einsum("kr,km->rm", coef[b], q)
             z = fitted[1] / dt if model.sigma > 0 else np.zeros(m)
             u = fitted[2:].T / (model.intensities * dt)
             y[b], iterations[b, i] = implicit_step(g, context(i), float(grid.times[i]), dt, fitted[0], z, u, i)
