@@ -326,8 +326,8 @@ def bootstrap_y0(
     no refit. The multinomial weights have covariance I - 11ᵀ/m, so the
     replicates' standard deviation under the resampling law is exactly
     se = sqrt(sum_p (IF_p - mean IF)^2); it is computed so, with no draw,
-    and only ufuncs and np.einsum, no BLAS. n_boot is accepted and unused:
-    it was the number of resample draws when se was their spread.
+    and only ufuncs and np.einsum, no BLAS. n_boot, a resample count, is
+    accepted and ignored, for callers that still pass one.
     """
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
