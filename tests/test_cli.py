@@ -670,6 +670,28 @@ def test_config_value_of_wrong_type_is_one_line_and_exit_3(tmp_path, capsys, com
     assert line == f"jumpbsde {command}: error: config key '{key}' must be {want}, got {value!r}"
 
 
+@pytest.mark.parametrize("n_boot", [0, 1])
+@pytest.mark.parametrize("command", ["solve-mc", "convergence"])
+def test_bootstrap_of_fewer_than_two_resamples_is_one_line_and_exit_3(tmp_path, capsys, command, n_boot):
+    # the standard error is in closed form, so no config sets a resample count; one that asks for
+    # fewer than two is refused as an unknown key before any path is drawn
+    if command == "solve-mc":
+        valid = list(MC_CONFIG)
+        cfg, kind = {**MC_CONFIG, "n_boot": n_boot}, "solve-mc config"
+    else:
+        default = experiments.default_convergence_config()
+        valid = list(default["mc"])
+        cfg = {**default, "steps_list": [4, 8], "mc": {**default["mc"], "paths": 1000, "n_boot": n_boot}}
+        kind = "convergence 'mc'"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"jumpbsde {command}: error: unknown {kind} keys ['n_boot']; valid: ")
+    assert all(repr(key) in line for key in valid)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_check_counts_in_meta_only(tmp_path):
     assert run_cli(["apriori", "--out", tmp_path / "ap"]) == 0
     report = read_report(tmp_path / "ap")
