@@ -119,7 +119,9 @@ def _solve_mc(cfg):
     basis = basis_from_config(cfg)
     paths, seed = config_value(cfg, "paths", int), config_value(cfg, "seed", int, 0)
     bootstrap = config_value(cfg, "bootstrap", bool, True)
+    start = time.perf_counter()
     sol = solve_mc(model, grid, g, xi, paths=paths, basis=basis, seed=seed)
+    seconds = {"solve_mc": time.perf_counter() - start, "bootstrap": None}
     m = sol.Y.shape[0]
     j = model.n_marks
     rows = []
@@ -132,12 +134,15 @@ def _solve_mc(cfg):
         rows.append(row)
     est = None
     if bootstrap:
+        start = time.perf_counter()
         est = bootstrap_y0(model, grid, g, xi, paths=paths, basis=basis, seed=seed)
+        seconds["bootstrap"] = time.perf_counter() - start
     case = Case(name="solve-mc", data={"y0": sol.y0, "paths": m, "degrees_used": list(sol.degrees_used),
                                        "y0_se_bootstrap": est.se if est else None})
     header = ["step", "Y_mean", "Y_se", "Z_mean"] + [f"U_{k + 1}_mean" for k in range(j)]
     summary = f"Y0 = {sol.y0:.6g}" + (f" (bootstrap se {est.se:.3g})" if est else "")
-    return Report("solve-mc", cfg, [case], meta={"fp_iterations": list(sol.fp_iterations)}), header, rows, summary
+    meta = {"fp_iterations": list(sol.fp_iterations), "seconds": seconds}
+    return Report("solve-mc", cfg, [case], meta=meta), header, rows, summary
 
 
 def _per_case(report: Report, key: str, fields: list, verdict: str):

@@ -201,7 +201,9 @@ class PathBundle:
     dw has shape (paths, steps); dn has shape (paths, steps, marks). A bundle is
     read-only and may be shared (see simulate_paths): dw and dn are not
     writeable, and states(), brownian() and jump_counts() are each computed on
-    first use and returned as the same read-only array thereafter.
+    first use and returned as the same read-only array thereafter. mc.solve_mc
+    keeps its last backward pass on the bundle the same way, so the record
+    is dropped with the draw.
     """
 
     model: LevyModel

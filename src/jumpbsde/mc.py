@@ -28,6 +28,10 @@ linear BSDE's one-step density, carried through each step's linearised
 implicit step and projection. Under multinomial resampling the variance of
 that replicate is exactly sum_p (IF_p - mean IF)^2, so the standard error is
 computed in closed form, with no resample drawn.
+
+The unit-weight pass runs once per draw: solve_mc keeps its Y0 and
+coefficients on the PathBundle it solved, and bootstrap_y0 on the same
+bundle, driver, terminal and basis runs only the adjoint.
 """
 
 from __future__ import annotations
@@ -185,9 +189,9 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     y = np.empty(m)
     y[:] = xi(_context(bundle, n))
     coefs, degrees, iterations = [None] * n, np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    if keep:
-        y_keep, z_keep, u_keep = np.empty((m, n + 1)), np.zeros((m, n)), np.zeros((m, n, j))
-        y_keep[:, n] = y
+    if keep:  # step-major, so each step writes whole rows; returned transposed, path axis first
+        y_keep, z_keep, u_keep = np.empty((n + 1, m)), np.zeros((n, m)), np.zeros((n, m, j))
+        y_keep[n] = y
     design_buf = np.empty(m * (basis.dimension + 1))
     incs, cols, fitted = np.empty((2 + j, m)), np.empty((2 + j, m)), np.empty((2 + j, m))
     z = np.empty(m) if model.sigma > 0 else np.zeros(m)
@@ -200,8 +204,9 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
         iterations[i] = _fitted_step(g, _context(bundle, i), float(grid.times[i]), dt, i, q, coefs[i], lam_dt,
                                      fitted, z, u, y)
         if keep:
-            y_keep[:, i], z_keep[:, i], u_keep[:, i, :] = y, z, u
-    return float(y.mean()), coefs, degrees, iterations, ((y_keep, z_keep, u_keep) if keep else None)
+            y_keep[i], z_keep[i], u_keep[i] = y, z, u
+    kept = (y_keep.T, z_keep.T, u_keep.transpose(1, 0, 2)) if keep else None
+    return float(y.mean()), coefs, degrees, iterations, kept
 
 
 def _tangents(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, y: np.ndarray, z: np.ndarray,
@@ -280,6 +285,11 @@ def _check_paths(paths: int, basis: RegressionBasis) -> None:
         raise RegressionError(f"need at least {10 * basis.dimension} paths for a degree-{basis.degree} basis")
 
 
+# The bundle attribute under which solve_mc keeps its last pass: (g, xi, basis, Y0, coefficients). It lives
+# on the bundle, so it is dropped with the draw.
+_UNIT_PASS = "_unit_pass"
+
+
 def solve_mc(
     model: LevyModel,
     grid: TimeGrid,
@@ -292,11 +302,15 @@ def solve_mc(
     """Simulate paths and run the regression backward recursion.
 
     The paths come from simulate_paths, so a bootstrap_y0 on the same model,
-    grid, paths and seed reuses this draw.
+    grid, paths and seed reuses this draw. The pass's Y0 and per-step
+    coefficients are kept on the bundle, with g, xi and basis, once the pass
+    has succeeded; a bootstrap_y0 on that bundle with the same g and xi
+    objects and an equal basis reuses them in place of its own pass.
     """
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
-    _, _, degrees, iterations, (y, z, u) = _backward_pass(bundle, g, xi, basis, keep=True)
+    y0, coefs, degrees, iterations, (y, z, u) = _backward_pass(bundle, g, xi, basis, keep=True)
+    bundle.__dict__[_UNIT_PASS] = (g, xi, basis, y0, tuple(coefs))
     return McSolution(Y=y, Z=z, U=u, degrees_used=tuple(int(d) for d in degrees),
                       fp_iterations=tuple(int(k) for k in iterations))
 
@@ -320,18 +334,27 @@ def bootstrap_y0(
     """Y0 and its bootstrap standard error over path resampling, to first order in the resample weights.
 
     The backward pass is solve_mc's, so y0 is solve_mc's Y0 on the same
-    inputs, and _influence gives IF_p = dY0/dw_p at unit weights. A resample
-    draws the paths with replacement, w_p times path p, and its replicate is
-    y0 + sum_p (w_p - 1) IF_p: the infinitesimal jackknife (Efron 1982), with
-    no refit. The multinomial weights have covariance I - 11ᵀ/m, so the
-    replicates' standard deviation under the resampling law is exactly
-    se = sqrt(sum_p (IF_p - mean IF)^2); it is computed so, with no draw,
-    and only ufuncs and np.einsum, no BLAS. n_boot, a resample count, is
+    inputs, and _influence gives IF_p = dY0/dw_p at unit weights. When
+    solve_mc last solved this draw with the same g and xi (the same objects,
+    matched by identity) and an equal basis, its kept Y0 and coefficients are
+    used and only _influence runs; otherwise the pass runs here, with the
+    same bits.
+
+    A resample draws the paths with replacement, w_p times path p, and its
+    replicate is y0 + sum_p (w_p - 1) IF_p: the infinitesimal jackknife
+    (Efron 1982), with no refit. The multinomial weights have covariance
+    I - 11ᵀ/m, so the replicates' standard deviation under the resampling
+    law is exactly se = sqrt(sum_p (IF_p - mean IF)^2); it is computed so,
+    with no draw, and only ufuncs and np.einsum, no BLAS. n_boot, a resample count, is
     accepted and ignored, for callers that still pass one.
     """
     _check_paths(paths, basis)
     bundle = simulate_paths(model, grid, paths, seed)
-    y0, coefs, _, _, _ = _backward_pass(bundle, g, xi, basis)
+    kept = bundle.__dict__.get(_UNIT_PASS)
+    if kept is not None and kept[0] is g and kept[1] is xi and kept[2] == basis:
+        y0, coefs = kept[3], kept[4]
+    else:
+        y0, coefs, _, _, _ = _backward_pass(bundle, g, xi, basis)
     centred = _influence(bundle, g, xi, basis, coefs)
     centred -= centred.mean()
     return BootstrapEstimate(y0=y0, se=float(np.sqrt(np.einsum("p,p->", centred, centred))))

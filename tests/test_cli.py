@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 import jumpbsde
-from jumpbsde import experiments
+from jumpbsde import experiments, mc
 from jumpbsde.cli import _COMMANDS, _demo_model_config, _exit_code, main, run
 from jumpbsde.config import ConfigError, load_config
 from jumpbsde.experiments import Case, Report
@@ -126,6 +126,32 @@ def test_solve_mc_writes_fixed_point_iterations_in_meta(tmp_path, bootstrap):
     assert run_cli(["solve-mc", "--config", cfg, "--out", tmp_path / "out"]) == 0
     meta = read_report(tmp_path / "out")["meta"]
     assert meta["fp_iterations"] == [1, 1, 1]  # linear_driver is affine in y: each step is solved in closed form
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_solve_mc_writes_phase_seconds_in_meta(tmp_path, bootstrap):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_demo_model_config(), "paths": 500, "bootstrap": bootstrap}))
+    assert run_cli(["solve-mc", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    meta = read_report(tmp_path / "out")["meta"]
+    assert set(meta["seconds"]) == {"solve_mc", "bootstrap"}
+    assert 0 < meta["seconds"]["solve_mc"] <= meta["runtime_seconds"]
+    if bootstrap:
+        assert 0 < meta["seconds"]["bootstrap"] <= meta["runtime_seconds"]
+    else:
+        assert meta["seconds"]["bootstrap"] is None
+
+
+def test_default_solve_mc_runs_one_pass_and_one_adjoint(tmp_path, monkeypatch):
+    calls = {"_backward_pass": 0, "_influence": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(mc, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, name, counted)
+    assert run_cli(["solve-mc", "--out", tmp_path / "out"]) == 0
+    assert calls == {"_backward_pass": 1, "_influence": 1}
 
 
 def test_failed_verdict_outranks_unmet_preconditions():

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from jumpbsde import (
 from jumpbsde.config import generator_from_config, model_from_config
 from jumpbsde.experiments import default_mc_suite
 from jumpbsde.generators import StepContext
+from jumpbsde import mc
 from jumpbsde.levy import PATH_BLOCK
 from jumpbsde.mc import RegressionError, _backward_pass, _influence, _orthonormal_rows, _weighted_sums
 from jumpbsde.terminals import make_terminal
@@ -254,12 +257,83 @@ def test_bootstrap_se_covers_the_tree_oracle(inst):
 
 @pytest.mark.parametrize("inst", default_mc_suite(), ids=lambda inst: inst["name"])
 def test_solve_mc_y0_is_the_bootstrap_base_row(inst):
-    """bootstrap_y0 runs solve_mc's backward pass, so the two Y0 are the same float, bit for bit."""
+    """bootstrap_y0 runs solve_mc's backward pass: a bootstrap that runs its own pass before solve_mc, solve_mc
+    and a bootstrap that reuses solve_mc's pass give the same Y0, and both bootstraps the same se, bit for bit."""
     model, g = model_from_config(inst["model"]), generator_from_config(inst["generator"])
     grid = TimeGrid(1.0, inst["steps"])
+    simulate_paths(model, grid, 4000, 4)  # another key, so seed 3 is drawn afresh, with no pass kept
+    fresh = bootstrap_y0(model, grid, g, XI_X, paths=4000, seed=3)
     y0 = solve_mc(model, grid, g, XI_X, paths=4000, seed=3).y0
-    est = bootstrap_y0(model, grid, g, XI_X, paths=4000, seed=3)
-    assert est.y0.hex() == y0.hex()
+    reused = bootstrap_y0(model, grid, g, XI_X, paths=4000, seed=3)
+    assert fresh.y0.hex() == y0.hex() == reused.y0.hex()
+    assert fresh.se.hex() == reused.se.hex()
+
+
+def _count_calls(monkeypatch, name):
+    """Replace mc.<name> by a wrapper that records each call; returns the list of calls."""
+    calls, original = [], getattr(mc, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mc, name, counted)
+    return calls
+
+
+REUSE_MODEL, REUSE_GRID = LevyModel(0.0, 1.0, ((0.5, 0.2),)), TimeGrid(1.0, 6)
+
+
+def test_bootstrap_after_solve_mc_on_the_same_inputs_runs_one_pass(monkeypatch):
+    g = linear_driver(0.15, 0.2, -0.5)
+    simulate_paths(REUSE_MODEL, REUSE_GRID, 2000, 4)  # nothing kept for seed 3
+    passes, adjoints = _count_calls(monkeypatch, "_backward_pass"), _count_calls(monkeypatch, "_influence")
+    sol = solve_mc(REUSE_MODEL, REUSE_GRID, g, XI_X, paths=2000, seed=3)
+    est = bootstrap_y0(REUSE_MODEL, REUSE_GRID, g, XI_X, paths=2000, seed=3)
+    assert len(passes) == 1 and len(adjoints) == 1
+    assert est.y0.hex() == sol.y0.hex()
+
+
+BOOTSTRAP_CHANGES = {
+    "driver": {"g": linear_driver(0.3, -0.1, 0.4)},
+    "equal driver, another object": {"g": linear_driver(0.15, 0.2, -0.5)},
+    "terminal": {"xi": make_terminal("w")},
+    "basis": {"basis": RegressionBasis(2)},
+    "seed": {"seed": 4},
+    "another draw between": {},
+}
+
+
+@pytest.mark.parametrize("change", BOOTSTRAP_CHANGES)
+def test_bootstrap_on_other_inputs_runs_its_own_pass(monkeypatch, change):
+    """solve_mc's pass is reused only for the same bundle, the same g and xi objects and an equal basis; any
+    other bootstrap runs a second pass, and its (y0, se) is a fresh call's, bit for bit."""
+    base = {"g": linear_driver(0.15, 0.2, -0.5), "xi": XI_X, "basis": RegressionBasis(), "seed": 3}
+    boot = {**base, **BOOTSTRAP_CHANGES[change]}
+
+    def bootstrap(args):
+        return bootstrap_y0(REUSE_MODEL, REUSE_GRID, args["g"], args["xi"], paths=2000, basis=args["basis"],
+                            seed=args["seed"])
+
+    simulate_paths(REUSE_MODEL, REUSE_GRID, 2000, 99)  # nothing kept for the draws below
+    want = bootstrap(boot)
+    passes = _count_calls(monkeypatch, "_backward_pass")
+    solve_mc(REUSE_MODEL, REUSE_GRID, base["g"], base["xi"], paths=2000, basis=base["basis"], seed=base["seed"])
+    if change == "another draw between":
+        simulate_paths(REUSE_MODEL, REUSE_GRID, 2000, 99)
+    got = bootstrap(boot)
+    assert len(passes) == 2
+    assert (got.y0.hex(), got.se.hex()) == (want.y0.hex(), want.se.hex())
+
+
+def test_kept_pass_does_not_outlive_its_draw():
+    g = linear_driver(0.15, 0.2, -0.5)
+    solve_mc(REUSE_MODEL, REUSE_GRID, g, XI_X, paths=500, seed=1)
+    bundle = weakref.ref(simulate_paths(REUSE_MODEL, REUSE_GRID, 500, 1))
+    assert bundle() is not None
+    simulate_paths(REUSE_MODEL, REUSE_GRID, 500, 2)  # another key drops the kept draw
+    gc.collect()
+    assert bundle() is None
 
 
 def test_l2_distance_rejects_mixed_kinds():
@@ -525,19 +599,38 @@ def test_design_rows_are_an_orthonormal_basis_of_the_full_rank_vandermonde(state
     assert k == np.linalg.lstsq(vander, np.zeros(x.size), rcond=None)[2]
 
 
-def test_bootstrap_peak_memory_holds_no_per_step_regressors():
-    """Per step the pass keeps one (paths, 2 + marks) array of increments; regressors for every step
-    at once would add steps * paths * (2 + marks) doubles (2 MiB here) and break the guard."""
-    model = LevyModel(0.0, 1.0, ((0.6, 0.25), (-0.4, 0.2)))
-    grid, g = TimeGrid(1.0, 16), linear_driver(0.2, 0.3, [0.4, -0.6])
-    bootstrap_y0(model, grid, g, XI_X, paths=400, seed=1)  # first-call allocations outside the trace
+MEMORY_MODEL, MEMORY_GRID = LevyModel(0.0, 1.0, ((0.6, 0.25), (-0.4, 0.2))), TimeGrid(1.0, 16)
+MEMORY_DRIVER = linear_driver(0.2, 0.3, [0.4, -0.6])
+
+
+def _traced_bootstrap_peak(after_solve_mc: bool) -> int:
+    """tracemalloc peak of bootstrap_y0 at 4,000 paths, alone or right after solve_mc on the same inputs."""
+    bootstrap_y0(MEMORY_MODEL, MEMORY_GRID, MEMORY_DRIVER, XI_X, paths=400, seed=1)  # first-call allocations
+    if after_solve_mc:
+        sol = solve_mc(MEMORY_MODEL, MEMORY_GRID, MEMORY_DRIVER, XI_X, paths=4000, seed=1)
     tracemalloc.start()
     try:
-        est = bootstrap_y0(model, grid, g, XI_X, paths=4000, seed=1)
+        est = bootstrap_y0(MEMORY_MODEL, MEMORY_GRID, MEMORY_DRIVER, XI_X, paths=4000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.isfinite(est.y0)
+    if after_solve_mc:
+        assert est.y0.hex() == sol.y0.hex()
+    return peak
+
+
+def test_bootstrap_peak_memory_holds_no_per_step_regressors():
+    """Per step the pass keeps one (paths, 2 + marks) array of increments; regressors for every step
+    at once would add steps * paths * (2 + marks) doubles (2 MiB here) and break the guard."""
+    peak = _traced_bootstrap_peak(after_solve_mc=False)
+    assert peak <= 1.1 * 7.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_bootstrap_reusing_solve_mc_pass_holds_no_per_step_regressors():
+    """A bootstrap that takes solve_mc's kept pass runs only the adjoint, under the same guard; the measured
+    peak is 0.83 MiB, against 4.38 MiB for a bootstrap that runs its own pass."""
+    peak = _traced_bootstrap_peak(after_solve_mc=True)
     assert peak <= 1.1 * 7.75 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
