@@ -28,10 +28,10 @@ from jumpbsde import (
     truncate_generator,
     zero_generator,
 )
+from jumpbsde import mc
 from jumpbsde.config import generator_from_config, model_from_config
 from jumpbsde.experiments import default_mc_suite
 from jumpbsde.generators import StepContext
-from jumpbsde import mc
 from jumpbsde.levy import PATH_BLOCK
 from jumpbsde.mc import RegressionError, _backward_pass, _influence, _orthonormal_rows, _weighted_sums
 from jumpbsde.terminals import make_terminal
@@ -599,18 +599,16 @@ def test_design_rows_are_an_orthonormal_basis_of_the_full_rank_vandermonde(state
     assert k == np.linalg.lstsq(vander, np.zeros(x.size), rcond=None)[2]
 
 
-MEMORY_MODEL, MEMORY_GRID = LevyModel(0.0, 1.0, ((0.6, 0.25), (-0.4, 0.2))), TimeGrid(1.0, 16)
-MEMORY_DRIVER = linear_driver(0.2, 0.3, [0.4, -0.6])
-
-
 def _traced_bootstrap_peak(after_solve_mc: bool) -> int:
     """tracemalloc peak of bootstrap_y0 at 4,000 paths, alone or right after solve_mc on the same inputs."""
-    bootstrap_y0(MEMORY_MODEL, MEMORY_GRID, MEMORY_DRIVER, XI_X, paths=400, seed=1)  # first-call allocations
+    model = LevyModel(0.0, 1.0, ((0.6, 0.25), (-0.4, 0.2)))
+    grid, g = TimeGrid(1.0, 16), linear_driver(0.2, 0.3, [0.4, -0.6])
+    bootstrap_y0(model, grid, g, XI_X, paths=400, seed=1)  # first-call allocations outside the trace
     if after_solve_mc:
-        sol = solve_mc(MEMORY_MODEL, MEMORY_GRID, MEMORY_DRIVER, XI_X, paths=4000, seed=1)
+        sol = solve_mc(model, grid, g, XI_X, paths=4000, seed=1)
     tracemalloc.start()
     try:
-        est = bootstrap_y0(MEMORY_MODEL, MEMORY_GRID, MEMORY_DRIVER, XI_X, paths=4000, seed=1)
+        est = bootstrap_y0(model, grid, g, XI_X, paths=4000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
