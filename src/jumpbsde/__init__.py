@@ -57,7 +57,6 @@ from .tree import (
     TreeSizeError,
     TreeSolution,
     build_tree,
-    conditional_expectation,
     l2_distance,
     project_coarse,
     solve_backward,

@@ -378,22 +378,27 @@ def _violation_witnesses(sol: TreeSolution, sol_prime: TreeSolution, threshold: 
 
 @_timed
 def run_counterexample(cfg: dict | None = None) -> Report:
-    """Exhibit ordered data whose solutions are not ordered once the
-    ordered-jump condition is dropped, and re-run with the boundary driver."""
+    """Exhibit ordered data whose solutions are not ordered once the ordered-jump condition is dropped,
+    and re-run with the boundary driver under the comparison's hypotheses: ordered terminals, the
+    ordered-jump condition and nonnegative branch weights (see run_comparison)."""
     cfg = cfg or default_counterexample_config()
     _check_keys("counterexample", cfg, default_counterexample_config())
-    threshold = config_value(cfg, "margin_factor", float, 100.0) * DEFAULT_FP_TOL
+    margin_factor = config_value(cfg, "margin_factor", float, 100.0)
+    if not margin_factor > 0:  # a threshold of 0 or below would count equal solutions as a violation
+        raise ConfigError(f"config key 'margin_factor' must be positive, got {margin_factor!r}")
+    threshold = margin_factor * DEFAULT_FP_TOL
     model, grid = resolve_model_grid(cfg)
     tree = build_tree(model, grid)
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     xip = make_terminal(cfg["terminal_prime"])
+    sampler = SamplerConfig(horizon=grid.horizon)
+    term_gap = _terminal_gap(tree, xi, xip)
 
     case = Case(name="violating_driver")
-    gamma = check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon))
+    gamma = check_jump_ordering(g, model, sampler)
     if gamma.passed:
         case.unmet("the configured driver does not violate the ordered-jump condition")
-    term_gap = _terminal_gap(tree, xi, xip)
     if term_gap > 1e-12:
         case.unmet("terminal ordering fails node-wise")
     if case.status != "preconditions-unmet":
@@ -407,17 +412,21 @@ def run_counterexample(cfg: dict | None = None) -> Report:
 
     boundary = Case(name="boundary_driver")
     gb = generator_from_config(cfg.get("boundary_generator", {"name": "linear_driver", "a": 0.0, "b": 0.0, "c": -1.0}))
-    gamma_b = check_jump_ordering(gb, model, SamplerConfig(horizon=grid.horizon))
+    gamma_b, weights_b = check_jump_ordering(gb, model, sampler), check_branch_weights(gb, model, grid, sampler)
     if not gamma_b.passed:
         boundary.unmet("the boundary driver fails the ordered-jump condition")
-    else:
+    if not weights_b.passed:
+        boundary.unmet("the boundary driver makes a branch weight of the tree's implicit step negative")
+    if term_gap > 1e-12:
+        boundary.unmet("terminal ordering fails node-wise")
+    if boundary.status != "preconditions-unmet":
         sol = solve_backward(tree, gb, xi)
         sol_p = solve_backward(tree, gb, xip)
         margin = max_ordering_violation(sol, sol_p)
         boundary.data.update({"max_margin": margin})
         boundary.assert_leq("no_violation", margin, 0.0, tolerance=10.0 * DEFAULT_FP_TOL)
 
-    return Report("counterexample", cfg, [case, boundary], meta={"checks": _checks_meta([gamma, gamma_b])})
+    return Report("counterexample", cfg, [case, boundary], meta={"checks": _checks_meta([gamma, gamma_b, weights_b])})
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,11 @@ class McSolution:
         return float(self.Y[:, 0].mean())
 
 
-def _orthonormal_rows(x: np.ndarray, degree: int, out: np.ndarray) -> np.ndarray:
+def _orthonormal_rows(x: np.ndarray, degree: int) -> np.ndarray:
     """Orthonormal rows spanning the polynomials in the state up to the highest full-rank degree.
 
-    Returns q, a (k, m) view of the flat buffer `out`, k <= degree + 1; out
-    holds (degree + 2) * m values, the last m the standardized state x~ =
-    (x - mean) / std. Row 0 is the constant 1/sqrt(m); row c is x~ times row
+    Returns q, a fresh (k, m) array, k <= degree + 1. Row 0 is the constant
+    1/sqrt(m); row c is the standardized state x~ = (x - mean) / std times row
     c-1, orthogonalised against rows 0..c-1 twice by classical Gram-Schmidt,
     then normalised: the discrete orthogonal polynomials of the paths'
     empirical measure (the Stieltjes procedure). The rows are nested, so
@@ -99,11 +98,11 @@ def _orthonormal_rows(x: np.ndarray, degree: int, out: np.ndarray) -> np.ndarray
     on the BLAS kernel.
     """
     m = x.size
-    q = out[:(degree + 1) * m].reshape(degree + 1, m)
+    q = np.empty((degree + 1, m))
     q[0] = 1.0 / np.sqrt(m)
     if degree == 0:
         return q[:1]
-    xt = np.subtract(x, x.mean(), out=out[(degree + 1) * m:(degree + 2) * m])
+    xt = x - x.mean()
     s = np.sqrt(np.einsum("m,m->", xt, xt) / m)
     if s == 0.0:
         return q[:1]
@@ -150,24 +149,26 @@ def _context(bundle: PathBundle, i: int) -> StepContext:
                        counts=bundle.jump_counts()[:, i])
 
 
-def _increments(bundle: PathBundle, i: int, lam_dt: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write step i's increments 1, dW and dN~_j into the rows of out and return it."""
-    out[0] = 1.0
-    out[1] = bundle.dw[:, i]
-    np.subtract(bundle.dn[:, i].T, lam_dt[:, None], out=out[2:])
-    return out
+def _increments(bundle: PathBundle, i: int, lam_dt: np.ndarray) -> np.ndarray:
+    """Step i's increments 1, dW and dN~_j as the rows of a fresh C-ordered (2 + J, paths) array: the fits'
+    sums run along the rows, and their bits depend on the layout."""
+    incs = np.empty((2 + lam_dt.size, bundle.dw.shape[0]))
+    incs[0] = 1.0
+    incs[1] = bundle.dw[:, i]
+    np.subtract(bundle.dn[:, i].T, lam_dt[:, None], out=incs[2:])
+    return incs
 
 
 def _fitted_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, i: int, q: np.ndarray, coef: np.ndarray,
-                 lam_dt: np.ndarray, fitted: np.ndarray, z: np.ndarray, u: np.ndarray, y: np.ndarray) -> int:
+                 lam_dt: np.ndarray):
     """Solve step i from its fit: fitted = coefᵀ q holds E[y'], E[y' dW] and E[y' dN~_j], read as
-    z = fitted[1] / dt (left as it is when sigma = 0) and u_j = fitted[2 + j] / (lambda_j dt); implicit_step
-    then writes y. Returns its iterations."""
-    np.einsum("kr,km->rm", coef, q, out=fitted)
-    if ctx.model.sigma > 0:
-        np.divide(fitted[1], dt, out=z)
-    np.divide(fitted[2:].T, lam_dt, out=u)
-    return implicit_step(g, ctx, t, dt, fitted[0], z, u, i, out=y)[1]
+    z = fitted[1] / dt (0 when sigma = 0) and u_j = fitted[2 + j] / (lambda_j dt); implicit_step then
+    gives y. Returns (fitted, y, z, u, iterations), each array fresh."""
+    fitted = np.einsum("kr,km->rm", coef, q)
+    z = fitted[1] / dt if ctx.model.sigma > 0 else np.zeros(q.shape[1])
+    u = np.divide(fitted[2:].T, lam_dt, out=np.empty((q.shape[1], lam_dt.size)))  # C-ordered, as the tree's U
+    y, iterations = implicit_step(g, ctx, t, dt, fitted[0], z, u, i)
+    return fitted, y, z, u, iterations
 
 
 def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis, keep: bool = False):
@@ -186,23 +187,17 @@ def _backward_pass(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBa
     n, j, dt = grid.steps, model.n_marks, grid.dt
     lam_dt = _jump_variances(model, dt)
     m = bundle.dw.shape[0]
-    y = np.empty(m)
-    y[:] = xi(_context(bundle, n))
+    y = np.full(m, xi(_context(bundle, n)), dtype=float)
     coefs, degrees, iterations = [None] * n, np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     if keep:  # step-major, so each step writes whole rows; returned transposed, path axis first
         y_keep, z_keep, u_keep = np.empty((n + 1, m)), np.zeros((n, m)), np.zeros((n, m, j))
         y_keep[n] = y
-    design_buf = np.empty(m * (basis.dimension + 1))
-    incs, cols, fitted = np.empty((2 + j, m)), np.empty((2 + j, m)), np.empty((2 + j, m))
-    z = np.empty(m) if model.sigma > 0 else np.zeros(m)
-    u = np.empty((m, j))
-
     for i in range(n - 1, -1, -1):
-        q = _orthonormal_rows(bundle.states()[:, i], basis.degree, design_buf)
+        q = _orthonormal_rows(bundle.states()[:, i], basis.degree)
         degrees[i] = q.shape[0] - 1
-        coefs[i] = _weighted_sums(q, np.multiply(_increments(bundle, i, lam_dt, incs), y, out=cols))
-        iterations[i] = _fitted_step(g, _context(bundle, i), float(grid.times[i]), dt, i, q, coefs[i], lam_dt,
-                                     fitted, z, u, y)
+        coefs[i] = _weighted_sums(q, _increments(bundle, i, lam_dt) * y)
+        _, y, z, u, iterations[i] = _fitted_step(g, _context(bundle, i), float(grid.times[i]), dt, i, q, coefs[i],
+                                                 lam_dt)
         if keep:
             y_keep[i], z_keep[i], u_keep[i] = y, z, u
     kept = (y_keep.T, z_keep.T, u_keep.transpose(1, 0, 2)) if keep else None
@@ -254,27 +249,21 @@ def _influence(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis,
     So IF = sum_i mu_i y_i - sum_i sum_r B_(i,r) F_(i,r), summed as each
     step is rebuilt from its coefficients, one design at a time.
     """
-    model, grid = bundle.model, bundle.grid
-    n, j, dt = grid.steps, model.n_marks, grid.dt
-    lam_dt = _jump_variances(model, dt)
+    grid = bundle.grid
+    n, dt = grid.steps, grid.dt
+    lam_dt = _jump_variances(bundle.model, dt)
     m = bundle.dw.shape[0]
-    design_buf = np.empty(m * (basis.dimension + 1))
-    incs, fitted = np.empty((2 + j, m)), np.empty((2 + j, m))
-    z = np.empty(m) if model.sigma > 0 else np.zeros(m)
-    u = np.empty((m, j))
-    y = np.empty(m)
     mu = np.full(m, 1.0 / m)
     influence = np.zeros(m)
     for i in range(n):
-        q = _orthonormal_rows(bundle.states()[:, i], basis.degree, design_buf)
+        q = _orthonormal_rows(bundle.states()[:, i], basis.degree)
         ctx, t = _context(bundle, i), float(grid.times[i])
-        _fitted_step(g, ctx, t, dt, i, q, coefs[i], lam_dt, fitted, z, u, y)
+        fitted, y, z, u, _ = _fitted_step(g, ctx, t, dt, i, q, coefs[i], lam_dt)
         influence += mu * y
         b = np.einsum("kr,km->rm", np.einsum("km,rm->kr", q, mu * _tangents(g, ctx, t, dt, y, z, u)), q)
         influence -= np.einsum("rm,rm->m", b, fitted)
-        mu = np.einsum("rm,rm->m", b, _increments(bundle, i, lam_dt, incs))
-    y[:] = xi(_context(bundle, n))
-    influence += mu * y
+        mu = np.einsum("rm,rm->m", b, _increments(bundle, i, lam_dt))
+    influence += mu * xi(_context(bundle, n))
     return influence
 
 

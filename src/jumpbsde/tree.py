@@ -284,23 +284,6 @@ def build_tree(model: LevyModel, grid: TimeGrid) -> ScenarioTree:
     )
 
 
-def conditional_expectation(tree: ScenarioTree, values) -> np.ndarray:
-    """Exact one-level conditional expectation: values at level i+1 -> level i, for i in 0..N-1.
-
-    A node's children form a (2,)*nb box averaged one axis at a time as in
-    CountLattice.one_step, so the two agree bitwise and constants pass through.
-    """
-    v = np.asarray(values, dtype=float)
-    if tree.branching == 1:
-        return v.copy()
-    if v.shape[0] not in map(tree.level_size, range(1, tree.n_steps + 1)):
-        raise ModelError(f"{v.shape[0]} values fit no tree level 1..{tree.n_steps}, so no level below the root")
-    v = v.reshape((-1,) + (2,) * len(tree.lattice.bit_prob))
-    for a, q in enumerate(tree.lattice.bit_prob, start=1):
-        v = _average(v, a, q)
-    return v.reshape(-1)
-
-
 @dataclass(frozen=True)
 class TreeSolution:
     """Backward solution on a tree: Y per level 0..N, Z and U per level 0..N-1.
@@ -374,11 +357,9 @@ def l2_distance(sol_a, sol_b) -> L2Distance:
 
 
 def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z, u, step: int,
-                  project=None, tol: float = DEFAULT_FP_TOL, out: np.ndarray | None = None):
-    """Solve y = ey + dt f(t, y, z, u) at one step; returns (y, iterations).
+                  project=None, tol: float = DEFAULT_FP_TOL):
+    """Solve y = ey + dt f(t, y, z, u) at one step; returns (y, iterations), y a fresh array.
 
-    y is `out` when given (an array of the solution's shape that aliases
-    none of the inputs), a fresh array otherwise; the values are the same.
     An Affine eval is solved in closed form, y = (ey + dt offset) / (1 - dt
     slope), in one iteration. With `project`, offset and a per-point slope
     are projected first: for y measurable, the projection of slope y +
@@ -412,7 +393,7 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
         if not low > 0:
             raise FixedPointError(f"implicit step has no unique solution at step {step}: "
                                   f"1 - dt*slope = {low:.3g} <= 0")
-        y = np.multiply(offset, dt, out=out)  # then + ey: IEEE + and * commute, so this is ey + dt * offset
+        y = np.multiply(offset, dt)  # then + ey: IEEE + and * commute, so this is ey + dt * offset
         y += ey  # a scalar offset gives a new array here, of ey's shape
         y /= denom
         if not np.isfinite(y).all():
@@ -432,9 +413,6 @@ def implicit_step(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, ey, z
             raise FixedPointError(f"implicit step has a non-finite solution at step {step}")
         y = y_new
         if delta <= tol:
-            if out is not None:
-                out[...] = y
-                y = out
             return y, it
     contraction = dt * float(np.max(g.K1(ctx, t), initial=0.0))
     raise FixedPointError(

@@ -205,6 +205,38 @@ def test_counterexample_and_truncate_study_defaults(tmp_path):
     assert rows[0][0] == "n" and len(rows) == 4
 
 
+def test_counterexample_boundary_case_checks_the_branch_weights(tmp_path):
+    # with b = 0.5 on a two-step grid the boundary driver weights a branch negatively; the ordered-jump
+    # check alone passed it, and its no_violation verdict failed with margin 0.011 (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        **experiments.default_counterexample_config(),
+        "model": {"drift": 0.0, "sigma": 1.0, "marks": [{"x": -0.5, "lambda": 0.5}]},
+        "grid": {"T": 1.0, "steps": 2},
+        "boundary_generator": {"name": "linear_driver", "a": 0.0, "b": 0.5, "c": -1.0},
+        "terminal": {"name": "clip_x", "lo": -100.0, "hi": 0.0},
+        "terminal_prime": {"name": "const", "value": 0.0},
+    }))
+    assert run_cli(["counterexample", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    violating, boundary = read_report(tmp_path / "out")["cases"]
+    assert violating["status"] == "pass" and boundary["status"] == "preconditions-unmet"
+    assert boundary["verdicts"] == [] and boundary["data"]["unmet_reasons"] == [
+        "the boundary driver makes a branch weight of the tree's implicit step negative"]
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0])
+def test_counterexample_refuses_a_margin_factor_that_is_not_positive(tmp_path, capsys, factor):
+    # margin_factor -1 on equal solutions used to pass violation_found with margin 0.0 and exit 0
+    cfg = tmp_path / "cfg.json"
+    zero = {"name": "const", "value": 0.0}
+    cfg.write_text(json.dumps({**experiments.default_counterexample_config(), "margin_factor": factor,
+                               "terminal": zero, "terminal_prime": zero}))
+    assert run(["counterexample", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"jumpbsde counterexample: error: config key 'margin_factor' must be positive, got {factor!r}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_tree_runners_write_node_counts_in_meta(tmp_path):
     # demo: BM + one mark, 8 steps (branching 4, 2 lattice axes); truncate-study: BM + two marks, 4 steps
     assert run_cli(["solve-lattice", "--out", tmp_path / "sl"]) == 0
@@ -486,7 +518,6 @@ def test_tree_subcommands_give_the_same_bytes_under_every_openblas_kernel(tmp_pa
 
 HASH_LSMC_DESIGNS = """
 import hashlib, sys
-import numpy as np
 from jumpbsde import LevyModel, TimeGrid, simulate_paths
 from jumpbsde.mc import _orthonormal_rows
 sys.path.insert(0, sys.argv[1])
@@ -498,7 +529,7 @@ for model in (LevyModel(0.1, 1.0, ((0.5, 1.0),)), LevyModel(0.0, 0.0, ((0.5, 2.0
     x = simulate_paths(model, TimeGrid(1.0, 6), 5000, 11).states()
     for i in range(x.shape[1]):
         for degree in (1, 3):
-            digest.update(_orthonormal_rows(x[:, i], degree, np.empty((degree + 2) * x.shape[0])).tobytes())
+            digest.update(_orthonormal_rows(x[:, i], degree).tobytes())
 print(digest.hexdigest())
 """
 
@@ -726,7 +757,8 @@ def test_check_counts_in_meta_only(tmp_path):
     assert (checks["calls"], checks["points"]) == (20, 20 * 303 * 8) and checks["seconds"] > 0
     assert '"checks"' not in json.dumps({k: v for k, v in report.items() if k != "meta"})
     assert run_cli(["counterexample", "--out", tmp_path / "ce"]) == 0
-    assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 2  # the two jump-ordering checks
+    # the two jump-ordering checks and the boundary driver's branch-weight check
+    assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 3
 
 
 INPUT_ERROR_CASES = [

@@ -588,7 +588,7 @@ def regression_states(draw):
 @example((np.repeat([0.0, 0.5, 1.0, -0.3], [900, 60, 3, 37]), 4))
 def test_design_rows_are_an_orthonormal_basis_of_the_full_rank_vandermonde(state):
     x, degree = state
-    q = _orthonormal_rows(x, degree, np.empty((degree + 2) * x.size))
+    q = _orthonormal_rows(x, degree)
     k = q.shape[0]
     # the premise of the projection fit and of the influence function: under unit weights the normal
     # equations are the identity

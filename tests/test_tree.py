@@ -20,7 +20,6 @@ from jumpbsde import (
     build_tree,
     check_branch_weights,
     check_jump_ordering,
-    conditional_expectation,
     constant_coeff,
     jump_ordering_violator,
     l2_distance,
@@ -79,14 +78,14 @@ def test_tree_rejects_oversize_and_fast_marks():
 
 
 def test_conditional_expectation_basics():
+    # the lattice's one-step average E[. | F_i]: constants pass through, and the Brownian value and the
+    # compensated count are martingales
     tree = build_tree(LevyModel(0.0, 1.0, ((0.6, 0.5),)), TimeGrid(1.0, 3))
-    const = np.full(tree.level_size(2), 3.25)
-    assert np.array_equal(conditional_expectation(tree, const), np.full(tree.level_size(1), 3.25))
-    # centered one-step increments average to zero
-    dw_children = np.tile(tree.dw_branch, tree.level_size(2))
-    assert np.allclose(conditional_expectation(tree, dw_children), 0.0, atol=1e-16)
-    dnt_children = np.tile(tree.dn_tilde_branch()[:, 0], tree.level_size(2))
-    assert np.allclose(conditional_expectation(tree, dnt_children), 0.0, atol=1e-16)
+    lat, dt = tree.lattice, tree.grid.dt
+    assert np.array_equal(lat.one_step(1, np.full(lat.x[2].size, 3.25), dt)[0], np.full(lat.x[1].size, 3.25))
+    assert np.allclose(lat.one_step(1, lat.w[2], dt)[0], lat.w[1], atol=1e-15)
+    compensated = [lat.counts[i][:, 0] - 0.5 * dt * i for i in (1, 2)]
+    assert np.allclose(lat.one_step(1, compensated[1], dt)[0], compensated[0], atol=1e-15)
 
 
 def test_two_point_compensated_mean_is_exact_zero():
@@ -94,20 +93,17 @@ def test_two_point_compensated_mean_is_exact_zero():
     tree = build_tree(LevyModel(0.0, 0.0, ((1.0, 0.7),)), TimeGrid(1.0, 2))
     terms = tree.dn_tilde_branch()[:, 0] * tree.branch_prob
     assert terms[0] == -terms[1]  # the two products cancel bit for bit
-    # the centred two-point average may leave one rounding
-    dnt_children = np.tile(tree.dn_tilde_branch()[:, 0], tree.level_size(1))
-    out = conditional_expectation(tree, dnt_children)
-    assert np.abs(out).max() <= 1e-16
 
 
 def test_tower_property():
+    # two one-step averages on the lattice are the two-step average over a product node's B^2 grandchildren
     tree = build_tree(LevyModel(0.1, 1.0, ((0.5, 0.5),)), TimeGrid(1.0, 4))
-    rng = np.random.default_rng(8)
-    values = rng.standard_normal(tree.level_size(3))
-    two_hops = conditional_expectation(tree, conditional_expectation(tree, values))
+    lat, dt = tree.lattice, tree.grid.dt
+    values = np.random.default_rng(8).standard_normal(lat.x[3].size)
+    two_hops = lat.one_step(1, lat.one_step(2, values, dt)[0], dt)[0]
     p2 = np.kron(tree.branch_prob, tree.branch_prob)
-    direct = values.reshape(-1, tree.branching**2) @ p2
-    assert np.allclose(two_hops, direct, atol=1e-14)
+    direct = values[tree.index[3]].reshape(-1, tree.branching**2) @ p2
+    assert np.allclose(two_hops[tree.index[1]], direct, atol=1e-14)
 
 
 def test_brownian_martingale_solution():
@@ -146,7 +142,7 @@ def test_zero_driver_is_exact_martingale_and_representation():
         sol = solve_backward(tree, ZERO, xi)
         for i in range(tree.n_steps):
             nxt = sol.Y[i + 1].reshape(-1, tree.branching)
-            assert np.array_equal(conditional_expectation(tree, sol.Y[i + 1]), sol.Y[i])
+            assert np.array_equal(tree.lattice.one_step(i, sol.Y.lattice[i + 1], tree.grid.dt)[0], sol.Y.lattice[i])
             pred = (
                 sol.Y[i][:, None]
                 + np.outer(sol.Z[i], tree.dw_branch)
@@ -808,9 +804,7 @@ def test_truncated_and_plain_drivers_keep_the_fixed_point():
 
 def closed_form_as_written(g, ctx, t, dt, ey, z, u, project=None):
     """(ey + dt offset) / (1 - dt slope), with project applied to the offset and a per-point slope, in the
-    order the closed form once took, into a fresh array; None for a plain eval."""
-    if not isinstance(g.eval, Affine):
-        return None
+    order the closed form once took, into a fresh array."""
     slope, offset = g.eval.bind(ctx, t, z, u)
     ey = np.asarray(ey, dtype=float)
     if project is not None:
@@ -822,27 +816,18 @@ def closed_form_as_written(g, ctx, t, dt, ey, z, u, project=None):
     return y
 
 
-def assert_in_place_step_is_the_fresh_step(g, ctx, t, dt, ey, z, u, step, project=None, out=None):
-    """implicit_step with out (a NaN-filled array of ey's shape unless given) returns out, holding the bytes
-    and the iteration count of the step that returns a new array; a closed-form step holds the bytes of
-    ey + dt offset over 1 - dt slope."""
-    fresh, iterations = implicit_step(g, ctx, t, dt, ey, z, u, step, project)
-    out = np.full(np.shape(ey), np.nan) if out is None else out
-    got, got_iterations = implicit_step(g, ctx, t, dt, ey, z, u, step, project, out=out)
-    assert got is out and got_iterations == iterations, g.name
-    assert out.dtype == fresh.dtype and out.shape == fresh.shape and out.tobytes() == fresh.tobytes(), g.name
-    written = closed_form_as_written(g, ctx, t, dt, ey, z, u, project)
-    assert written is None or written.tobytes() == fresh.tobytes(), g.name
-    return fresh
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(closed_form_steps())
-def test_in_place_step_is_bitwise_the_fresh_step(problem):
-    # scalar and per-point slopes, scalar and array offsets, and the same drivers' fixed point
+def test_closed_form_step_is_bitwise_as_written(problem):
+    # scalar and per-point slopes, scalar and array offsets; ey is a row of the fitted values, as the LSMC
+    # pass gives it, and the step leaves it as it was
     g, ctx, t, dt, ey, z, u = problem
-    for spec in (g, plain_copy(g)):
-        assert_in_place_step_is_the_fresh_step(spec, ctx, t, dt, ey, z, u, 0)
+    for project in (None, lambda v: np.full(np.shape(v), np.mean(v))):
+        fitted = np.stack((np.full(ey.shape, np.nan), ey))
+        y, iterations = implicit_step(g, ctx, t, dt, fitted[1], z, u, 0, project)
+        written = closed_form_as_written(g, ctx, t, dt, ey, z, u, project)
+        assert iterations == 1 and y.tobytes() == written.tobytes(), g.name
+        assert not np.shares_memory(y, fitted) and fitted[1].tobytes() == ey.tobytes(), g.name
 
 
 ALIASING_EVALS = {  # plain evals that return one of their inputs itself
@@ -865,59 +850,9 @@ def test_plain_evals_returning_their_inputs_are_solved_as_copies(problem):
         copying = GeneratorSpec(name=name, eval=lambda *args, ev=ev: np.array(ev(*args)))
         for project in (None, lambda v: np.full(np.shape(v), np.mean(v))):
             want, iterations = implicit_step(copying, ctx, t, dt, ey, z, u, 0, project)
-            for out in (None, np.full(ey.shape, np.nan)):
-                got, got_iterations = implicit_step(aliasing, ctx, t, dt, ey, z, u, 0, project, out=out)
-                assert got_iterations == iterations and got.tobytes() == want.tobytes(), name
-                assert [a.tobytes() for a in inputs] == before, name
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(sweep_problems())
-def test_in_place_step_is_bitwise_the_fresh_step_on_tree_levels(problem):
-    tree, g, xi, n = problem
-    lat, dt = tree.lattice, tree.grid.dt
-    removed = ~kept_marks_mask(tree.model, n)
-    y = np.asarray(xi(lat.context(tree.n_steps)), dtype=float)
-    for i in range(tree.n_steps - 1, -1, -1):
-        ey, z, u = lat.one_step(i, y, dt)
-        u[:, removed] = 0.0
-        for spec in (g, plain_copy(g), SLOPED_STATE):
-            for project in (None, _removed_count_average(tree, removed, i)):  # averages over no marks too
-                fresh = assert_in_place_step_is_the_fresh_step(spec, lat.context(i), float(tree.grid.times[i]), dt,
-                                                               ey, z, u, i, project)
-                if spec is g and project is None:
-                    y = fresh
-
-
-@pytest.mark.parametrize("g", [linear_driver(0.4, -0.3, (0.5, -0.5)), tanh_jump_integral(), SLOPED_STATE,
-                               plain_copy(linear_driver(0.5, 0.2, -0.5))], ids=lambda g: g.name)
-def test_in_place_step_is_bitwise_the_fresh_step_on_regression_rows(g):
-    # as the LSMC pass calls it: ey a column of the fitted values, out a row of the (rows, paths) values
-    model, m = TWO_MARK_MODEL, 50
-    rng = np.random.default_rng(5)
-    fitted = rng.standard_normal((m, 2 + model.n_marks))
-    ctx = StepContext(model=model, x=rng.standard_normal(m), w=rng.standard_normal(m),
-                      counts=rng.integers(0, 2, (m, model.n_marks)))
-    z, u = fitted[:, 1] / 0.25, fitted[:, 2:] / (model.intensities * 0.25)
-    y = np.full((3, m), np.nan)
-    for project in (None, lambda v: np.full(np.shape(v), np.mean(v))):
-        assert_in_place_step_is_the_fresh_step(g, ctx, 0.5, 0.25, fitted[:, 0], z, u, 2, project, out=y[1])
-        assert np.isnan(y[[0, 2]]).all()
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_in_place_step_raises_as_the_fresh_step(bad):
-    ctx = StepContext(model=LevyModel(0.0, 1.0), x=np.zeros(2))
-    u = np.zeros((2, 0))
-    cases = [(g, np.zeros(2), np.array([bad, 0.5]), r"^implicit step has a non-finite solution at step 3$")
-             for g in (linear_driver(0.5, 0.3, 0.0), SLOPED_STATE, plain_copy(linear_driver(0.5, 0.3, 0.0)))]
-    no_root = r"^implicit step has no unique solution at step 3: 1 - dt\*slope = -1\.5 <= 0$"
-    cases += [(g, np.ones(2), np.zeros(2), no_root) for g in (linear_y(5.0), linear_driver(5.0, 0.3, 0.0))]
-    for g, ey, z, message in cases:
-        for out in (None, np.empty(2)):
-            with pytest.raises(FixedPointError, match=message):
-                implicit_step(g, ctx, 0.0, 0.5, ey, z, u, 3, out=out)
+            got, got_iterations = implicit_step(aliasing, ctx, t, dt, ey, z, u, 0, project)
+            assert got_iterations == iterations and got.tobytes() == want.tobytes(), name
+            assert [a.tobytes() for a in inputs] == before, name
 
 
 def test_lattice_coordinates_and_node_counts():
