@@ -81,16 +81,20 @@ def _simulate(cfg):
     return Report("simulate", cfg, [case]), header, rows, f"{bundle.n_paths} paths -> paths.csv"
 
 
+def _point_header(j: int) -> list:
+    """The columns that name a lattice point: level, point number, Brownian value and per-mark jump counts."""
+    return ["level", "point", "W"] + [f"N_{k + 1}" for k in range(j)]
+
+
 def _solution_rows(sol) -> list:
-    rows = []
+    """One row per lattice point: its _point_header columns, Y, and Z and U except at the last level."""
+    lat, z, u = sol.tree.lattice, sol.Z.lattice, sol.U.lattice
     j = sol.tree.model.n_marks
-    for lvl, y in enumerate(sol.Y):
-        has_zu = lvl < len(sol.Z)
-        for node in range(y.size):
-            row = [lvl, node, repr(float(y[node]))]
-            row.append(repr(float(sol.Z[lvl][node])) if has_zu else "")
-            for k in range(j):
-                row.append(repr(float(sol.U[lvl][node, k])) if has_zu else "")
+    rows = []
+    for lvl, y in enumerate(sol.Y.lattice):
+        for p in range(y.size):
+            row = [lvl, p, repr(float(lat.w[lvl][p]))] + [int(c) for c in lat.counts[lvl][p]] + [repr(float(y[p]))]
+            row += ([repr(float(z[lvl][p]))] + [repr(float(v)) for v in u[lvl][p]]) if lvl < len(z) else [""] * (1 + j)
             rows.append(row)
     return rows
 
@@ -105,7 +109,7 @@ def _solve_lattice(cfg):
     sol = solve_truncated(tree, g, xi, level) if level is not None else solve_backward(tree, g, xi)
     case = Case(name="solve-lattice", data={"y0": sol.y0, "levels": tree.n_steps + 1,
                                             "max_fixed_point_iterations": max(sol.fp_iterations, default=0)})
-    header = ["level", "node", "Y", "Z"] + [f"U_{k + 1}" for k in range(model.n_marks)]
+    header = _point_header(model.n_marks) + ["Y", "Z"] + [f"U_{k + 1}" for k in range(model.n_marks)]
     report = Report("solve-lattice", cfg, [case],
                     meta={"fp_iterations": list(sol.fp_iterations), "nodes": tree.node_counts()})
     return report, header, _solution_rows(sol), f"Y0 = {sol.y0:.10g}"
@@ -163,11 +167,14 @@ def _apriori(cfg):
 
 
 def _counterexample(cfg):
+    """witnesses.csv: the violating case's ordering witnesses, one row per lattice point."""
     report = experiments.run_counterexample(cfg)
-    rows = [[w["level"], w["node"], w["Y"], w["Y_prime"], w["margin"]] for c in report.cases for w in c.witnesses]
     main_case = report.cases[0]
+    rows = [[w["level"], w["point"], w["w"], *w["counts"], w["Y"], w["Y_prime"], w["margin"]]
+            for w in main_case.witnesses]
+    header = _point_header(resolve_model_grid(report.config)[0].n_marks) + ["Y", "Y_prime", "margin"]
     summary = f"max margin {main_case.data.get('max_margin')} ({main_case.status})"
-    return report, ["level", "node", "Y", "Y_prime", "margin"], rows, summary
+    return report, header, rows, summary
 
 
 def _truncate_study(cfg):

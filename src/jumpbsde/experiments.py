@@ -283,16 +283,49 @@ def default_comparison_config() -> dict:
     }
 
 
+def _pair_case(name: str, tree: ScenarioTree, g, g_prime, xi, xi_prime, checks: list) -> Case:
+    """Solve one ordered pair on the lattice and assert node-wise solution ordering.
+
+    Its hypotheses (sampled driver ordering, node-wise terminal ordering,
+    ordered-jump condition for one driver, nonnegative branch weights of the
+    scheme for one driver) gate the verdict: an unmet hypothesis yields a
+    preconditions-unmet case with no ordering verdict asserted. The condition
+    checks run are appended to checks.
+    """
+    case = Case(name=name)
+    model, grid = tree.model, tree.grid
+    sampler = SamplerConfig(horizon=grid.horizon)
+    order = check_ordering(g, g_prime, model, sampler)
+    if not order.passed:
+        case.unmet("driver ordering f <= f' fails on sampled points")
+        case.witnesses.extend(v.to_dict() for v in order.violations[:3])
+    term_gap = _terminal_gap(tree, xi, xi_prime)
+    if term_gap > 1e-12:
+        case.unmet(f"terminal ordering fails node-wise (max excess {term_gap})")
+    gamma, gamma_p = check_jump_ordering(g, model, sampler), check_jump_ordering(g_prime, model, sampler)
+    weights = check_branch_weights(g, model, grid, sampler)
+    weights_p = check_branch_weights(g_prime, model, grid, sampler)
+    checks += [order, gamma, gamma_p, weights, weights_p]
+    if not (gamma.passed or gamma_p.passed):
+        case.unmet("neither driver passes the ordered-jump condition")
+    if not (weights.passed or weights_p.passed):
+        case.unmet("neither driver keeps every branch weight of the tree's implicit step nonnegative")
+        case.witnesses.extend(v.to_dict() for v in weights.violations[:3])
+    if case.status == "preconditions-unmet":
+        return case
+
+    sol = solve_backward(tree, g, xi)
+    sol_p = solve_backward(tree, g_prime, xi_prime)
+    viol = max_ordering_violation(sol, sol_p)
+    case.data.update({"y0": sol.y0, "y0_prime": sol_p.y0, "max_violation": viol, "steps": grid.steps})
+    case.assert_leq("ordering", viol, 0.0, tolerance=10.0 * DEFAULT_FP_TOL)
+    return case
+
+
 @_timed
 def run_comparison(cfg: dict | None = None) -> Report:
-    """Solve ordered pairs on the lattice and assert node-wise solution ordering.
-
-    Preconditions per pair (sampled driver ordering, node-wise terminal
-    ordering, ordered-jump condition for one driver, nonnegative branch
-    weights of the scheme for one driver) gate the verdicts: an unmet
-    hypothesis yields a preconditions-unmet case with no ordering verdict
-    asserted.
-    """
+    """Judge each configured pair with _pair_case; with refine, also assert that the ordering
+    violation does not grow on the dt-halved grid."""
     cfg = cfg or default_comparison_config()
     _check_keys("comparison", cfg, default_comparison_config(), "pairs")
     if not cfg["pairs"]:
@@ -301,47 +334,19 @@ def run_comparison(cfg: dict | None = None) -> Report:
     refine = config_value(cfg, "refine", bool, True)
     cases, checks = [], []
     for pair in cfg["pairs"]:
-        case = Case(name=pair["name"])
         model = model_from_config(pair["model"])
         g = generator_from_config(pair["generator"])
         gp = generator_from_config(pair["generator_prime"])
         xi = make_terminal(pair["terminal"])
         xip = make_terminal(pair["terminal_prime"])
         grid = TimeGrid(horizon=horizon, steps=config_value(pair, "steps", int))
-        tree = build_tree(model, grid)
-
-        sampler = SamplerConfig(horizon=grid.horizon)
-        order = check_ordering(g, gp, model, sampler)
-        if not order.passed:
-            case.unmet("driver ordering f <= f' fails on sampled points")
-            case.witnesses.extend(v.to_dict() for v in order.violations[:3])
-        term_gap = _terminal_gap(tree, xi, xip)
-        if term_gap > 1e-12:
-            case.unmet(f"terminal ordering fails node-wise (max excess {term_gap})")
-        gamma, gamma_p = check_jump_ordering(g, model, sampler), check_jump_ordering(gp, model, sampler)
-        weights = check_branch_weights(g, model, grid, sampler)
-        weights_p = check_branch_weights(gp, model, grid, sampler)
-        checks += [order, gamma, gamma_p, weights, weights_p]
-        if not (gamma.passed or gamma_p.passed):
-            case.unmet("neither driver passes the ordered-jump condition")
-        if not (weights.passed or weights_p.passed):
-            case.unmet("neither driver keeps every branch weight of the tree's implicit step nonnegative")
-            case.witnesses.extend(v.to_dict() for v in weights.violations[:3])
-        if case.status == "preconditions-unmet":
-            cases.append(case)
-            continue
-
-        sol = solve_backward(tree, g, xi)
-        sol_p = solve_backward(tree, gp, xip)
-        viol = max_ordering_violation(sol, sol_p)
-        case.data.update({"y0": sol.y0, "y0_prime": sol_p.y0, "max_violation": viol, "steps": grid.steps})
-        case.assert_leq("ordering", viol, 0.0, tolerance=10.0 * DEFAULT_FP_TOL)
-        if refine:
-            grid2 = TimeGrid(horizon=grid.horizon, steps=2 * grid.steps)
-            tree2 = build_tree(model, grid2)
+        case = _pair_case(pair["name"], build_tree(model, grid), g, gp, xi, xip, checks)
+        if refine and case.status != "preconditions-unmet":
+            tree2 = build_tree(model, TimeGrid(horizon=horizon, steps=2 * grid.steps))
             viol2 = max_ordering_violation(solve_backward(tree2, g, xi), solve_backward(tree2, gp, xip))
             case.data["max_violation_refined"] = viol2
-            case.assert_leq("violation_nonincreasing_under_refinement", viol2, max(viol, 0.0), tolerance=1e-15)
+            case.assert_leq("violation_nonincreasing_under_refinement", viol2, max(case.data["max_violation"], 0.0),
+                            tolerance=1e-15)
         cases.append(case)
     return Report("comparison", cfg, cases, meta={"checks": _checks_meta(checks)})
 
@@ -367,20 +372,23 @@ def default_counterexample_config() -> dict:
 
 
 def _violation_witnesses(sol: TreeSolution, sol_prime: TreeSolution, threshold: float) -> list:
-    out = []
-    for lvl, (ya, yb) in enumerate(zip(sol.Y, sol_prime.Y)):
+    """Up to three lattice points per level where Y exceeds Y' by more than threshold, each named by
+    its level, point number, Brownian value w and per-mark jump counts."""
+    lat, out = sol.tree.lattice, []
+    for lvl, (ya, yb) in enumerate(zip(sol.Y.lattice, sol_prime.Y.lattice)):
         excess = ya - yb
-        for node in np.flatnonzero(excess > threshold)[:3]:
-            out.append({"level": lvl, "node": int(node), "Y": float(ya[node]), "Y_prime": float(yb[node]),
-                        "margin": float(excess[node])})
+        for p in np.flatnonzero(excess > threshold)[:3]:
+            out.append({"level": lvl, "point": int(p), "w": float(lat.w[lvl][p]),
+                        "counts": lat.counts[lvl][p].astype(int).tolist(), "Y": float(ya[p]),
+                        "Y_prime": float(yb[p]), "margin": float(excess[p])})
     return out
 
 
 @_timed
 def run_counterexample(cfg: dict | None = None) -> Report:
     """Exhibit ordered data whose solutions are not ordered once the ordered-jump condition is dropped,
-    and re-run with the boundary driver under the comparison's hypotheses: ordered terminals, the
-    ordered-jump condition and nonnegative branch weights (see run_comparison)."""
+    and judge the boundary driver against itself on the same terminals as a comparison pair
+    (_pair_case)."""
     cfg = cfg or default_counterexample_config()
     _check_keys("counterexample", cfg, default_counterexample_config())
     margin_factor = config_value(cfg, "margin_factor", float, 100.0)
@@ -392,14 +400,12 @@ def run_counterexample(cfg: dict | None = None) -> Report:
     g = generator_from_config(cfg["generator"])
     xi = make_terminal(cfg["terminal"])
     xip = make_terminal(cfg["terminal_prime"])
-    sampler = SamplerConfig(horizon=grid.horizon)
-    term_gap = _terminal_gap(tree, xi, xip)
 
     case = Case(name="violating_driver")
-    gamma = check_jump_ordering(g, model, sampler)
+    gamma = check_jump_ordering(g, model, SamplerConfig(horizon=grid.horizon))
     if gamma.passed:
         case.unmet("the configured driver does not violate the ordered-jump condition")
-    if term_gap > 1e-12:
+    if _terminal_gap(tree, xi, xip) > 1e-12:
         case.unmet("terminal ordering fails node-wise")
     if case.status != "preconditions-unmet":
         sol = solve_backward(tree, g, xi)
@@ -410,23 +416,10 @@ def run_counterexample(cfg: dict | None = None) -> Report:
         case.assert_gt("violation_found", margin, threshold,
                        note="a node with Y > Y' beyond the threshold demonstrates the failure of ordering")
 
-    boundary = Case(name="boundary_driver")
+    checks = [gamma]
     gb = generator_from_config(cfg.get("boundary_generator", {"name": "linear_driver", "a": 0.0, "b": 0.0, "c": -1.0}))
-    gamma_b, weights_b = check_jump_ordering(gb, model, sampler), check_branch_weights(gb, model, grid, sampler)
-    if not gamma_b.passed:
-        boundary.unmet("the boundary driver fails the ordered-jump condition")
-    if not weights_b.passed:
-        boundary.unmet("the boundary driver makes a branch weight of the tree's implicit step negative")
-    if term_gap > 1e-12:
-        boundary.unmet("terminal ordering fails node-wise")
-    if boundary.status != "preconditions-unmet":
-        sol = solve_backward(tree, gb, xi)
-        sol_p = solve_backward(tree, gb, xip)
-        margin = max_ordering_violation(sol, sol_p)
-        boundary.data.update({"max_margin": margin})
-        boundary.assert_leq("no_violation", margin, 0.0, tolerance=10.0 * DEFAULT_FP_TOL)
-
-    return Report("counterexample", cfg, [case, boundary], meta={"checks": _checks_meta([gamma, gamma_b, weights_b])})
+    boundary = _pair_case("boundary_driver", tree, gb, gb, xi, xip, checks)
+    return Report("counterexample", cfg, [case, boundary], meta={"checks": _checks_meta(checks)})
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +526,7 @@ def run_apriori_check(cfg: dict | None = None) -> Report:
             continue
         sol = solve_backward(tree, g, xi)
         ck = measure_ck(tree, g)
-        e_xi2 = tree.expectation(sol.Y[-1] ** 2, tree.n_steps)
+        e_xi2 = tree.lattice.expectation(sol.Y.lattice[-1] ** 2, tree.n_steps)
         e_if2 = measure_e_if2(tree, g)
         bound = apriori_bound(ck, e_xi2, e_if2)
         sup_y2 = sol.expected_sup_y_squared()

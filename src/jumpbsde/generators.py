@@ -450,22 +450,6 @@ def check_ordering(
 # ---------------------------------------------------------------------------
 
 
-def zero_generator() -> GeneratorSpec:
-    return GeneratorSpec(name="zero", eval=Affine(lambda ctx, t, z, u: (0.0, 0.0), LinearCoefficients(0.0)))
-
-
-def linear_y(k: float = 1.0) -> GeneratorSpec:
-    """f = k*y; monotone with identity modulus and slope coefficient max(k, 0)."""
-    kf = float(k)
-
-    return GeneratorSpec(
-        name=f"linear_y(k={kf:g})",
-        eval=Affine(lambda ctx, t, z, u: (kf, 0.0), LinearCoefficients(kf)),
-        K1=constant_coeff(abs(kf)),
-        alpha=lambda t: max(kf, 0.0),
-    )
-
-
 def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
     """f = a*y + b*z + sum_j c_j lambda_j u_j.
 
@@ -485,6 +469,9 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
     def bind_lin(ctx, t, z, u):
         return af, bf * np.asarray(z, dtype=float) + mark_sum(u, jump_weights(ctx.model))
 
+    def bind_y(ctx, t, z, u):  # b = c = 0: f = a y, and no per-point offset need be built
+        return af, 0.0
+
     def k2(ctx, t):
         cs = lin.jump_coefficients(ctx.model)
         # Cauchy-Schwarz in the weighted norm: |sum c lam u| <= sqrt(sum c^2 lam) ||u||
@@ -494,12 +481,21 @@ def linear_driver(a: float = 0.5, b: float = 0.5, c=0.5) -> GeneratorSpec:
     cname = ",".join(f"{v:g}" for v in lin.c)
     return GeneratorSpec(
         name=f"linear(a={af:g},b={bf:g},c=[{cname}])",
-        eval=Affine(bind_lin, lin),
+        eval=Affine(bind_lin if bf or any(lin.c) else bind_y, lin),
         K1=constant_coeff(abs(af)),
         K2=k2,
         beta=k2,
         alpha=lambda t: max(af, 0.0),
     )
+
+
+def zero_generator() -> GeneratorSpec:
+    return replace(linear_driver(0.0, 0.0, 0.0), name="zero")
+
+
+def linear_y(k: float = 1.0) -> GeneratorSpec:
+    """f = k*y; monotone with identity modulus and slope coefficient max(k, 0)."""
+    return replace(linear_driver(k, 0.0, 0.0), name=f"linear_y(k={float(k):g})")
 
 
 def tanh_jump_integral() -> GeneratorSpec:

@@ -130,8 +130,10 @@ def _weighted_sums(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
     regressor rows. A single sum over all paths keeps each entry in one
     running total and loses digits at large path counts. Each block is an
     np.einsum, not a matrix product, so the sums do not depend on the BLAS
-    kernel.
+    kernel. np.einsum sums in an order that follows the memory layout, so
+    both inputs are taken C-ordered: the bits do not depend on the layout.
     """
+    weights, a = np.ascontiguousarray(weights), np.ascontiguousarray(a)
     return sum(np.einsum("km,rm->kr", weights[:, s:s + PATH_BLOCK], a[:, s:s + PATH_BLOCK])
                for s in range(0, a.shape[1], PATH_BLOCK))
 

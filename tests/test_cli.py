@@ -71,8 +71,8 @@ def test_solve_lattice_solution_table(tmp_path):
     assert run_cli(["solve-lattice", "--config", cfg, "--out", out]) == 0
     with open(out / "solution.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["level", "node", "Y", "Z", "U_1"]
-    assert len(rows) == 1 + sum(2**i for i in range(5))
+    assert rows[0] == ["level", "point", "W", "N_1", "Y", "Z", "U_1"]
+    assert len(rows) == 1 + sum(i + 1 for i in range(5))  # level i of one mark's lattice has i + 1 points
     report = read_report(out)
     assert report["cases"][0]["data"]["y0"] == pytest.approx(1 - (1 - 0.7 / 4) ** 4, abs=1e-12)
     iterations = report["meta"]["fp_iterations"]
@@ -205,23 +205,49 @@ def test_counterexample_and_truncate_study_defaults(tmp_path):
     assert rows[0][0] == "n" and len(rows) == 4
 
 
+# With b = 0.5 on a two-step grid this boundary driver weights a branch negatively; the ordered-jump
+# check alone passed it, and its ordering verdict failed with margin 0.011 (exit 1).
+NEGATIVE_WEIGHT_BOUNDARY = {
+    **experiments.default_counterexample_config(),
+    "model": {"drift": 0.0, "sigma": 1.0, "marks": [{"x": -0.5, "lambda": 0.5}]},
+    "grid": {"T": 1.0, "steps": 2},
+    "boundary_generator": {"name": "linear_driver", "a": 0.0, "b": 0.5, "c": -1.0},
+    "terminal": {"name": "clip_x", "lo": -100.0, "hi": 0.0},
+    "terminal_prime": {"name": "const", "value": 0.0},
+}
+
+
 def test_counterexample_boundary_case_checks_the_branch_weights(tmp_path):
-    # with b = 0.5 on a two-step grid the boundary driver weights a branch negatively; the ordered-jump
-    # check alone passed it, and its no_violation verdict failed with margin 0.011 (exit 1)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        **experiments.default_counterexample_config(),
-        "model": {"drift": 0.0, "sigma": 1.0, "marks": [{"x": -0.5, "lambda": 0.5}]},
-        "grid": {"T": 1.0, "steps": 2},
-        "boundary_generator": {"name": "linear_driver", "a": 0.0, "b": 0.5, "c": -1.0},
-        "terminal": {"name": "clip_x", "lo": -100.0, "hi": 0.0},
-        "terminal_prime": {"name": "const", "value": 0.0},
-    }))
+    cfg.write_text(json.dumps(NEGATIVE_WEIGHT_BOUNDARY))
     assert run_cli(["counterexample", "--config", cfg, "--out", tmp_path / "out"]) == 2
     violating, boundary = read_report(tmp_path / "out")["cases"]
     assert violating["status"] == "pass" and boundary["status"] == "preconditions-unmet"
     assert boundary["verdicts"] == [] and boundary["data"]["unmet_reasons"] == [
-        "the boundary driver makes a branch weight of the tree's implicit step negative"]
+        "neither driver keeps every branch weight of the tree's implicit step nonnegative"]
+    # the boundary case's branch-weight witnesses name no lattice point; witnesses.csv holds the violating case's
+    assert violating["witnesses"] and boundary["witnesses"]
+    with open(tmp_path / "out" / "witnesses.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["level", "point", "W", "N_1", "Y", "Y_prime", "margin"]
+    assert rows[1:] == [[str(w[k]) for k in ("level", "point", "w")] + [str(c) for c in w["counts"]]
+                        + [str(w[k]) for k in ("Y", "Y_prime", "margin")] for w in violating["witnesses"]]
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    NEGATIVE_WEIGHT_BOUNDARY,
+    {"boundary_generator": {"name": "linear_driver", "a": 0.0, "b": 0.0, "c": -2.0}},
+], ids=["default", "negative-weight", "jump-ordering-violated"])
+def test_counterexample_boundary_case_is_the_comparison_of_its_pair(changes):
+    # the boundary case is the compare pair of the boundary driver with itself, judged by the same code
+    cfg = {**experiments.default_counterexample_config(), **changes}
+    pair = {"name": "boundary_driver", "model": cfg["model"], "steps": cfg["grid"]["steps"],
+            "generator": cfg["boundary_generator"], "generator_prime": cfg["boundary_generator"],
+            "terminal": cfg["terminal"], "terminal_prime": cfg["terminal_prime"]}
+    boundary = experiments.run_counterexample(cfg).cases[1].to_dict()
+    compared = experiments.run_comparison({"horizon": cfg["grid"]["T"], "refine": False, "pairs": [pair]})
+    assert boundary == compared.cases[0].to_dict()
 
 
 @pytest.mark.parametrize("factor", [-1.0, 0.0])
@@ -757,8 +783,8 @@ def test_check_counts_in_meta_only(tmp_path):
     assert (checks["calls"], checks["points"]) == (20, 20 * 303 * 8) and checks["seconds"] > 0
     assert '"checks"' not in json.dumps({k: v for k, v in report.items() if k != "meta"})
     assert run_cli(["counterexample", "--out", tmp_path / "ce"]) == 0
-    # the two jump-ordering checks and the boundary driver's branch-weight check
-    assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 3
+    # the violating driver's jump-ordering check and the boundary pair's five comparison checks
+    assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 6
 
 
 INPUT_ERROR_CASES = [

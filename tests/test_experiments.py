@@ -136,7 +136,7 @@ def test_counterexample_default_instance():
     assert main.data["max_margin"] > 100 * 1e-12
     assert main.witnesses, "a violating node must be reported"
     assert boundary.status == "pass"
-    assert boundary.data["max_margin"] <= 1e-11
+    assert boundary.data["max_violation"] <= 1e-11
 
 
 def test_counterexample_equal_terminals_find_nothing():

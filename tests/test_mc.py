@@ -519,6 +519,15 @@ def test_projection_fit_is_the_normal_equations(case):
     assert np.array_equal(degrees, want[1][0]) and np.array_equal(iterations, want[2][0])
 
 
+def test_weighted_sums_do_not_depend_on_the_input_layout():
+    # np.einsum sums in an order that follows the memory layout: F-ordered inputs moved the last digits
+    rng = np.random.default_rng(3)
+    weights, a = rng.standard_normal((4, 5000)), rng.standard_normal((6, 5000))
+    want = _weighted_sums(weights, a).tobytes()
+    assert _weighted_sums(weights, np.asfortranarray(a)).tobytes() == want
+    assert _weighted_sums(np.asfortranarray(weights), a).tobytes() == want
+
+
 def test_plain_copy_check_covers_a_pure_jump_state_that_drops_degree():
     degrees = _assert_pass_matches_plain_copy(*_pass_inputs(*PURE_JUMP_PASS))
     assert degrees[0] == 0 and degrees.max() == 3  # the state is deterministic at step 0 only
