@@ -9,20 +9,16 @@ below it and converge quadratically. The rise of G is carried along the
 iterates as a sum of short quadratures between them, so non-smooth moduli
 (piecewise-linear rho) and unbounded transforms are fine.
 
-scipy.integrate is reached only through this module's `quad`, which imports
-it on the first quadrature (`_quiet_quadrature` takes its warning class from
-the same import). Importing it takes about 0.6 s and 45 MB, which runs that
-never integrate (the trees, LSMC and the comparison suite) do not pay. No
-other module of the package imports scipy.
+Every quadrature is `gauss_kronrod`, an adaptive Gauss-Kronrod 7/15 rule on
+Python floats with QUADPACK's constants. 1/rho is integrated in s = log r, as
+the integral of r/rho(r) ds, which is smooth where 1/rho spans decades. No
+quadrature library is imported.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -30,9 +26,26 @@ from .config import resolve_spec
 from .generators import RHO_CATALOG, RhoFunction
 
 QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-10
+QUAD_LIMIT = 200
 TRANSFORM_PIECE_RATIO = 1e3
 NEWTON_MAX_ITER = 200
 BRACKET_CAP = 1e300
+
+# QUADPACK's qk15 rule (Piessens et al. 1983) on [-1, 1]: the centre and 7
+# symmetric pairs of Kronrod abscissae, with the Kronrod weights and the weights
+# of the 7-point Gauss rule that uses the centre and every other pair.
+_CENTRE_WEIGHTS = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+_PAIRS = (  # (abscissa, Kronrod weight, Gauss weight)
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+
 
 class BoundInputError(ValueError):
     pass
@@ -50,68 +63,71 @@ def get_rho(spec) -> RhoFunction:
     return rho
 
 
-class _Modulus:
-    """A modulus as the quadrature and Newton loops call it: rho and 1/rho on
-    one float each, the kinks a quadrature is split at, and the count of 1/rho
-    quadratures run with it. Built once per public call; user moduli without a
-    scalar form go through the array form."""
+def gauss_kronrod(f, a: float, b: float) -> float:
+    """Signed adaptive quadrature of the float function f from a to b. An interval's
+    K15 is accepted when |K15 - G7| <= max(QUAD_ABS_TOL, QUAD_REL_TOL |K15|), or
+    when QUAD_LIMIT halvings are spent; otherwise it is halved. Sums from a to b."""
+    total, pending, splits = 0.0, [(a, b)], 0
+    w_kronrod, w_gauss = _CENTRE_WEIGHTS
+    while pending:
+        lo, hi = pending.pop()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        f_mid = f(mid)
+        kronrod, gauss = w_kronrod * f_mid, w_gauss * f_mid
+        for x, wk, wg in _PAIRS:
+            pair = f(mid - half * x) + f(mid + half * x)
+            kronrod += wk * pair
+            gauss += wg * pair
+        kronrod, gauss = kronrod * half, gauss * half
+        if abs(kronrod - gauss) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(kronrod)) or splits >= QUAD_LIMIT:
+            total += kronrod
+        else:
+            splits += 1
+            pending += ((mid, hi), (lo, mid))
+    return total
 
-    __slots__ = ("at", "inv", "kinks", "quadratures")
+
+class _Modulus:
+    """A modulus as the quadrature and Newton loops call it: rho on one float,
+    r / rho(r) at r = exp(s) (the integrand of 1/rho in s = log r), the kinks
+    a quadrature is split at, and the count of 1/rho quadratures run with it.
+    Built once per public call; user moduli without a scalar form go through
+    the array form. A rho that is not positive where a loop evaluates it is a
+    BoundInputError: G' = 1/rho does not exist there."""
+
+    __slots__ = ("at", "r_over_rho", "kinks", "quadratures")
 
     def __init__(self, rho: RhoFunction):
-        if rho.scalar is not None:
-            at = rho.scalar
-        else:
-            def at(x):
+        value = rho.scalar
+        if value is None:
+            def value(x):
                 with np.errstate(over="ignore"):  # rho may overflow near the cap: an infinite step is out of domain
                     return float(rho(x))
-        self.at = at
-        self.inv = lambda r: 1.0 / at(r)
+
+        def at(r):
+            rho_r = value(r)
+            if rho_r <= 0.0:
+                raise BoundInputError(f"rho must be positive on (0, inf); rho({r!r}) = {rho_r!r}")
+            return rho_r
+
+        def r_over_rho(s):  # at(r) inlined on the common path: this runs 15 times per quadrature
+            r = math.exp(s)
+            rho_r = value(r)
+            return r / rho_r if rho_r > 0.0 else r / at(r)  # at raises unless rho_r is nan
+
+        self.at, self.r_over_rho = at, r_over_rho
         self.kinks = tuple(sorted(rho.kinks))
         self.quadratures = 0
 
 
-@cache
-def _scipy_integrate():
-    """scipy.integrate, imported on the first call; cached, so the per-call
-    lookups of the bounds cost no import statement."""
-    import scipy.integrate
-
-    return scipy.integrate
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported by the first call, which rebinds this
-    name to it so that the quadrature and Newton loops pay no import. Callers
-    outside this module use `bounds.quad` too."""
-    global quad
-    scipy_quad = _scipy_integrate().quad
-    if quad is _deferred_quad:  # a substitute set in its place stays
-        quad = scipy_quad
-    return scipy_quad(*args, **kwargs)
-
-
-_deferred_quad = quad
-
-
-@contextmanager
-def _quiet_quadrature():
-    # a step toward an unreachable target may span an astronomically wide
-    # range; the bracket cap, not this accuracy warning, decides that case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _scipy_integrate().IntegrationWarning)
-        yield
-
-
 def _integral_inv_rho(a: float, b: float, mod: _Modulus) -> float:
-    """Signed adaptive quadrature of 1/rho from a to b, one piece between
+    """Signed quadrature of 1/rho from a to b > 0, in log r, one piece between
     each pair of kinks strictly inside the interval: a single quadrature
     across a kink of xlogx missed the integral by 8e-8."""
     inside = [k for k in mod.kinks if min(a, b) < k < max(a, b)]
     edges = [a, *(inside if a < b else inside[::-1]), b]
     mod.quadratures += len(edges) - 1
-    return sum(quad(mod.inv, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)[0]
-               for lo, hi in zip(edges, edges[1:]))
+    return sum(gauss_kronrod(mod.r_over_rho, math.log(lo), math.log(hi)) for lo, hi in zip(edges, edges[1:]))
 
 
 def _transform(x: float, mod: _Modulus) -> float:
@@ -134,8 +150,7 @@ def bihari_transform(x: float, rho: RhoFunction) -> float:
     single quadrature over many decades misplaces its nodes (G(1e12) for
     sqrt came out 2000000.000000015, not 1999998).
     """
-    with _quiet_quadrature():
-        return _transform(x, _Modulus(rho))
+    return _transform(x, _Modulus(rho))
 
 
 def _invert_transform(rise: float, mod: _Modulus, x_start: float) -> tuple[float | None, int]:
@@ -174,12 +189,9 @@ def _integrate_rate(K, t: float, T: float) -> float:
     """Time integral of a nonnegative rate; exact for tables exposing .integral."""
     if hasattr(K, "integral"):
         return float(K.integral(t, T))
-    sample = np.linspace(t, T, 65)
-    vals = np.asarray([float(K(s)) for s in sample])
-    if (vals < 0).any():
+    if any(float(K(s)) < 0 for s in np.linspace(t, T, 65)):
         raise BoundInputError("the rate K must be nonnegative on [t, T]")
-    val, _ = quad(lambda s: float(K(s)), t, T, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
-    return float(val)
+    return gauss_kronrod(lambda s: float(K(s)), t, T)
 
 
 def bihari_bound(c: float, K, rho, t: float, T: float) -> BihariResult:
@@ -197,9 +209,8 @@ def bihari_bound(c: float, K, rho, t: float, T: float) -> BihariResult:
     if integral_k < 0:
         raise BoundInputError("the rate integral must be nonnegative")
     mod = _Modulus(rho)
-    with _quiet_quadrature():
-        g_of_c = _transform(c, mod)
-        root, steps = _invert_transform(integral_k, mod, float(c))
+    g_of_c = _transform(c, mod)
+    root, steps = _invert_transform(integral_k, mod, float(c))
     status = "ok" if root is not None else "out-of-domain"
     return BihariResult(status=status, bound=root, G_of_c=g_of_c, integral_K=integral_k,
                         quadratures=mod.quadratures, newton_steps=steps)
@@ -281,8 +292,7 @@ def stability_bound(a: float, b: float, delta: float, rho) -> float:
         return 0.0
     mod = _Modulus(get_rho(rho))
     e4b = math.exp(4.0 * b)
-    with _quiet_quadrature():
-        h, _ = _invert_transform(2.0 * e4b * a, mod, e4b * delta)
+    h, _ = _invert_transform(2.0 * e4b * a, mod, e4b * delta)
     if h is None:
         return math.inf
     return 2.0 * e4b * delta + (2.0 * e4b * a + 1.0) * (h + mod.at(h))

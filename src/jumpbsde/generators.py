@@ -75,20 +75,16 @@ class RhoFunction:
 _INV_E = 1.0 / math.e
 
 
-def _xlogx(x):
-    x = np.asarray(x, dtype=float)
-    m = np.minimum(x, _INV_E)
-    with np.errstate(invalid="ignore"):
-        out = 1.0 - m**m
-    return np.where(m == 0.0, 0.0, out)  # 0^0 = 1 at the origin
-
-
 def _xlogx_scalar(x: float) -> float:
     m = min(x, _INV_E)
-    if m == 0.0:
-        return 0.0
-    p = m**m  # complex for a negative non-integer m, where numpy gives nan
-    return math.nan if isinstance(p, complex) else 1.0 - p
+    if m > 0.0:
+        return -math.expm1(m * math.log(m))  # 1 - m**m rounds to 0 below m = 8.7e-19
+    return 0.0 if m == 0.0 else math.nan
+
+
+# The float form on each element: numpy's expm1 and log are not libm's on every
+# CPU (SIMD kernels), so computing the array form apart would break bit equality.
+_xlogx = np.vectorize(_xlogx_scalar, otypes=[float])
 
 
 def _sqrt_scalar(x: float) -> float:

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import subprocess
@@ -229,13 +228,13 @@ def test_quadratures_per_bound_are_few(monkeypatch):
     """Newton steps need a handful of 1/rho quadratures; a bracket-and-bisect
     search (about 50 per bound) would show here."""
     calls = []
-    real_quad = bounds.quad
+    real_rule = bounds.gauss_kronrod
 
-    def counting_quad(*args, **kwargs):
+    def counting_rule(*args):
         calls.append(1)
-        return real_quad(*args, **kwargs)
+        return real_rule(*args)
 
-    monkeypatch.setattr(bounds, "quad", counting_quad)
+    monkeypatch.setattr(bounds, "gauss_kronrod", counting_rule)
     for rho in sorted(rho_catalog()):
         for c in (0.05, 0.3, 1.0, 2.5, 5.0):
             for k0 in (0.0, 0.5, 1.5, 3.0):
@@ -297,27 +296,96 @@ def test_catalog_moduli_stay_on_their_scalar_form(monkeypatch):
 
 
 # rho(r) = r^2 bounds G above by 1 from c = 1, so the target int K = 50 is out
-# of reach: the Newton steps toward it span wide ranges of a fast-decaying
-# 1/rho, and scipy reports "probably divergent" on one of those quadratures
-SQUARE_SETUP = """
+# of reach: the Newton steps toward it span wide ranges of a fast-decaying 1/rho
+SQUARE_OUT_OF_REACH = """
 import numpy as np
 from jumpbsde import PiecewiseConstantRate, RhoFunction, bihari_bound
 square = RhoFunction(lambda x: np.asarray(x, dtype=float) ** 2, "square")
+print(bihari_bound(1.0, PiecewiseConstantRate([0.0, 1.0], [50.0]), square, 0.0, 1.0).status)
 """
-SQUARE_OUT_OF_REACH = "res = bihari_bound(1.0, PiecewiseConstantRate([0.0, 1.0], [50.0]), square, 0.0, 1.0)\n"
 
 
-def test_integration_warning_stays_filtered_after_deferred_import(monkeypatch):
-    from scipy.integrate import IntegrationWarning
-
-    monkeypatch.setattr(bounds, "_quiet_quadrature", contextlib.nullcontext)
-    with pytest.warns(IntegrationWarning):
-        exec(SQUARE_SETUP + SQUARE_OUT_OF_REACH, {})
-    # a fresh interpreter loads scipy.integrate inside the bound, with every warning an error
-    script = ("import sys\n" + SQUARE_SETUP + "assert 'scipy.integrate' not in sys.modules\n" + SQUARE_OUT_OF_REACH
-              + "assert 'scipy.integrate' in sys.modules\nprint(res.status)\n")
+def test_out_of_reach_bound_warns_nothing():
+    """With every warning an error, the out-of-reach bound still reports out-of-domain."""
     env = {**os.environ, "PYTHONPATH": str(Path(bounds.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", SQUARE_OUT_OF_REACH], capture_output=True, text=True,
+                          env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "out-of-domain\n"
+
+
+def test_gauss_kronrod_constants_are_qk15():
+    """The stored abscissae and weights: K15 is exact to degree 22, G7 to degree 13
+    and equals numpy's 7-point Gauss-Legendre rule."""
+    x = np.array([-p[0] for p in bounds._PAIRS] + [0.0] + [p[0] for p in bounds._PAIRS[::-1]])
+    w_k = np.array([p[1] for p in bounds._PAIRS] + [bounds._CENTRE_WEIGHTS[0]] + [p[1] for p in bounds._PAIRS[::-1]])
+    w_g = np.array([p[2] for p in bounds._PAIRS] + [bounds._CENTRE_WEIGHTS[1]] + [p[2] for p in bounds._PAIRS[::-1]])
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(w_k @ x**k) - exact) <= 1e-15, k
+        if k <= 13:
+            assert abs(float(w_g @ x**k) - exact) <= 1e-15, k
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(np.sort(x[w_g > 0]), nodes, rtol=0, atol=1e-15)
+    assert np.allclose(w_g[w_g > 0], weights[np.argsort(nodes)], rtol=0, atol=1e-15)
+
+
+def test_gauss_kronrod_is_signed_adaptive_and_capped():
+    assert abs(bounds.gauss_kronrod(math.sqrt, 0.0, 1.0) - 2.0 / 3.0) <= bounds.QUAD_ABS_TOL
+    assert bounds.gauss_kronrod(math.sqrt, 1.0, 0.0) == pytest.approx(-bounds.gauss_kronrod(math.sqrt, 0.0, 1.0),
+                                                                       rel=1e-15)  # summed from 1 down
+    assert bounds.gauss_kronrod(math.exp, -3.0, 2.0) == pytest.approx(math.exp(2.0) - math.exp(-3.0), rel=1e-14)
+    # 1/x is not integrable at 0: after QUAD_LIMIT halvings the rule returns the estimate it reached
+    calls = []
+
+    def inv(x):
+        calls.append(x)
+        return 1.0 / x
+
+    assert math.isfinite(bounds.gauss_kronrod(inv, 0.0, 1.0))
+    assert len(calls) == 15 * (2 * bounds.QUAD_LIMIT + 1)
+
+
+# Roots x of G(x) - G(c) = 1 for xlogx, G' = 1 / (1 - r^r) below 1/e: mpmath at
+# 40 digits (quadrature in log r, `findroot`), agreeing with a 50-digit solve
+XLOGX_ROOTS = {
+    1e-10: "0.000209324699677211317702253", 1e-11: "0.00008977274175722890855172724",
+    1e-12: "0.00003849122575437104068109414", 1e-13: "0.00001650166646912681095536449",
+    1e-14: "0.000007074074131102052272784351", 1e-15: "0.000003032494455219935897075477",
+    1e-16: "0.0000012999454116999097102182", 1e-17: "0.0000005572470237368956469646911",
+    1e-18: "0.0000002388742123354746458326174", 1e-19: "0.0000001023977136771781966661185",
+    1e-20: "4.389459184607486808929618e-8", 1e-21: "1.881618882715890740083812e-8",
+    1e-22: "8.065889380498916281477943e-9", 1e-23: "3.45758478488715120667423e-9",
+    1e-24: "1.482154255711268784962641e-9",
+}
+
+
+@pytest.mark.parametrize("c", sorted(XLOGX_ROOTS, reverse=True))
+def test_xlogx_bound_near_zero_matches_mpmath(c):
+    # 1 - m**m rounded to 0 below m = 8.7e-19: c = 1e-18 raised ZeroDivisionError, 2e-18 lay 1.4% low
+    res = bihari_bound(c, PiecewiseConstantRate([0.0, 1.0], [1.0]), "xlogx", 0.0, 1.0)
+    want = float(XLOGX_ROOTS[c])
+    assert res.status == "ok"
+    assert abs(res.bound - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("rho", sorted(rho_catalog()))
+def test_catalog_bounds_at_extreme_c_are_ok_or_out_of_domain(rho):
+    """Down to the smallest subnormal c and up to the bracket cap, a catalog
+    modulus gives a bound or out-of-domain, never an exception."""
+    for c in (5e-324, 1e-300, 1e-30, 1e300):
+        for k0 in (0.0, 1.0, 50.0):
+            res = bihari_bound(c, PiecewiseConstantRate([0.0, 1.0], [k0]), rho, 0.0, 1.0)
+            assert res.status == "out-of-domain" or c <= res.bound <= bounds.BRACKET_CAP, (rho, c, k0)
+
+
+# vanishes on (0, 0.5]: G(c) below 0.5, and Newton steps from there, have no 1/rho
+VANISHING = RhoFunction(lambda x: np.maximum(np.asarray(x, dtype=float) - 0.5, 0.0), "vanishing below 1/2")
+
+
+@pytest.mark.parametrize("c", [0.2, 0.5])
+def test_modulus_vanishing_at_a_reachable_point_is_an_input_error(c):
+    with pytest.raises(BoundInputError, match=r"rho must be positive on \(0, inf\); rho\(.*\) = 0\.0"):
+        bihari_bound(c, PiecewiseConstantRate([0.0, 1.0], [1.0]), VANISHING, 0.0, 1.0)
+    with pytest.raises(BoundInputError, match="rho must be positive"):
+        stability_bound(0.5, 0.0, c, VANISHING)  # b = 0: the Newton steps start at delta = c

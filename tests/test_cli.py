@@ -362,6 +362,29 @@ def test_console_script_reports_input_errors_in_one_line(tmp_path):
     ]
 
 
+def test_bihari_xlogx_near_zero_exits_0(tmp_path):
+    # 1 - m**m made xlogx vanish at c = 1e-18, and the bound raised ZeroDivisionError (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": 1e-18, "K": 1.0, "rho": "xlogx", "t": 0.0, "T": 1.0}))
+    assert run_cli(["bihari", "--config", cfg, "--out", tmp_path / "bh"]) == 0
+    data = read_report(tmp_path / "bh")["cases"][0]["data"]
+    assert data["status"] == "ok" and data["bound"] == pytest.approx(2.388742123354746e-07, rel=1e-13)
+
+
+def test_bihari_modulus_vanishing_at_a_reachable_point_exits_3(tmp_path, monkeypatch, capsys):
+    from jumpbsde import generators
+    from jumpbsde.generators import RhoFunction
+
+    vanishing = RhoFunction(lambda x: np.maximum(np.asarray(x, dtype=float) - 0.5, 0.0), "zero on (0, 1/2]")
+    monkeypatch.setitem(generators.RHO_CATALOG, "vanishing", vanishing)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": 0.2, "K": 1.0, "rho": "vanishing", "t": 0.0, "T": 1.0}))
+    assert run(["bihari", "--config", str(cfg), "--out", str(tmp_path / "bh")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("jumpbsde bihari: error: rho must be positive on (0, inf); rho(") and err.count("\n") == 1
+    assert not (tmp_path / "bh").exists()
+
+
 def test_bihari_scalar_rate_on_zero_length_window(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"c": 1.5, "K": 2.0, "t": 1, "T": 1}))
@@ -371,35 +394,26 @@ def test_bihari_scalar_rate_on_zero_length_window(tmp_path):
 
 
 COLD_START = """
-import sys
-import jumpbsde, jumpbsde.cli
-from jumpbsde import PiecewiseConstantRate, bihari_bound, bootstrap_y0, build_tree, make_terminal, solve_backward, solve_mc
-from jumpbsde.cli import _demo_model_config
-from jumpbsde.config import generator_from_config, resolve_model_grid
-from jumpbsde.experiments import default_comparison_config, run_comparison
+import contextlib, io, sys, tempfile
+from jumpbsde import PiecewiseConstantRate, bihari_bound
+from jumpbsde.cli import _COMMANDS, main
 
-cfg = _demo_model_config()
-model, grid = resolve_model_grid(cfg)
-g, xi = generator_from_config(cfg["generator"]), make_terminal(cfg["terminal"])
-solve_backward(build_tree(model, grid), g, xi)
-solve_mc(model, grid, g, xi, paths=500)
-bootstrap_y0(model, grid, g, xi, paths=500)
-comparison = default_comparison_config()
-assert run_comparison({**comparison, "pairs": comparison["pairs"][:1]}).passed
-assert "scipy.integrate" not in sys.modules, "loaded before any quadrature"
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    for command in _COMMANDS:
+        main([command, "--out", f"{out}/{command}"])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 print(repr(bihari_bound(0.3, PiecewiseConstantRate([0.0, 1.0], [1.5]), "xlogx", 0.0, 1.0).bound))
-assert "scipy.integrate" in sys.modules
 """
 
 
-def test_cold_start_loads_scipy_integrate_only_for_a_quadrature():
-    """Trees, LSMC and the comparison suite run without importing scipy.integrate;
-    the first Bihari bound imports it and gives the same value as this process."""
+def test_cold_start_imports_no_scipy():
+    """Every subcommand's default run, bihari included, leaves scipy unimported,
+    and a bound there equals this process's, which has scipy loaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(jumpbsde.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     want = jumpbsde.bihari_bound(0.3, jumpbsde.PiecewiseConstantRate([0.0, 1.0], [1.5]), "xlogx", 0.0, 1.0).bound
-    assert proc.stdout == f"{want!r}\n"
+    assert proc.stdout == f"[]\n{want!r}\n"
 
 
 @pytest.fixture(scope="module")
@@ -783,8 +797,9 @@ def test_check_counts_in_meta_only(tmp_path):
     assert (checks["calls"], checks["points"]) == (20, 20 * 303 * 8) and checks["seconds"] > 0
     assert '"checks"' not in json.dumps({k: v for k, v in report.items() if k != "meta"})
     assert run_cli(["counterexample", "--out", tmp_path / "ce"]) == 0
-    # the violating driver's jump-ordering check and the boundary pair's five comparison checks
-    assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 6
+    # the violating driver's jump-ordering check and the boundary pair's three: the pair is one
+    # driver, so its jump-ordering and branch-weight checks run once, not once per side
+    assert read_report(tmp_path / "ce")["meta"]["checks"]["calls"] == 4
 
 
 INPUT_ERROR_CASES = [
