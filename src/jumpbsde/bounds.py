@@ -148,7 +148,8 @@ def bihari_transform(x: float, rho: RhoFunction) -> float:
 
     One adaptive quadrature per factor TRANSFORM_PIECE_RATIO away from 1, as a
     single quadrature over many decades misplaces its nodes (G(1e12) for
-    sqrt came out 2000000.000000015, not 1999998).
+    sqrt came out 2000000.000000015, not 1999998) or, in log r, runs out of
+    halvings (G(1e300) for xlogx came out 7.0e-4 high).
     """
     return _transform(x, _Modulus(rho))
 
@@ -159,14 +160,17 @@ def _invert_transform(rise: float, mod: _Modulus, x_start: float) -> tuple[float
     The rise is carried along the iterates as a sum of short quadratures
     between them, never re-integrated over the whole range. Steps are
     signed, so an iterate above the root (possible only if rho decreases
-    somewhere) steps back down. Returns the root, or None when an iterate
+    somewhere) steps back down. They stop at a step of at most 1e-14 x or a
+    rise left of at most 4 ulps (near 0, rho(x) / x is large and rounding keeps
+    the step above 1e-14 x). Returns the root, or None when an iterate
     leaves (0, BRACKET_CAP] or the steps do not settle, i.e. the target lies
     above what G reaches; and the number of steps taken, the last included.
     """
-    x, gained = x_start, 0.0
+    x, gained, rounding = x_start, 0.0, 4.0 * math.ulp(rise)
     for steps in range(1, NEWTON_MAX_ITER + 1):
-        step = (rise - gained) * mod.at(x)
-        if abs(step) <= 1e-14 * x:
+        left = rise - gained
+        step = left * mod.at(x)
+        if abs(step) <= 1e-14 * x or abs(left) <= rounding:
             return x + step, steps
         x_next = x + step
         if not 0.0 < x_next <= BRACKET_CAP:

@@ -12,9 +12,9 @@ catalog writes each driver once, as its slope and offset in y (Affine), from
 which the solvers solve the implicit step in closed form, in the truncated
 sweep too; any other driver is a plain eval, which the solvers' fixed point
 iterates in y. An Affine driver that is linear in (y, z, u) with constant
-coefficients also declares them (LinearCoefficients); the LSMC bootstrap
-reads the declaration as its tangent row, where it differences any other
-driver.
+coefficients also declares them (LinearCoefficients); driver_slopes reads the
+declaration as exact slopes for the branch-weight check and the LSMC tangent
+rows, where it differences any other driver.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .levy import LevyModel, ModelError, TimeGrid, levy_norm, mark_sum
 
 # Numerical slack for all inequality checks (floating-point associativity).
 CHECK_SLACK = 1e-12
-# Step of the central differences in branch_weight_margin, in z and in each lambda_j u_j: a power of two,
-# so a driver affine in (z, u) gives its coefficients up to the rounding of its own values times 2**3.
+# Step of driver_slopes' central differences in branch_weight_margin: a power of two, so a driver affine
+# in (z, u) that declares no coefficients gives them up to the rounding of its own values times 2**3.
 _DIFF_STEP = 2.0**-4
 
 
@@ -151,7 +151,7 @@ class Affine:
     offset; the solvers solve the implicit step from bind in closed form.
     linear, when given, declares that bind is f = a y + b z + sum_j c_j
     lambda_j u_j with those constant coefficients; bind keeps its own
-    arithmetic, and only the LSMC pass reads the declaration.
+    arithmetic, and only driver_slopes reads the declaration.
     """
 
     __slots__ = ("bind", "linear")
@@ -385,6 +385,29 @@ def check_jump_ordering(g: GeneratorSpec, model: LevyModel, cfg: SamplerConfig =
     return _sampled_check("jump_ordering", g.name, model, cfg, 2, side, extra="bump")
 
 
+def driver_slopes(g: GeneratorSpec, ctx: StepContext, t, y, z, u, h: float):
+    """The driver's linearisation at (y, z, u): (f_y, f_z, s) with s_j = f_(u_j) / lambda_j, marks on s's last axis.
+
+    A driver that declares linear coefficients gives (a, b, c_j) exactly.
+    Any other driver gives central differences of its eval, with y, z or
+    one u_j moved by +-h, per point. f_z is 0 when sigma = 0, where the
+    step has no Brownian increment to weigh.
+    """
+    model, lin = ctx.model, g.linear
+    if lin is not None:
+        return lin.a, lin.b if model.sigma > 0 else 0.0, lin.jump_coefficients(model)
+    unit = np.eye(model.n_marks)
+
+    def difference(k: int) -> np.ndarray:
+        """The central difference of the eval with y (k = -2), z (k = -1) or u_k moved by +-h."""
+        hi, lo = ((y + s, z, u) if k == -2 else (y, z + s, u) if k == -1 else (y, z, u + s * unit[k]) for s in (h, -h))
+        return (np.asarray(g.eval(ctx, t, *hi), dtype=float) - g.eval(ctx, t, *lo)) / (2.0 * h)
+
+    f_z = difference(-1) if model.sigma > 0 else 0.0
+    s = np.array([difference(k) for k in range(model.n_marks)]).T / model.intensities
+    return difference(-2), f_z, s
+
+
 def branch_weight_margin(g: GeneratorSpec, ctx: StepContext, t, dt: float, y, z, u) -> np.ndarray:
     """Per point, the smallest weight over its probability that the tree's implicit step puts on a branch.
 
@@ -394,23 +417,12 @@ def branch_weight_margin(g: GeneratorSpec, ctx: StepContext, t, dt: float, y, z,
     bit, the Brownian sign (sigma > 0) adds -|f_z| sqrt(dt) at worst, and mark
     j the smaller of s_j (a jump) and -s_j p_j / (1 - p_j) (none), with
     s_j = f_(u_j) / lambda_j, the slope of f in lambda_j u_j. f_z and s_j are
-    central differences at (y, z, u), so for linear_driver(a, b, c) the margin
-    is 1 - |b| sqrt(dt) + sum_j min(c_j, -c_j p_j / (1 - p_j)).
+    driver_slopes of step _DIFF_STEP at (y, z, u), so for linear_driver(a, b, c)
+    the margin is exactly 1 - |b| sqrt(dt) + sum_j min(c_j, -c_j p_j / (1 - p_j)).
     """
-    model, h = ctx.model, _DIFF_STEP
-
-    def slope(z_hi, u_hi, z_lo, u_lo):
-        hi = np.asarray(g.eval(ctx, t, y, z_hi, u_hi), dtype=float)
-        return (hi - np.asarray(g.eval(ctx, t, y, z_lo, u_lo), dtype=float)) / (2.0 * h)
-
-    margin = np.ones(np.shape(y))
-    if model.sigma > 0:
-        margin -= np.abs(slope(z + h, u, z - h, u)) * math.sqrt(dt)
-    for j, (lam, p) in enumerate(zip(model.intensities, model.intensities * dt)):
-        bump = np.where(np.arange(model.n_marks) == j, h / lam, 0.0)
-        s = slope(z, u + bump, z, u - bump)
-        margin += np.minimum(s, -s * p / (1.0 - p))
-    return margin
+    _, f_z, s = driver_slopes(g, ctx, t, y, z, u, _DIFF_STEP)
+    p = ctx.model.intensities * dt
+    return np.ones(np.shape(y)) - np.abs(f_z) * math.sqrt(dt) + np.minimum(s, -s * p / (1.0 - p)).sum(axis=-1)
 
 
 def check_branch_weights(g: GeneratorSpec, model: LevyModel, grid: TimeGrid,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import GeneratorSpec, StepContext
+from .generators import GeneratorSpec, StepContext, driver_slopes
 from .levy import PATH_BLOCK, LevyModel, ModelError, PathBundle, TimeGrid, is_integer, simulate_paths
 from .tree import implicit_step
 
@@ -119,7 +119,7 @@ def _orthonormal_rows(x: np.ndarray, degree: int) -> np.ndarray:
     return q
 
 
-# Step of the central differences that give the tangents of a driver that declares no linear coefficients.
+# Step of driver_slopes' differences in the tangents: small, so a smooth driver's tangent is its derivative.
 _TANGENT_STEP = 1e-6
 
 
@@ -210,32 +210,15 @@ def _tangents(g: GeneratorSpec, ctx: StepContext, t: float, dt: float, y: np.nda
               u: np.ndarray) -> np.ndarray:
     """The derivative of the implicit step's y in its fitted rows: (1, f_z, f_(u_j) / lambda_j) / (1 - dt f_y).
 
-    A driver that declares linear coefficients gives the one row (1, b, c_j)
-    / (1 - a dt), shape (2 + J, 1). Any other driver gives a row per path at
-    the solved (y, z, u): f_y, f_z and f_(u_j) are central differences of the
-    eval, each of step _TANGENT_STEP. f_z is 0 when sigma = 0, where z is 0 on
-    every path.
+    The slopes are driver_slopes at the solved (y, z, u) with step
+    _TANGENT_STEP. A driver that declares linear coefficients gives the one
+    row (1, b, c_j) / (1 - a dt), shape (2 + J, 1); any other driver a row
+    per path.
     """
-    model = ctx.model
-    lin = g.linear
-    if lin is not None:
-        row = np.concatenate(([1.0, lin.b if model.sigma > 0 else 0.0], lin.jump_coefficients(model)))
-        return (row / (1.0 - dt * lin.a))[:, None]
-
-    def central(moved):
-        """(f(moved(h)) - f(moved(-h))) / 2h, moved(s) being (y, z, u) with one of them moved by s."""
-        h = _TANGENT_STEP
-        return (np.asarray(g.eval(ctx, t, *moved(h)), dtype=float) - g.eval(ctx, t, *moved(-h))) / (2.0 * h)
-
-    tangents = np.zeros((2 + model.n_marks, y.size))
-    tangents[0] = 1.0
-    if model.sigma > 0:
-        tangents[1] = central(lambda s: (y, z + s, u))
-    unit = np.eye(model.n_marks)
-    for mark, lam in enumerate(model.intensities):
-        tangents[2 + mark] = central(lambda s: (y, z, u + s * unit[mark])) / lam
-    tangents /= 1.0 - dt * central(lambda s: (y + s, z, u))
-    return tangents
+    f_y, f_z, s = driver_slopes(g, ctx, t, y, z, u, _TANGENT_STEP)
+    rows = np.empty((2 + ctx.model.n_marks, np.size(f_y)))
+    rows[0], rows[1], rows[2:] = 1.0, f_z, np.atleast_2d(s).T
+    return rows / (1.0 - dt * f_y)
 
 
 def _influence(bundle: PathBundle, g: GeneratorSpec, xi, basis: RegressionBasis, coefs: list) -> np.ndarray:

@@ -84,6 +84,20 @@ def test_transform_far_from_one(rho, x, exact):
     assert bihari_transform(x, rho) == pytest.approx(exact, rel=1e-9)
 
 
+TRANSFORM_CLOSED_FORMS = [
+    *(("identity", x, math.log(x)) for x in (1e-300, 1e-12, 1e12, 1e300)),
+    *(("sqrt", x, 2.0 * (math.sqrt(x) - 1.0)) for x in (1e-300, 1e-12, 1e12, 1e300)),
+    *(("xlogx", x, (x - 1.0) / -math.expm1(-1.0 / math.e)) for x in (1e12, 1e300)),  # rho is constant above 1/e
+]
+
+
+@pytest.mark.parametrize("rho, x, exact", TRANSFORM_CLOSED_FORMS)
+def test_catalog_transform_matches_its_closed_form_over_many_decades(rho, x, exact):
+    # one adaptive quadrature in log r from 1 to x, with no pieces of a factor TRANSFORM_PIECE_RATIO,
+    # gave G(1e300) 7.0e-4 high for xlogx: QUAD_LIMIT caps the halvings of one call
+    assert bihari_transform(x, rho_catalog()[rho]) == pytest.approx(exact, rel=1e-13)
+
+
 def test_out_of_domain_for_bounded_transform():
     # rho(r) = r^2 makes G bounded above by 1 from c = 1
     square = RhoFunction(lambda x: np.asarray(x, dtype=float) ** 2, "square")
@@ -360,11 +374,24 @@ XLOGX_ROOTS = {
 }
 
 
-@pytest.mark.parametrize("c", sorted(XLOGX_ROOTS, reverse=True))
-def test_xlogx_bound_near_zero_matches_mpmath(c):
+# Roots of G(x) - G(c) = int K, keyed (c, int K), the same way. rho(x) / x ~ log(1/x) is in the hundreds
+# there, so the carried residual reaches rounding while the Newton step is still above 1e-14 x: these ran
+# out of steps and came out out-of-domain until the inversion also stopped on a residual of a few ulps.
+XLOGX_DEEP_ROOTS = {
+    (1e-200, 0.1): "1.0777459333473187e-181",
+    (1e-300, 0.1): "3.5381365439476991e-272",
+    (1e-300, 0.3): "5.6824260876268950e-223",
+}
+
+
+@pytest.mark.parametrize("c, integral, root", [
+    *(pytest.param(c, 1.0, root, id=str(c)) for c, root in sorted(XLOGX_ROOTS.items(), reverse=True)),
+    *(pytest.param(c, k, root, id=f"{c}-K{k}") for (c, k), root in XLOGX_DEEP_ROOTS.items()),
+])
+def test_xlogx_bound_near_zero_matches_mpmath(c, integral, root):
     # 1 - m**m rounded to 0 below m = 8.7e-19: c = 1e-18 raised ZeroDivisionError, 2e-18 lay 1.4% low
-    res = bihari_bound(c, PiecewiseConstantRate([0.0, 1.0], [1.0]), "xlogx", 0.0, 1.0)
-    want = float(XLOGX_ROOTS[c])
+    res = bihari_bound(c, PiecewiseConstantRate([0.0, 1.0], [integral]), "xlogx", 0.0, 1.0)
+    want = float(root)
     assert res.status == "ok"
     assert abs(res.bound - want) <= 1e-13 * want
 

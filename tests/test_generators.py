@@ -31,7 +31,8 @@ from jumpbsde import (
     zero_generator,
 )
 from jumpbsde.bounds import rho_catalog
-from jumpbsde.generators import CHECK_SLACK, Affine, CheckReport, Violation
+from jumpbsde.generators import CHECK_SLACK, Affine, CheckReport, Violation, driver_slopes
+from jumpbsde.mc import _TANGENT_STEP
 from jumpbsde.tree import implicit_step
 
 MODEL = LevyModel(0.1, 1.0, ((0.5, 0.8), (-0.3, 0.4)))
@@ -206,6 +207,20 @@ def test_tanh_jump_integral_zero_time_convention():
     assert np.all(g.eval(ctx, 0.0, np.zeros(4), np.zeros(4), u) == 0.0)
     assert np.all(np.asarray(g.K2(ctx, 0.0)) == 0.0)
     assert np.all(np.isfinite(g.eval(ctx, 1e-8, np.zeros(4), np.zeros(4), u)))
+
+
+def test_tanh_jump_integral_slopes_are_its_derivative():
+    """At the LSMC tangent step, driver_slopes' s_j of f = tanh(sum_j kappa_j lambda_j u_j) is
+    kappa_j (1 - tanh^2), with kappa_j = t^(-1/4) min(|x_j|, 1); f depends on neither y nor z."""
+    g, t = tanh_jump_integral(), 0.3
+    rng = np.random.default_rng(8)
+    ctx, y, z = ctx_for(MODEL, 32), rng.uniform(-4.0, 4.0, 32), rng.uniform(-4.0, 4.0, 32)
+    u = 0.5 * rng.standard_normal((32, 2))
+    kappa = t**-0.25 * np.minimum(np.abs(MODEL.jump_sizes), 1.0)
+    f_y, f_z, s = driver_slopes(g, ctx, t, y, z, u, _TANGENT_STEP)
+    exact = kappa * (1.0 - np.tanh(u @ (kappa * MODEL.intensities)) ** 2)[:, None]
+    assert np.all(f_y == 0.0) and np.all(f_z == 0.0)
+    np.testing.assert_allclose(s, exact, rtol=1e-8, atol=0.0)
 
 
 def test_shift_generator_orders_and_grows():

@@ -33,8 +33,16 @@ from jumpbsde import (
     zero_generator,
 )
 from jumpbsde.experiments import _sup_time_sum, max_ordering_violation, measure_e_if2
-from jumpbsde.generators import CHECK_SLACK, Affine, StepContext, branch_weight_margin, truncate_generator
+from jumpbsde.generators import (
+    _DIFF_STEP,
+    Affine,
+    StepContext,
+    branch_weight_margin,
+    driver_slopes,
+    truncate_generator,
+)
 from jumpbsde.levy import kept_marks_mask
+from jumpbsde.mc import _TANGENT_STEP
 from jumpbsde.terminals import make_terminal
 from jumpbsde.tree import (
     DEFAULT_FP_MAX_ITER,
@@ -516,9 +524,11 @@ def linear_weight_problems(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(linear_weight_problems())
+@example((build_tree(LevyModel(0.1, 1.0, ((0.5, 0.98),)), TimeGrid(1.0, 1)), 2.5, [2.75], 0.5, 7))
 def test_branch_weight_margin_of_a_linear_driver_is_the_closed_form(problem):
-    """The sampled check's difference quotients give one_step_weight_margin at every point, to well
-    inside CHECK_SLACK, and the check fails exactly where that margin is negative."""
+    """The declared coefficients give one_step_weight_margin at every point, to rounding, and the check
+    fails exactly where that margin is negative. At the example p / (1 - p) = 49 multiplies any rounding
+    of a difference quotient: central differences of step 2**-4 missed the margin by 1.4e-12 there."""
     tree, b, c, t, seed = problem
     g = linear_driver(0.7, b, tuple(c) or 0.0)
     rng = np.random.default_rng(seed)
@@ -527,7 +537,7 @@ def test_branch_weight_margin_of_a_linear_driver_is_the_closed_form(problem):
     y, z = rng.uniform(-4.0, 4.0, (2, m))
     closed = one_step_weight_margin(tree, b, c)
     margin = branch_weight_margin(g, ctx, t, tree.grid.dt, y, z, 2.0 * rng.standard_normal((m, len(c))))
-    assert np.abs(margin - closed).max() <= 0.5 * CHECK_SLACK
+    assert np.abs(margin - closed).max() <= 1e-14
     if abs(closed) > 1e-9:
         assert check_branch_weights(g, tree.model, tree.grid).passed == (closed > 0.0)
 
@@ -704,6 +714,25 @@ def test_lattice_sweep_matches_product_sweep(problem):
 def plain_copy(g):
     """g with a plain eval that computes the same numbers, so the solvers iterate its fixed point."""
     return replace(g, eval=lambda ctx, t, y, z, u: g.eval(ctx, t, y, z, u))
+
+
+@pytest.mark.parametrize("h, tol", [(_DIFF_STEP, 1e-12), (_TANGENT_STEP, 1e-8)])
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_driver_slopes_of_a_plain_copy_match_the_declared_coefficients(h, tol, sigma):
+    """A linear driver's plain-eval copy declares nothing, so driver_slopes differences it; at both
+    callers' steps the differences give the declared (a, b, c_j), b read as 0 without a Brownian part."""
+    model = LevyModel(0.1, sigma, ((0.5, 0.8), (-0.3, 0.4)))
+    g = linear_driver(0.7, -1.3, (2.5, -0.6))
+    rng = np.random.default_rng(4)
+    ctx = StepContext(model=model, x=rng.uniform(-3.0, 3.0, 64))
+    y, z = rng.uniform(-4.0, 4.0, (2, 64))
+    u = 2.0 * rng.standard_normal((64, 2))
+    a, b, c = driver_slopes(g, ctx, 0.5, y, z, u, h)
+    assert (a, b, c.tolist()) == (0.7, -1.3 if sigma else 0.0, [2.5, -0.6])
+    f_y, f_z, s = driver_slopes(plain_copy(g), ctx, 0.5, y, z, u, h)
+    assert f_y.shape == (64,) and s.shape == (64, 2) and np.shape(f_z) == ((64,) if sigma else ())
+    for diff, exact in ((f_y, a), (f_z, b), (s, c)):
+        assert np.abs(diff - exact).max() <= tol
 
 
 SLOPED_STATE = GeneratorSpec(  # affine in y with one slope per point
